@@ -127,6 +127,16 @@ def test_heat_rejects_bad_time_list(capsys):
     assert "--t" in err
 
 
+def test_heat_below_floor_names_floor_not_a_flag(capsys):
+    code, _, err = run(capsys, "heat", "--n", "2", "--t", "5e-7")
+    assert code == 1
+    assert "1e-06" in err
+    assert "min_t" in err
+    # the CLI has no option to lower the floor, so the message must not suggest one
+    assert "--" not in err
+    assert "pass min_t explicitly" not in err
+
+
 def test_converge_rows(capsys):
     code, out, _ = run(
         capsys, "converge", "--n", "2", "--lambdas", "100,1000", "--format", "json"

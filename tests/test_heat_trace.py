@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath as mp
 import pytest
 
 from kohnspec.combinatorics import dim_hpq
@@ -112,3 +114,74 @@ def test_split_q_term_stable_at_tiny_t():
     # e^(-2t)/(1 - e^(-2t))^2 ~ 1/(2t)^2; the expm1 form must not collapse
     t = 1e-12
     assert _split_q_term(2, t, 1) * t**2 == pytest.approx(0.25, rel=1e-3)
+
+
+# ------------------------------------------------- mpmath oracle sweep
+
+ORACLE_DPS = 20
+
+
+@functools.cache
+def _gauss_legendre_nodes():
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    with mp.workdps(ORACLE_DPS):
+        return GaussLegendre(mp.mp).calc_nodes(4, mp.mp.prec)  # 24 points
+
+
+def _oracle_split(n, t, which, head=100, order=3):
+    """One split sum at 20 digits, independently of kohnspec.
+
+    100 terms summed directly, then the Euler-Maclaurin tail: the integral
+    by 24-point Gauss-Legendre on panels [x, min(2x, x + 8/rate)] out to
+    (64 + 4n)/rate past the head (x^(n-2) e^(-rate x) has dropped below
+    1e-20 of its peak there), and mpmath's numerical derivatives.  Past 100
+    terms the dropped Euler-Maclaurin remainder is far below 1e-20 relative.
+    """
+    with mp.workdps(ORACLE_DPS):
+        tt = mp.mpf(t)
+        if which == "q":
+            start, sign, rate = 1, 1, 2 * tt * (n - 1)
+        else:
+            start, sign, rate = n - 1, -1, 2 * tt
+        norm = mp.factorial(n - 2)
+
+        def f(x):
+            poly = mp.mpf(1)
+            for i in range(1, n - 1):
+                poly *= x + sign * i
+            return poly / norm * mp.exp(-rate * x) / (-mp.expm1(-2 * tt * x)) ** n
+
+        a = start + head
+        total = mp.fsum(f(mp.mpf(k)) for k in range(start, a))
+        lo, end = mp.mpf(a), a + (64 + 4 * n) / rate
+        while lo < end:
+            hi = min(2 * lo, lo + 8 / rate)
+            half, mid = (hi - lo) / 2, (hi + lo) / 2
+            total += half * mp.fsum(w * f(mid + half * x) for x, w in _gauss_legendre_nodes())
+            lo = hi
+        derivs = list(mp.diffs(f, a, 2 * order - 1))
+        total += derivs[0] / 2
+        for j in range(1, order + 1):
+            total -= mp.bernoulli(2 * j) / mp.factorial(2 * j) * derivs[2 * j - 1]
+        return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("t", [1e-6, 1e-4, 1e-2, 0.1, 1.0, 10.0])
+def test_split_sums_against_mpmath(n, t):
+    # abs_tol=0 makes the requested accuracy purely relative, so the bound
+    # can be held to 1e-12 of the value even where the value is tiny
+    for which, fn in (("q", trace_split_q), ("w", trace_split_w)):
+        got = fn(n, t, abs_tol=0.0)
+        ref = _oracle_split(n, t, which)
+        assert abs(mp.mpf(got.value) - ref) <= got.error_bound, (which, got)
+        assert got.error_bound <= 1e-12 * got.value, (which, got)
+        assert got.terms_used <= 5000, (which, got)
+
+
+@pytest.mark.parametrize("n, t", [(2, 0.01), (3, 0.02), (5, 0.05)])
+def test_direct_bound_covers_rounding(n, t):
+    got = trace_direct(n, t)
+    ref = _oracle_split(n, t, "q") + _oracle_split(n, t, "w")
+    assert abs(mp.mpf(got.value) - ref) <= got.error_bound
