@@ -49,7 +49,6 @@ from .special_functions import (
     zeta_even,
 )
 from .spectrum import (
-    ModeIndex,
     SpectralLine,
     count,
     counting_ratio,
@@ -76,7 +75,6 @@ __all__ = [
     "sphere_volume",
     "QuadratureResult",
     "integrate_decaying",
-    "ModeIndex",
     "SpectralLine",
     "eigenvalue",
     "enumerate_modes",

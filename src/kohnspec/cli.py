@@ -231,7 +231,9 @@ def _cmd_count(args) -> int:
         return 0
     total = spectrum.count(args.n, args.lam, line_cap=cap)
     columns = ["n", "lambda", "count", "ratio"]
-    ratio = total / float(args.lam) ** args.n if args.lam > 0 else None
+    ratio = (
+        spectrum.counting_ratio(args.n, args.lam, total=total) if args.lam > 0 else None
+    )
     rows = [{"n": args.n, "lambda": args.lam, "count": total, "ratio": ratio}]
     _emit(args, "count", {"n": args.n, "lambda": args.lam, "modes": False}, columns, rows)
     return 0
@@ -302,7 +304,7 @@ def _cmd_converge(args) -> int:
     rows = []
     for lam in lams:
         total = spectrum.count(args.n, lam, line_cap=cap)
-        ratio = total / float(lam) ** args.n if lam > 0 else None
+        ratio = spectrum.counting_ratio(args.n, lam, total=total) if lam > 0 else None
         rows.append(
             {
                 "n": args.n,

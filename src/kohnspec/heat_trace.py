@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,6 +58,8 @@ MIN_T = 1e-6
 U = 2.0**-53  # unit roundoff of a float
 # Largest x with exp(-x) > 0 in floating point.
 _EXP_ARG_MAX = -math.log(math.ulp(0.0))
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_RANGE_MARGIN = math.log(64.0)  # headroom of the trace and its bound over the first term
 
 HEAD_TERMS = 64  # terms summed exactly before the Euler-Maclaurin tail
 EM_ORDER = 6  # Bernoulli corrections; raised to ceil(n/2) so the R_m bound converges
@@ -89,6 +92,16 @@ def _validate(n: int, t: float, min_t: float) -> None:
             f"t = {t} is below the heat-trace floor {min_t}; only the min_t "
             "argument of the kohnspec.heat_trace functions lowers the floor"
         )
+    # The q = 1 term of split_q, (n-1) e^(-2t(n-1)) / (1 - e^(-2t))^n, sets
+    # the scale of the trace: as t -> 0 the trace is Gamma(n+1) c(n) 2^n / (n-1)
+    # times it, at most 3.3 (n = 2) and 1 + 1e-9 from n = 30 on.
+    log_first = math.log(n - 1) - 2.0 * t * (n - 1) - n * math.log(-math.expm1(-2.0 * t))
+    if log_first > _LOG_FLOAT_MAX - _RANGE_MARGIN:
+        t_min = 0.5 * math.exp((math.log(n - 1) + _RANGE_MARGIN - _LOG_FLOAT_MAX) / n)
+        raise ValueError(
+            f"the heat trace at n = {n}, t = {t} is about e^{log_first:.0f}, beyond "
+            f"the float range; at n = {n} the supported range is t >= about {t_min:.3g}"
+        )
 
 
 def _comb_float(a: int, b: int) -> float:
@@ -101,18 +114,21 @@ def _comb_float(a: int, b: int) -> float:
         )
 
 
-def _binom(z, k: int):
-    """binom(z, k) for integer k >= 0: exact for integer z, else the polynomial in z."""
+def _binom_exp(z, k: int, x):
+    """binom(z, k) * exp(-x) for integer k >= 0, real or complex z and x.
+
+    The binomial is exact for integer z, else the polynomial in z; that
+    polynomial is multiplied into exp(-x) factor by factor, so no partial
+    product overflows where the result does not (at t = 1e-6 and n ~ 50,
+    binom(z, n-2) alone passes 1e308 on the tail's range while the term does
+    not).
+    """
     if isinstance(z, int):
-        return _comb_float(z, k)
-    acc = 1.0
+        return _comb_float(z, k) * math.exp(-x)
+    acc = cmath.exp(-x) if isinstance(x, complex) else math.exp(-x)
     for i in range(k):
         acc = acc * (z - i) / (i + 1)
     return acc
-
-
-def _exp(z):
-    return cmath.exp(z) if isinstance(z, complex) else math.exp(z)
 
 
 def _expm1(z):
@@ -129,13 +145,13 @@ def _expm1(z):
 def _split_q_term(n: int, t: float, q):
     """q-th term of the split_q sum, stable at small t*q; q may be real or complex, Re q > 0."""
     denom = -_expm1(-2.0 * t * q)
-    return _binom(n + q - 2, n - 2) * _exp(-2.0 * t * q * (n - 1)) / denom**n
+    return _binom_exp(n + q - 2, n - 2, 2.0 * t * q * (n - 1)) / denom**n
 
 
 def _split_w_term(n: int, t: float, w):
     """w-th term of the split_w sum (zero for w < n - 1); w may be real or complex, Re w > 0."""
     denom = -_expm1(-2.0 * t * w)
-    return _binom(w - 1, n - 2) * _exp(-2.0 * t * w) / denom**n
+    return _binom_exp(w - 1, n - 2, 2.0 * t * w) / denom**n
 
 
 def _eval_rel(n: int, x: float) -> float:
@@ -156,8 +172,7 @@ def _majorant(n: int, t: float, rate: float, re_min: float, abs_max: float) -> f
     |e^(-rate z)| = e^(-rate Re z) and |1 - e^(-2tz)| >= 1 - e^(-2t Re z).
     """
     return (
-        _binom(float(abs_max) + n - 2, n - 2)
-        * math.exp(-rate * re_min)
+        _binom_exp(float(abs_max) + n - 2, n - 2, rate * re_min)
         / (-math.expm1(-2.0 * t * re_min)) ** n
     )
 

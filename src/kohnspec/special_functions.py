@@ -186,14 +186,20 @@ def _panel(f: Callable, a: float, b: float, rule) -> float | complex:
     return half * total
 
 
-def _tail_weight(T: float, s: int, d: float) -> float:
-    """Exact integral of x**s * exp(-d x) over [T, inf) for integer s >= 0."""
+def _log_tail_weight(T: float, s: int, d: float) -> float:
+    """log of the exact integral of x**s * exp(-d x) over [T, inf), integer s >= 0, T > 0.
+
+    The closed form exp(-d T) sum_j s!/(s-j)! T^(s-j) / d^(j+1) is evaluated
+    as s log T - d T + log sum_j s!/(s-j)! / (T^j d^(j+1)), so that T^s never
+    appears on its own: the result is finite even where the weight itself
+    leaves the float range.
+    """
     acc = 0.0
-    falling = 1.0
+    term = 1.0 / d
     for j in range(s + 1):
-        acc += falling * T ** (s - j) / d ** (j + 1)
-        falling *= s - j
-    return math.exp(-d * T) * acc
+        acc += term
+        term *= (s - j) / (T * d)
+    return s * math.log(T) - d * T + math.log(acc)
 
 
 def integrate_decaying(
@@ -228,27 +234,28 @@ def integrate_decaying(
     s = int(poly_degree)
     nodes_used = 0
 
-    def envelope_constant(T: float) -> float:
+    def log_envelope_constant(T: float) -> float:
         nonlocal nodes_used
-        c = 0.0
+        ln_c = -math.inf
         for i in range(8):
             x = T * (0.55 + 0.45 * i / 7.0)
             v = abs(integrand(x))
             nodes_used += 1
             if v == 0.0:
                 continue
-            ln_c = math.log(v) + d * x - s * math.log(x)
-            c = max(c, math.exp(min(ln_c, 700.0)))
-        return c
+            ln_c = max(ln_c, math.log(v) + d * x - s * math.log(x))
+        return ln_c
 
+    # The tail bound C * weight is formed in logs: either factor alone can
+    # leave the float range while their product is tiny.
+    log_half_tol = math.log(0.5 * tol)
     T = max(2.0 * (s + 1) / d, 8.0 / d, 1.0)
-    tail_bound = 0.0
     for _ in range(400):
         if nodes_used + 8 > node_cap:
             raise ConvergenceError(f"node cap {node_cap} exceeded while truncating")
-        c_hat = envelope_constant(T)
-        tail_bound = c_hat * _tail_weight(T, s, d)
-        if tail_bound <= 0.5 * tol:
+        log_tail = log_envelope_constant(T) + _log_tail_weight(T, s, d)
+        if log_tail <= log_half_tol:
+            tail_bound = math.exp(log_tail)
             break
         T *= 1.25
     else:

@@ -137,6 +137,28 @@ def test_heat_below_floor_names_floor_not_a_flag(capsys):
     assert "pass min_t explicitly" not in err
 
 
+def test_count_ratio_finite_where_lambda_power_overflows(capsys):
+    # 1e9**40 is beyond the float range; the ratio is formed exactly
+    code, out, err = run(capsys, "count", "--n", "40", "--lambda", "1e9", "--format", "json")
+    assert code == 0, err
+    ratio = json.loads(out)["rows"][0]["ratio"]
+    assert math.isfinite(ratio) and 0.0 < ratio < 1e-58
+
+
+@pytest.mark.parametrize("n", [45, 60])
+def test_heat_large_n_small_t_answers_or_names_range(capsys, n):
+    # at n = 60 the trace itself (~e^791) leaves the float range
+    code, out, err = run(capsys, "heat", "--n", str(n), "--t", "1e-6", "--format", "json")
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code == 0:
+        row = json.loads(out)["rows"][0]
+        assert math.isfinite(row["split_q"]) and math.isfinite(row["split_w"])
+    else:
+        assert err.startswith("error:")
+        assert "float range" in err and "t >= about" in err
+
+
 def test_converge_rows(capsys):
     code, out, _ = run(
         capsys, "converge", "--n", "2", "--lambdas", "100,1000", "--format", "json"

@@ -180,6 +180,24 @@ def test_split_sums_against_mpmath(n, t):
         assert got.terms_used <= 5000, (which, got)
 
 
+@pytest.mark.parametrize("n", [45, 53])
+def test_split_sums_against_mpmath_large_n(n):
+    # at t = 1e-6 the polynomial factor of the tail terms alone passes 1e308
+    # (n = 53) and the quadrature's tail weight overflows (n = 45)
+    for which, fn in (("q", trace_split_q), ("w", trace_split_w)):
+        got = fn(n, 1e-6)
+        ref = _oracle_split(n, 1e-6, which)
+        assert abs(mp.mpf(got.value) - ref) <= got.error_bound, (which, got)
+        assert got.error_bound <= 1e-12 * got.value, (which, got)
+
+
+def test_trace_beyond_float_range_is_a_value_error():
+    for fn in (trace_split_q, trace_split_w, trace_direct):
+        with pytest.raises(ValueError, match="float range"):
+            fn(60, 1e-6)
+    trace_split_q(60, 5e-6)  # inside the range the error names
+
+
 @pytest.mark.parametrize("n, t", [(2, 0.01), (3, 0.02), (5, 0.05)])
 def test_direct_bound_covers_rounding(n, t):
     got = trace_direct(n, t)

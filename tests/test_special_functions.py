@@ -2,12 +2,14 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from kohnspec.errors import ConvergenceError
 from kohnspec.special_functions import (
     PiMultiple,
     QuadratureResult,
+    _log_tail_weight,
     bernoulli,
     integrate_decaying,
     log_gamma,
@@ -179,3 +181,20 @@ def test_integrate_decaying_validates_arguments():
         integrate_decaying(lambda x: 0.0, 1.0, tol=0.0)
     with pytest.raises(ValueError):
         integrate_decaying(lambda x: 0.0, 1.0, poly_degree=-1)
+
+
+@pytest.mark.parametrize(
+    "T, s, d",
+    [
+        (1e8, 43, 2e-6),  # T**s = 1e344 alone overflows; the weight is ~8.8e262
+        (4.9e7, 48, 2e-6),  # the weight itself (~e^762) overflows; its log does not
+        (7.5, 12, 3.0),
+        (2.0, 5, 20.0),
+    ],
+)
+def test_log_tail_weight_against_mpmath(T, s, d):
+    # int_T^inf x^s e^(-d x) dx = Gamma(s + 1, d T) / d^(s + 1)
+    with mp.workdps(30):
+        ref = mp.log(mp.gammainc(s + 1, mp.mpf(d) * T) / mp.mpf(d) ** (s + 1))
+        got = _log_tail_weight(T, s, d)
+        assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))

@@ -1,11 +1,15 @@
+import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kohnspec.combinatorics import binom
 from kohnspec.errors import ResourceCapError
 from kohnspec.spectrum import (
     SpectralLine,
+    _block_count,
     count,
     counting_ratio,
     eigenvalue,
@@ -122,3 +126,59 @@ def test_line_cap_fast_fails_on_huge_thresholds():
     # grind through the lattice
     with pytest.raises(ResourceCapError):
         count(2, 1e12, line_cap=1_000_000)
+
+
+@st.composite
+def thresholds(draw):
+    """(n, lam) with lam <= 2000: arbitrary, an eigenvalue, or the float just below one."""
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["any", "eigenvalue", "below"]))
+    if kind == "any":
+        return n, draw(st.floats(0.0, 2000.0))
+    q = draw(st.integers(1, 1000 // (n - 1)))
+    p = draw(st.integers(0, 1000 // q - (n - 1)))
+    lam = float(eigenvalue(n, p, q))
+    return n, lam if kind == "eigenvalue" else math.nextafter(lam, 0.0)
+
+
+@given(thresholds())
+def test_count_matches_naive_property(case):
+    n, lam = case
+    assert count(n, lam) == naive_count(n, lam)
+
+
+def per_q_hockey_stick(n: int, lam: float) -> int:
+    """Unblocked reference: the closed-form sum over p, one q at a time."""
+    L, m = int(lam // 2), n - 1
+    comb = math.comb
+    total = 0
+    for q in range(1, L // m + 1):
+        P = L // q - m
+        lower = comb(n + P - 1, P - 1) if P else 0
+        total += comb(n + q - 1, q) * comb(n + P, P) - comb(n + q - 2, q - 1) * lower
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("lam", [1e6, 1e7])
+def test_count_matches_per_q_hockey_stick(n, lam):
+    assert count(n, lam) == per_q_hockey_stick(n, lam)
+
+
+def test_block_count_matches_brute_force():
+    for L in range(400):
+        for m in range(1, 9):
+            distinct = {L // q for q in range(1, L + 1) if L // q >= m}
+            assert _block_count(L, m) == len(distinct), (L, m)
+
+
+def test_count_work_is_blocks_not_lines():
+    # 1,414,212 blocks, where a loop over lines would visit ~1.4e13; the value
+    # is checked against sum_q K(K+1)/2 + qK, K = floor(lam/2) // q, the n = 2 form
+    assert count(2, 1e12, line_cap=1_500_000) == 411_233_516_712_952_003_385_536
+
+
+def test_counting_ratio_does_not_overflow():
+    # 1e6**60 overflows a float; the exact quotient does not
+    assert counting_ratio(60, 1e6) == pytest.approx(6.129047125870333e-99, rel=1e-15)
+    assert counting_ratio(2, 100, total=4160) == 0.416
