@@ -45,7 +45,6 @@ from .special_functions import (
     bernoulli,
     integrate_decaying,
     log_gamma,
-    sphere_volume,
     zeta_even,
 )
 from .spectrum import (
@@ -72,7 +71,6 @@ __all__ = [
     "bernoulli",
     "zeta_even",
     "log_gamma",
-    "sphere_volume",
     "QuadratureResult",
     "integrate_decaying",
     "SpectralLine",

@@ -20,7 +20,7 @@ Exit codes: 0 success; 1 usage or domain error; 2 reconciliation failure
 or non-convergence.
 
 Caps can be overridden by environment variables KOHNSPEC_LINE_CAP,
-KOHNSPEC_TERM_CAP, KOHNSPEC_NODE_CAP; explicit flags win over environment.
+KOHNSPEC_TERM_CAP, KOHNSPEC_NODE_CAP; their defaults live in kohnspec.errors.
 """
 
 from __future__ import annotations
@@ -31,12 +31,13 @@ import os
 import sys
 from pathlib import Path
 
-from . import coefficients, continuation, heat_trace, spectrum
+from . import coefficients, continuation, errors, heat_trace, spectrum
 from .errors import ConvergenceError, ResourceCapError
 
 __all__ = ["build_parser", "main", "entry"]
 
 _SCHEMA = 1
+_METHOD_ALIASES = {"intermediate": "integral-intermediate"}  # the flag's short spelling
 
 
 def _env_int(name: str, default: int) -> int:
@@ -53,15 +54,15 @@ def _env_int(name: str, default: int) -> int:
 
 
 def _line_cap() -> int:
-    return _env_int("KOHNSPEC_LINE_CAP", spectrum.DEFAULT_LINE_CAP)
+    return _env_int("KOHNSPEC_LINE_CAP", errors.DEFAULT_LINE_CAP)
 
 
 def _term_cap() -> int:
-    return _env_int("KOHNSPEC_TERM_CAP", heat_trace.DEFAULT_TERM_CAP)
+    return _env_int("KOHNSPEC_TERM_CAP", errors.DEFAULT_TERM_CAP)
 
 
 def _node_cap() -> int:
-    return _env_int("KOHNSPEC_NODE_CAP", 200_000)
+    return _env_int("KOHNSPEC_NODE_CAP", errors.DEFAULT_NODE_CAP)
 
 
 # ---------------------------------------------------------------- rendering
@@ -156,14 +157,9 @@ def _cmd_coeff(args) -> int:
             "exact_form": str(est.exact_form) if est.exact_form else None,
         }
 
+    options = dict(terms=args.terms, tol=args.tol, term_cap=_term_cap(), node_cap=_node_cap())
     if args.method == "all":
-        report = coefficients.reconcile(
-            args.n,
-            terms=args.terms,
-            tol=args.tol,
-            term_cap=_term_cap(),
-            node_cap=_node_cap(),
-        )
+        report = coefficients.reconcile(args.n, **options)
         rows = [estimate_row(est) for est in report.estimates]
         for a, b, diff, combined in report.differences:
             rows.append(
@@ -191,18 +187,8 @@ def _cmd_coeff(args) -> int:
             return 2
         return 0
 
-    if args.method == "series-zeta":
-        est = coefficients.series_zeta(args.n)
-    elif args.method == "series-direct":
-        est = coefficients.series_direct(args.n, args.terms, term_cap=_term_cap())
-    elif args.method == "integral":
-        est = coefficients.integral_coefficient(
-            args.n, tol=args.tol, node_cap=_node_cap()
-        )
-    else:  # intermediate
-        est = coefficients.integral_intermediate(
-            args.n, tol=args.tol, node_cap=_node_cap()
-        )
+    method = _METHOD_ALIASES.get(args.method, args.method)
+    est = coefficients.estimate(method, args.n, **options)
     _emit(
         args,
         "coeff",
@@ -229,31 +215,21 @@ def _cmd_count(args) -> int:
         ]
         _emit(args, "count", {"n": args.n, "lambda": args.lam, "modes": True}, columns, rows)
         return 0
-    total = spectrum.count(args.n, args.lam, line_cap=cap)
-    columns = ["n", "lambda", "count", "ratio"]
-    ratio = (
-        spectrum.counting_ratio(args.n, args.lam, total=total) if args.lam > 0 else None
-    )
-    rows = [{"n": args.n, "lambda": args.lam, "count": total, "ratio": ratio}]
-    _emit(args, "count", {"n": args.n, "lambda": args.lam, "modes": False}, columns, rows)
+    rows = [_count_row(args.n, args.lam, cap)]
+    _emit(args, "count", {"n": args.n, "lambda": args.lam, "modes": False}, list(rows[0]), rows)
     return 0
+
+
+def _count_row(n: int, lam: float, cap: int) -> dict:
+    total = spectrum.count(n, lam, line_cap=cap)
+    ratio = spectrum.counting_ratio(n, lam, total=total) if lam > 0 else None
+    return {"n": n, "lambda": lam, "count": total, "ratio": ratio}
 
 
 def _cmd_heat(args) -> int:
     ts = _parse_float_list(args.t, "--t")
     cap = _term_cap()
     abs_tol = args.tol if args.tol is not None else 1e-15
-    columns = [
-        "n",
-        "t",
-        "split_q",
-        "split_q_bound",
-        "split_w",
-        "split_w_bound",
-        "scaled_trace",
-    ]
-    if args.verify:
-        columns += ["direct", "direct_bound", "split_total", "abs_diff", "within_bounds"]
     rows = []
     all_within = True
     for t in ts:
@@ -266,7 +242,7 @@ def _cmd_heat(args) -> int:
             "split_q_bound": part_q.error_bound,
             "split_w": part_w.value,
             "split_w_bound": part_w.error_bound,
-            "scaled_trace": float(t) ** args.n * (part_q.value + part_w.value),
+            "scaled_trace": heat_trace.scale_by_t_power(args.n, t, part_q.value + part_w.value),
         }
         if args.verify:
             direct = heat_trace.trace_direct(args.n, t, abs_tol=abs_tol, term_cap=cap)
@@ -287,7 +263,7 @@ def _cmd_heat(args) -> int:
         args,
         "heat",
         {"n": args.n, "t": ts, "verify": bool(args.verify)},
-        columns,
+        list(rows[0]),
         rows,
     )
     if args.verify and not all_within:
@@ -300,21 +276,10 @@ def _cmd_converge(args) -> int:
     lams = _parse_float_list(args.lambdas, "--lambdas")
     cap = _line_cap()
     limit = coefficients.series_zeta(args.n).value
-    columns = ["n", "lambda", "count", "ratio", "ratio_minus_limit"]
-    rows = []
-    for lam in lams:
-        total = spectrum.count(args.n, lam, line_cap=cap)
-        ratio = spectrum.counting_ratio(args.n, lam, total=total) if lam > 0 else None
-        rows.append(
-            {
-                "n": args.n,
-                "lambda": lam,
-                "count": total,
-                "ratio": ratio,
-                "ratio_minus_limit": None if ratio is None else ratio - limit,
-            }
-        )
-    _emit(args, "converge", {"n": args.n, "limit": limit}, columns, rows)
+    rows = [_count_row(args.n, lam, cap) for lam in lams]
+    for row in rows:
+        row["ratio_minus_limit"] = None if row["ratio"] is None else row["ratio"] - limit
+    _emit(args, "converge", {"n": args.n, "limit": limit}, list(rows[0]), rows)
     return 0
 
 
@@ -332,20 +297,17 @@ def _parse_span(raw: str) -> list[float]:
 
 def _stanton_row(n: int, q: complex, tol: float, node_cap: int, limit: float) -> dict:
     point = continuation.StripPoint(n, q)
-    m = n - 1
-    in_g_strip = -1.0 < q.real < m
-    in_f_strip = 0.0 < q.real < m and abs(q) >= continuation.NEAR_POLE_RADIUS
     g_val = (
         continuation.continued_coefficient(point, tol=tol, node_cap=node_cap)
-        if in_g_strip
+        if point.in_continued_strip
         else None
     )
     f_val = (
         continuation.stanton_coefficient(point, tol=tol, node_cap=node_cap)
-        if in_f_strip
+        if point.in_stanton_strip
         else None
     )
-    pole = continuation.pole_term(point) if (in_g_strip and q != 0) else None
+    pole = continuation.pole_term(point) if (point.in_continued_strip and q != 0) else None
     residual = (
         abs(f_val - g_val - pole)
         if (f_val is not None and g_val is not None and pole is not None)
@@ -370,19 +332,6 @@ def _stanton_row(n: int, q: complex, tol: float, node_cap: int, limit: float) ->
 def _cmd_stanton(args) -> int:
     node_cap = _node_cap()
     limit = coefficients.series_zeta(args.n).value
-    columns = [
-        "n",
-        "q_re",
-        "q_im",
-        "f_re",
-        "f_im",
-        "g_re",
-        "g_im",
-        "pole_re",
-        "pole_im",
-        "residual",
-        "coeff_check",
-    ]
     if args.grid:
         spans = args.grid.split(",")
         if len(spans) > 2:
@@ -405,7 +354,7 @@ def _cmd_stanton(args) -> int:
         args,
         "stanton",
         {"n": args.n, "tol": args.tol, "points": len(rows)},
-        columns,
+        list(rows[0]),
         rows,
     )
     return 0
@@ -443,9 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     coeff.add_argument("--n", type=int, required=True, help="half-dimension parameter, n >= 2")
     coeff.add_argument(
         "--method",
-        choices=("series-zeta", "series-direct", "integral", "intermediate", "all"),
+        choices=(*coefficients.METHODS, *_METHOD_ALIASES, "all"),
         default="series-zeta",
-        help="evaluation route (default: series-zeta); all = run and reconcile every route",
+        help="evaluation route (default: series-zeta; intermediate = integral-intermediate); "
+        "all = run and reconcile every route",
     )
     coeff.add_argument(
         "--terms", type=int, default=coefficients.DEFAULT_SERIES_TERMS,

@@ -25,18 +25,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
 
 import numpy as np
 
 from .combinatorics import binom_as_poly
-from .errors import ResourceCapError
-from .special_functions import integrate_decaying, zeta_even
+from .errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, ResourceCapError, check_n
+from .special_functions import folded_kernel, integrate_decaying, log1mexp2, zeta_even
 
 __all__ = [
     "DEFAULT_SERIES_TERMS",
-    "DEFAULT_SERIES_CAP",
-    "Method",
+    "METHODS",
     "ZetaCombination",
     "CoefficientEstimate",
     "ReconcileReport",
@@ -44,13 +42,12 @@ __all__ = [
     "series_direct",
     "integral_coefficient",
     "integral_intermediate",
+    "estimate",
     "reconcile",
 ]
 
 DEFAULT_SERIES_TERMS = 1_000_000
-DEFAULT_SERIES_CAP = 10_000_000
 
-Method = Literal["series-direct", "series-zeta", "integral", "integral-intermediate"]
 METHODS: tuple[str, ...] = (
     "series-zeta",
     "series-direct",
@@ -104,8 +101,7 @@ def series_zeta(n: int) -> CoefficientEstimate:
     zeta values, the exact-rational-to-float conversions, and the fsum; the
     combination itself is exact.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    check_n(n)
     poly = _eigenvalue_weight_poly(n)
     for j, coeff in enumerate(poly.coefficients):
         if coeff != 0 and (n - j) % 2:
@@ -137,45 +133,60 @@ def series_zeta(n: int) -> CoefficientEstimate:
 _CHUNK = 1 << 18
 
 
-def series_direct(
-    n: int,
-    terms: int = DEFAULT_SERIES_TERMS,
-    *,
-    term_cap: int = DEFAULT_SERIES_CAP,
-) -> CoefficientEstimate:
-    """Numerical partial sum of sum_q P(q)/q**n up to q = terms.
+def _direct_chunk(n: int, qs: np.ndarray) -> tuple[float, int]:
+    """sum of P(q)/q**n over the ascending qs, and how many leading qs it kept.
 
-    Tail majorant: P(q) <= C(Q) * q**(n-2) for q > Q with
-    C(Q) = ((1 + (n-2)/(Q+1))**(n-2) + 1) / (n-2)!, and
-    sum_{q>Q} q**(-2) < 1/Q, so the discarded tail is below
-    (1/(2**n n!)) * C(Q) / Q.  The reported bound adds a 64-ulp relative
-    cushion for the floating summation (numpy pairwise sums keep the actual
-    rounding far below it).  Binomials are evaluated in product form,
-    independent of the polynomial expansion used by series_zeta.
+    It drops the qs whose q**n overflows, where the term is 0 or nan; the
+    binomial products stay finite wherever q**n does.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
-    if terms > term_cap:
-        raise ResourceCapError(f"terms = {terms} exceeds the cap {term_cap}")
-    chunk_sums = []
-    start = 1
-    while start <= terms:
-        stop = min(start + _CHUNK, terms + 1)
-        qs = np.arange(start, stop, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
         rising = np.ones_like(qs)
         for i in range(1, n - 1):
             rising *= (qs + i) / i
         falling = np.ones_like(qs)
         for i in range(n - 2):
             falling *= (qs - 1 - i) / (n - 2 - i)
-        chunk_sums.append(float(np.sum((rising + falling) / qs**n)))
-        start = stop
+        power = qs**n
+        summands = (rising + falling) / power
+    kept = int(np.searchsorted(power, math.inf))  # q**n grows with q: the overflows come last
+    summands[kept:] = 0.0
+    return float(np.sum(summands)), kept
+
+
+def series_direct(
+    n: int,
+    terms: int = DEFAULT_SERIES_TERMS,
+    *,
+    term_cap: int = DEFAULT_TERM_CAP,
+) -> CoefficientEstimate:
+    """Numerical partial sum of sum_q P(q)/q**n up to q = terms.
+
+    Tail majorant: P(q) <= C(Q) * q**(n-2) for q > Q with
+    C(Q) = ((1 + (n-2)/(Q+1))**(n-2) + 1) / (n-2)!, and
+    sum_{q>Q} q**(-2) < 1/Q, so the discarded tail is below
+    (1/(2**n n!)) * C(Q) / Q.  The terms past the float range of q**n are
+    dropped; Q is then the last q before them, so the majorant covers them
+    too.  The reported bound adds a 64-ulp relative
+    cushion for the floating summation (numpy pairwise sums keep the actual
+    rounding far below it).  Binomials are evaluated in product form,
+    independent of the polynomial expansion used by series_zeta.
+    """
+    check_n(n)
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
+    if terms > term_cap:
+        raise ResourceCapError(f"terms = {terms} exceeds the cap {term_cap}")
+    chunk_sums = []
+    last = 0  # the kept terms are q = 1..last, since the dropped ones come last
+    for start in range(1, terms + 1, _CHUNK):
+        stop = min(start + _CHUNK, terms + 1)
+        chunk_sum, kept = _direct_chunk(n, np.arange(start, stop, dtype=np.float64))
+        chunk_sums.append(chunk_sum)
+        last += kept
     prefactor = float(Fraction(1, 2**n * math.factorial(n)))
     value = prefactor * math.fsum(chunk_sums)
-    envelope = ((1.0 + (n - 2) / (terms + 1)) ** (n - 2) + 1.0) / math.factorial(n - 2)
-    tail = prefactor * envelope / terms
+    envelope = ((1.0 + (n - 2) / (last + 1)) ** (n - 2) + 1.0) / math.factorial(n - 2)
+    tail = prefactor * envelope / last
     bound = tail + 64.0 * math.ulp(1.0) * abs(value)
     return CoefficientEstimate(
         n=n, method="series-direct", value=value, error_bound=bound, work=terms
@@ -183,7 +194,7 @@ def series_direct(
 
 
 def integral_coefficient(
-    n: int, *, tol: float = 1e-10, node_cap: int = 200_000
+    n: int, *, tol: float = 1e-10, node_cap: int = DEFAULT_NODE_CAP
 ) -> CoefficientEstimate:
     """Full-line integral route, folded to [0, inf) in a cancellation-free form.
 
@@ -192,13 +203,11 @@ def integral_coefficient(
     pi powers of the volume and (2 pi)^n prefactors cancel exactly, leaving
     the rational prefactor 2(n-1) / ((n-1)! n 2^n n!).
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    check_n(n)
     scale = 2.0 ** (n - 1)
 
     def integrand(x: float) -> float:
-        e = -math.expm1(-2.0 * x)
-        return scale * (x / e) ** n * (math.exp(-2.0 * x) + math.exp(-2.0 * (n - 1) * x))
+        return scale * folded_kernel(x, n) * (math.exp(-2.0 * x) + math.exp(-2.0 * (n - 1) * x))
 
     quad = integrate_decaying(integrand, 2.0, tol=tol, poly_degree=n, node_cap=node_cap)
     prefactor = 2.0 * float(
@@ -221,23 +230,19 @@ def _intermediate_bracket(n: int, x: float) -> float:
     x -> 0 blowup ~ (2x)^(1-n) and the x -> inf decay ~ (n-1) e^(-2x) exact.
     """
     m = n - 1
-    if x < 0.35:
-        log_e = math.log(-math.expm1(-2.0 * x))
-    else:
-        log_e = math.log1p(-math.exp(-2.0 * x))
+    log_e = log1mexp2(x)
     return math.expm1(-m * log_e) + math.exp(-m * (2.0 * x + log_e))
 
 
 def integral_intermediate(
-    n: int, *, tol: float = 1e-10, node_cap: int = 200_000
+    n: int, *, tol: float = 1e-10, node_cap: int = DEFAULT_NODE_CAP
 ) -> CoefficientEstimate:
     """Half-line integral of x^(n-1) times the three-term bracket.
 
     The integrand tends to 2^(2-n) at 0 and decays like x^(n-1) e^(-2x);
     prefactor 1/(n! (n-1)!).
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    check_n(n)
 
     def integrand(x: float) -> float:
         return x ** (n - 1) * _intermediate_bracket(n, x)
@@ -255,6 +260,31 @@ def integral_intermediate(
     )
 
 
+def estimate(
+    method: str,
+    n: int,
+    *,
+    terms: int = DEFAULT_SERIES_TERMS,
+    tol: float = 1e-10,
+    term_cap: int = DEFAULT_TERM_CAP,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> CoefficientEstimate:
+    """c(n) by the route named method (one of METHODS), passing it the options it takes.
+
+    The evaluator is looked up by its module-global name at call time, so a
+    replaced module attribute also sees calls made through here.
+    """
+    if method == "series-zeta":
+        return series_zeta(n)
+    if method == "series-direct":
+        return series_direct(n, terms, term_cap=term_cap)
+    if method == "integral":
+        return integral_coefficient(n, tol=tol, node_cap=node_cap)
+    if method == "integral-intermediate":
+        return integral_intermediate(n, tol=tol, node_cap=node_cap)
+    raise ValueError(f"method must be one of {', '.join(METHODS)}, got {method!r}")
+
+
 @dataclass(frozen=True)
 class ReconcileReport:
     """Pairwise agreement of all four routes against combined error bounds."""
@@ -270,15 +300,13 @@ def reconcile(
     *,
     terms: int = DEFAULT_SERIES_TERMS,
     tol: float = 1e-10,
-    term_cap: int = DEFAULT_SERIES_CAP,
-    node_cap: int = 200_000,
+    term_cap: int = DEFAULT_TERM_CAP,
+    node_cap: int = DEFAULT_NODE_CAP,
 ) -> ReconcileReport:
-    """Run all four routes and test |v_a - v_b| <= bound_a + bound_b pairwise."""
-    estimates = (
-        series_zeta(n),
-        series_direct(n, terms, term_cap=term_cap),
-        integral_coefficient(n, tol=tol, node_cap=node_cap),
-        integral_intermediate(n, tol=tol, node_cap=node_cap),
+    """Run every route in METHODS order; test |v_a - v_b| <= bound_a + bound_b pairwise."""
+    estimates = tuple(
+        estimate(method, n, terms=terms, tol=tol, term_cap=term_cap, node_cap=node_cap)
+        for method in METHODS
     )
     rows = []
     ok = True

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import check_n
+
 __all__ = [
     "binom",
     "dim_hpq",
@@ -41,8 +43,7 @@ def dim_hpq(n: int, p: int, q: int) -> int:
     it vanishes automatically for p = 0 or q = 0 thanks to the binomial
     convention.  Exact arbitrary-precision integer.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    check_n(n)
     if p < 0 or q < 0:
         raise ValueError(f"degrees must be nonnegative, got p={p}, q={q}")
     return binom(n + p - 1, p) * binom(n + q - 1, q) - binom(n + p - 2, p - 1) * binom(
@@ -62,8 +63,7 @@ def split_terms(n: int, p: int, q: int) -> tuple[int, int]:
     over p (geometric series in the heat weight) produces the single sum over
     q; summing the second over p produces the single sum over w = p + n - 1.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    check_n(n)
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
     if q < 1:

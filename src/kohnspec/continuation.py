@@ -37,7 +37,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .special_functions import integrate_decaying, log_gamma
+from .errors import DEFAULT_NODE_CAP
+from .special_functions import folded_kernel, integrate_decaying, log1mexp2, log_gamma
 
 __all__ = [
     "NEAR_POLE_RADIUS",
@@ -70,6 +71,16 @@ class StripPoint:
     def m(self) -> int:
         return self.n - 1
 
+    @property
+    def in_stanton_strip(self) -> bool:
+        """0 < re q < m and |q| >= NEAR_POLE_RADIUS: where stanton_coefficient is defined."""
+        return 0.0 < self.q.real < self.m and abs(self.q) >= NEAR_POLE_RADIUS
+
+    @property
+    def in_continued_strip(self) -> bool:
+        """-1 < re q < m: where continued_coefficient is defined."""
+        return -1.0 < self.q.real < self.m
+
 
 def _volume_prefactor(n: int) -> float:
     """vol(S^(2n-1)) / ((2 pi)^n n!); the pi powers cancel to a rational."""
@@ -84,7 +95,7 @@ def _complex_binom(m: int, q: complex) -> complex:
 
 
 def stanton_coefficient(
-    point: StripPoint, *, tol: float = 1e-10, node_cap: int = 200_000
+    point: StripPoint, *, tol: float = 1e-10, node_cap: int = DEFAULT_NODE_CAP
 ) -> complex:
     """Form-degree coefficient on the strip 0 < re q < n - 1.
 
@@ -93,24 +104,19 @@ def stanton_coefficient(
     with limit 2 at tau = 0 and decay rate 2 min(re q, m - re q).
     """
     n, q, m = point.n, point.q, point.m
-    if not 0.0 < q.real < m:
+    if not point.in_stanton_strip:
         raise ValueError(
-            f"stanton_coefficient needs 0 < re q < {m}, got q = {q}"
-        )
-    if abs(q) < NEAR_POLE_RADIUS:
-        raise ValueError(
-            f"|q| = {abs(q):.3g} is inside the near-pole radius "
-            f"{NEAR_POLE_RADIUS}; evaluate continued_coefficient instead"
+            f"stanton_coefficient needs 0 < re q < {m} and |q| >= {NEAR_POLE_RADIUS}, "
+            f"got q = {q}; near the pole evaluate continued_coefficient instead"
         )
     scale = 2.0**m
     two_q = 2.0 * q
     two_mq = 2.0 * (m - q)
 
     def integrand(tau: float) -> complex:
-        e = -math.expm1(-2.0 * tau)
         return (
             scale
-            * (tau / e) ** m
+            * folded_kernel(tau, m)
             * (cmath.exp(-two_q * tau) + cmath.exp(-two_mq * tau))
         )
 
@@ -120,7 +126,7 @@ def stanton_coefficient(
 
 
 def continued_coefficient(
-    point: StripPoint, *, tol: float = 1e-10, node_cap: int = 200_000
+    point: StripPoint, *, tol: float = 1e-10, node_cap: int = DEFAULT_NODE_CAP
 ) -> complex:
     """Continued coefficient on the strip -1 < re q < n - 1; analytic at q = 0.
 
@@ -130,7 +136,7 @@ def continued_coefficient(
     integral-intermediate form of the Weyl coefficient.
     """
     n, q, m = point.n, point.q, point.m
-    if not -1.0 < q.real < m:
+    if not point.in_continued_strip:
         raise ValueError(
             f"continued_coefficient needs -1 < re q < {m}, got q = {q}"
         )
@@ -139,13 +145,7 @@ def continued_coefficient(
     two_mq = 2.0 * (m - q)
 
     def integrand(tau: float) -> complex:
-        # log E through expm1 below the crossover and log1p above it keeps
-        # full relative accuracy at both ends; plain log(-expm1(...)) loses
-        # six digits for large tau, which e^(|q| tau) then amplifies.
-        if tau < 0.35:
-            log_e = math.log(-math.expm1(-2.0 * tau))
-        else:
-            log_e = math.log1p(-math.exp(-2.0 * tau))
+        log_e = log1mexp2(tau)
         regular = tau**m * math.expm1(-m * log_e) * cmath.exp(-two_q * tau)
         remainder = math.exp(m * (math.log(tau) - log_e)) * cmath.exp(-two_mq * tau)
         return scale * (regular + remainder)
@@ -170,7 +170,7 @@ def pole_term(point: StripPoint) -> complex:
 
 
 def continuation_residual(
-    point: StripPoint, *, tol: float = 1e-10, node_cap: int = 200_000
+    point: StripPoint, *, tol: float = 1e-10, node_cap: int = DEFAULT_NODE_CAP
 ) -> float:
     """|stanton_coefficient - continued_coefficient - pole_term|, ideally ~0.
 
@@ -183,7 +183,7 @@ def continuation_residual(
 
 
 def dominating_integral(
-    beta: float, m: int, *, tol: float = 1e-10, node_cap: int = 200_000
+    beta: float, m: int, *, tol: float = 1e-10, node_cap: int = DEFAULT_NODE_CAP
 ) -> float:
     """int_0^inf e^(-2 beta tau) (tau/(1 - e^(-2 tau)))^m dtau, beta > 0.
 
@@ -197,8 +197,7 @@ def dominating_integral(
         raise ValueError(f"m must be >= 1, got {m}")
 
     def integrand(tau: float) -> float:
-        e = -math.expm1(-2.0 * tau)
-        return math.exp(-2.0 * beta * tau) * (tau / e) ** m
+        return math.exp(-2.0 * beta * tau) * folded_kernel(tau, m)
 
     quad = integrate_decaying(
         integrand, 2.0 * beta, tol=tol, poly_degree=m, node_cap=node_cap

@@ -39,20 +39,19 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .combinatorics import dim_hpq
-from .errors import ConvergenceError
+from .errors import DEFAULT_TERM_CAP, ConvergenceError, check_n
 from .special_functions import bernoulli, integrate_decaying
 
 __all__ = [
-    "DEFAULT_TERM_CAP",
     "MIN_T",
     "HeatTraceSample",
     "trace_split_q",
     "trace_split_w",
     "trace_direct",
     "scaled_trace",
+    "scale_by_t_power",
 ]
 
-DEFAULT_TERM_CAP = 10_000_000
 MIN_T = 1e-6
 
 U = 2.0**-53  # unit roundoff of a float
@@ -83,8 +82,7 @@ class HeatTraceSample:
 
 
 def _validate(n: int, t: float, min_t: float) -> None:
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    check_n(n)
     if not (isinstance(t, (int, float)) and math.isfinite(t)):
         raise ValueError(f"t must be finite, got {t}")
     if t < min_t:
@@ -462,10 +460,18 @@ def scaled_trace(
     min_t: float = MIN_T,
 ) -> float:
     """t**n * G(t) via the two split sums; tends to Gamma(n+1) * c(n) as t -> 0."""
-    first = trace_split_q(
-        n, t, abs_tol=abs_tol, rel_tol=rel_tol, term_cap=term_cap, min_t=min_t
-    )
-    second = trace_split_w(
-        n, t, abs_tol=abs_tol, rel_tol=rel_tol, term_cap=term_cap, min_t=min_t
-    )
-    return float(t) ** n * (first.value + second.value)
+    options = dict(abs_tol=abs_tol, rel_tol=rel_tol, term_cap=term_cap, min_t=min_t)
+    total = trace_split_q(n, t, **options).value + trace_split_w(n, t, **options).value
+    return scale_by_t_power(n, t, total)
+
+
+def scale_by_t_power(n: int, t: float, total: float) -> float:
+    """t**n * total, accurate also where t**n alone is a subnormal float.
+
+    A subnormal power keeps only a few significant digits, so there the
+    power is split in two and each half is multiplied into total in turn.
+    """
+    power = float(t) ** n
+    if power >= sys.float_info.min:
+        return power * total
+    return (float(t) ** (n // 2) * total) * float(t) ** (n - n // 2)

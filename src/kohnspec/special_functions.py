@@ -4,7 +4,7 @@ Covers exactly what the spectral computations need and nothing more:
 
 * even zeta values as exact rational multiples of pi powers (Bernoulli route),
 * a complex log-gamma good to ~1e-14 (Lanczos, fixed coefficient table),
-* odd-sphere volumes, again as exact rational multiples of pi powers,
+* the stable kernels log(1 - e^(-2x)) and (x/(1 - e^(-2x)))^m of the integrals,
 * integrate_decaying: adaptive Gauss-Legendre panels on [0, T] plus a
   certified analytic bound for the [T, inf) tail of integrands with a known
   exponential decay rate.
@@ -23,14 +23,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import DEFAULT_NODE_CAP, ConvergenceError
 
 __all__ = [
     "PiMultiple",
     "bernoulli",
     "zeta_even",
     "log_gamma",
-    "sphere_volume",
+    "log1mexp2",
+    "folded_kernel",
     "QuadratureResult",
     "integrate_decaying",
 ]
@@ -85,11 +86,20 @@ def zeta_even(k: int) -> PiMultiple:
     return PiMultiple(rational, k)
 
 
-def sphere_volume(n: int) -> PiMultiple:
-    """Volume (surface measure) of the unit sphere S^(2n-1): 2 pi**n / (n-1)!."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return PiMultiple(Fraction(2, math.factorial(n - 1)), n)
+def log1mexp2(x: float) -> float:
+    """log(1 - e^(-2x)) for x > 0, to full relative accuracy at both ends.
+
+    log(-expm1) below the crossover, log1p above it: plain log(-expm1(-2x))
+    loses six digits for large x, which the integrands then amplify.
+    """
+    if x < 0.35:
+        return math.log(-math.expm1(-2.0 * x))
+    return math.log1p(-math.exp(-2.0 * x))
+
+
+def folded_kernel(x: float, m: int) -> float:
+    """(x / (1 - e^(-2x)))^m for x > 0, with the denominator from expm1; tends to 2^(-m) at 0."""
+    return (x / -math.expm1(-2.0 * x)) ** m
 
 
 # Lanczos approximation, g = 7, nine terms.  The standard double-precision
@@ -208,7 +218,7 @@ def integrate_decaying(
     *,
     tol: float = 1e-10,
     poly_degree: int = 12,
-    node_cap: int = 200_000,
+    node_cap: int = DEFAULT_NODE_CAP,
 ) -> QuadratureResult:
     """Integrate f over [0, inf) for f with |f(x)| <= C * x**poly_degree * exp(-decay_rate * x).
 

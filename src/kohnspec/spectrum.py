@@ -32,18 +32,15 @@ from fractions import Fraction
 from typing import Iterator
 
 from .combinatorics import dim_hpq
-from .errors import ResourceCapError
+from .errors import DEFAULT_LINE_CAP, ResourceCapError, check_n
 
 __all__ = [
-    "DEFAULT_LINE_CAP",
     "SpectralLine",
     "eigenvalue",
     "enumerate_modes",
     "count",
     "counting_ratio",
 ]
-
-DEFAULT_LINE_CAP = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -58,8 +55,7 @@ class SpectralLine:
 
 def eigenvalue(n: int, p: int, q: int) -> int:
     """Eigenvalue 2q(p + n - 1) on the bidegree (p, q) eigenspace, exact."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    check_n(n)
     if p < 0:
         raise ValueError(f"p must be nonnegative, got {p}")
     if q < 1:
@@ -68,8 +64,7 @@ def eigenvalue(n: int, p: int, q: int) -> int:
 
 
 def _validate_threshold(n: int, lam: float) -> None:
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    check_n(n)
     if isinstance(lam, float) and not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
     if lam < 0:

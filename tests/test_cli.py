@@ -1,10 +1,11 @@
 import json
 import math
 
+import mpmath as mp
 import pytest
 
 from kohnspec import cli
-from kohnspec.coefficients import series_zeta
+from kohnspec.coefficients import METHODS, series_zeta
 
 
 def run(capsys, *argv):
@@ -254,3 +255,42 @@ def test_out_writes_file(capsys, tmp_path):
     assert out == ""
     payload = json.loads(target.read_text(encoding="utf-8"))
     assert payload["rows"][0]["count"] == 42
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_coeff_accepts_the_method_name_it_prints(capsys, fmt):
+    outputs = []
+    for spelling in ("intermediate", "integral-intermediate"):
+        code, out, err = run(capsys, "coeff", "--n", "5", "--method", spelling, "--format", fmt)
+        assert code == 0, err
+        assert "integral-intermediate" in out
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_coeff_single_method_rows_match_the_all_rows(capsys):
+    code, out, _ = run(capsys, "coeff", "--n", "5", "--method", "all", "--format", "json")
+    assert code == 0
+    by_method = {row["method"]: row for row in json.loads(out)["rows"] if row["kind"] == "estimate"}
+    assert tuple(by_method) == METHODS
+    for method in METHODS:
+        code, out, _ = run(capsys, "coeff", "--n", "5", "--method", method, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["rows"] == [by_method[method]]
+
+
+def test_coeff_all_leaks_no_overflow_warning(capsys):
+    # q**56 overflows inside series-direct; the suite turns RuntimeWarning into an error
+    code, _, err = run(capsys, "coeff", "--n", "56", "--method", "all", "--format", "csv")
+    assert code == 0, err
+    assert err == ""
+
+
+def test_heat_scaled_trace_where_t_to_the_n_is_subnormal(capsys):
+    # 1e-6**53 is about 1e-318, a subnormal float with only a few digits
+    code, out, err = run(capsys, "heat", "--n", "53", "--t", "1e-6", "--format", "json")
+    assert code == 0, err
+    row = json.loads(out)["rows"][0]
+    with mp.workdps(40):
+        want = mp.mpf(row["t"]) ** 53 * (mp.mpf(row["split_q"]) + mp.mpf(row["split_w"]))
+        assert abs(row["scaled_trace"] - want) <= 1e-15 * want

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from kohnspec.coefficients import (
     METHODS,
     _intermediate_bracket,
+    estimate,
     integral_coefficient,
     integral_intermediate,
     reconcile,
@@ -117,3 +119,45 @@ def test_reconcile_all_routes():
     assert len(report.differences) == 6
     for _, _, diff, budget in report.differences:
         assert diff <= budget
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_reconcile_runs_the_dispatch_in_methods_order(n):
+    report = reconcile(n)
+    assert tuple(est.method for est in report.estimates) == METHODS
+    for method, est in zip(METHODS, report.estimates):
+        assert estimate(method, n) == est  # every field, floats bit for bit
+
+
+def test_estimate_rejects_unknown_method():
+    with pytest.raises(ValueError, match="integral-intermediate"):
+        estimate("intermediate", 4)
+
+
+def _weyl_reference(n: int) -> mp.mpf:
+    """c(n) at 50 digits: P(q) expanded exactly, then sum_j a_j zeta(n - j) in mpmath."""
+    rising, falling = [Fraction(1)], [Fraction(1)]
+    for i in range(1, n - 1):  # prod (q + i) and prod (q - i), i = 1..n-2
+        rising = [Fraction(0)] + rising
+        falling = [Fraction(0)] + falling
+        for j in range(len(rising) - 1):
+            rising[j] += i * rising[j + 1]
+            falling[j] -= i * falling[j + 1]
+    with mp.workdps(50):
+        total = mp.mpf(0)
+        for j, (a, b) in enumerate(zip(rising, falling)):
+            if a + b:
+                total += mp.mpf((a + b).numerator) / (a + b).denominator * mp.zeta(n - j)
+        return total / (mp.factorial(n - 2) * mp.mpf(2) ** n * mp.factorial(n))
+
+
+@pytest.mark.parametrize("n", [56, 70, 80])
+def test_series_direct_past_the_float_range_of_q_to_the_n(n):
+    # q**n overflows from q ~ 3e5 at n = 56; from n = 70 the binomial
+    # products overflow too and used to turn the sum into nan
+    est = series_direct(n)
+    assert math.isfinite(est.value) and math.isfinite(est.error_bound)
+    with mp.workdps(50):
+        ref = _weyl_reference(n)
+        assert abs(est.value - ref) <= est.error_bound
+        assert abs(est.value - ref) <= 1e-15 * ref

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kohnspec.coefficients import series_zeta
 from kohnspec.continuation import (
@@ -12,6 +14,7 @@ from kohnspec.continuation import (
     pole_term,
     stanton_coefficient,
 )
+from kohnspec.errors import ConvergenceError
 from kohnspec.special_functions import integrate_decaying
 
 # Anchors frozen from an independent high-precision evaluation of the same
@@ -187,3 +190,30 @@ def test_dominating_integral_validates():
         dominating_integral(0.0, 2)
     with pytest.raises(ValueError):
         dominating_integral(1.0, 0)
+
+
+def _domain_accepts(evaluator, point: StripPoint) -> bool:
+    """True unless the evaluator refuses the point; node_cap=1 stops it right after the check."""
+    try:
+        evaluator(point, node_cap=1)
+    except ConvergenceError:
+        return True
+    except ValueError:
+        return False
+    raise AssertionError("node_cap=1 cannot finish a quadrature")
+
+
+@st.composite
+def strip_points(draw):
+    """StripPoints around both strips, their edges and the near-pole disk included."""
+    n = draw(st.integers(3, 8))
+    edges = [-1.0, 0.0, NEAR_POLE_RADIUS, float(n - 1)]
+    re = draw(st.sampled_from(edges) | st.floats(-2.0, float(n)))
+    im = draw(st.sampled_from([0.0, NEAR_POLE_RADIUS]) | st.floats(-2.0, 2.0))
+    return StripPoint(n, complex(re, im))
+
+
+@given(strip_points())
+def test_strip_predicates_match_the_evaluators(point):
+    assert point.in_stanton_strip == _domain_accepts(stanton_coefficient, point)
+    assert point.in_continued_strip == _domain_accepts(continued_coefficient, point)

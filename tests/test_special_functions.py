@@ -11,9 +11,10 @@ from kohnspec.special_functions import (
     QuadratureResult,
     _log_tail_weight,
     bernoulli,
+    folded_kernel,
     integrate_decaying,
+    log1mexp2,
     log_gamma,
-    sphere_volume,
     zeta_even,
 )
 
@@ -67,16 +68,6 @@ def test_pi_multiple_value():
     assert PiMultiple(Fraction(1, 6), 2).value == pytest.approx(
         math.pi**2 / 6, rel=1e-15
     )
-
-
-def test_sphere_volume_small_cases():
-    v1 = sphere_volume(1)
-    assert (v1.rational, v1.pi_power) == (Fraction(2), 1)
-    v2 = sphere_volume(2)
-    assert (v2.rational, v2.pi_power) == (Fraction(2), 2)
-    v3 = sphere_volume(3)
-    assert (v3.rational, v3.pi_power) == (Fraction(1), 3)
-    assert v2.value == pytest.approx(2 * math.pi**2, rel=1e-15)
 
 
 def test_log_gamma_real_anchors():
@@ -198,3 +189,15 @@ def test_log_tail_weight_against_mpmath(T, s, d):
         ref = mp.log(mp.gammainc(s + 1, mp.mpf(d) * T) / mp.mpf(d) ** (s + 1))
         got = _log_tail_weight(T, s, d)
         assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-9, 0.01, 0.3, 0.3499, 0.35, 0.3501, 0.5, 3.0, 20.0, 300.0])
+def test_stable_kernels_against_mpmath(x):
+    # both sides of the 0.35 crossover of log(1 - e^(-2x)), down to 1e-300
+    # where 1 - e^(-2x) is 2e-300 and up to 300 where it is 1 - 3e-261, so
+    # the reference carries 320 digits
+    with mp.workdps(320):
+        e = -mp.expm1(-2 * mp.mpf(x))
+        assert float(mp.log(e)) == pytest.approx(log1mexp2(x), rel=4e-16, abs=0.0)
+        for m in (1, 5, 40):
+            assert float((x / e) ** m) == pytest.approx(folded_kernel(x, m), rel=1e-14, abs=0.0)
