@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .combinatorics import binom_as_poly
 from .errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, ResourceCapError, check_n
 from .special_functions import folded_kernel, integrate_decaying, log1mexp2, zeta_even
@@ -130,15 +128,30 @@ def series_zeta(n: int) -> CoefficientEstimate:
     )
 
 
+def _times_fraction(factor: Fraction, x: float) -> float:
+    """factor * x rounded to a float, formed as ldexp(mantissa * x, e) with factor = mantissa * 2^e.
+
+    float(factor) alone leaves the normal range at large n (the integral
+    prefactors from n = 92 and 99), while the product does not.  Where float(factor)
+    is a normal float this is float(factor) * x to the bit.
+    """
+    e = factor.numerator.bit_length() - factor.denominator.bit_length()
+    return math.ldexp(float(factor / Fraction(2) ** e) * x, e)
+
+
 _CHUNK = 1 << 18
 
 
-def _direct_chunk(n: int, qs: np.ndarray) -> tuple[float, int]:
-    """sum of P(q)/q**n over the ascending qs, and how many leading qs it kept.
+def _direct_chunk(n: int, start: int, stop: int) -> tuple[float, int]:
+    """sum of P(q)/q**n over q = start..stop-1, and how many leading qs it kept.
 
     It drops the qs whose q**n overflows, where the term is 0 or nan; the
-    binomial products stay finite wherever q**n does.
+    binomial products stay finite wherever q**n does.  numpy is imported
+    here, the package's only use of it, so that no other route loads it.
     """
+    import numpy as np
+
+    qs = np.arange(start, stop, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         rising = np.ones_like(qs)
         for i in range(1, n - 1):
@@ -179,8 +192,7 @@ def series_direct(
     chunk_sums = []
     last = 0  # the kept terms are q = 1..last, since the dropped ones come last
     for start in range(1, terms + 1, _CHUNK):
-        stop = min(start + _CHUNK, terms + 1)
-        chunk_sum, kept = _direct_chunk(n, np.arange(start, stop, dtype=np.float64))
+        chunk_sum, kept = _direct_chunk(n, start, min(start + _CHUNK, terms + 1))
         chunk_sums.append(chunk_sum)
         last += kept
     prefactor = float(Fraction(1, 2**n * math.factorial(n)))
@@ -210,14 +222,12 @@ def integral_coefficient(
         return scale * folded_kernel(x, n) * (math.exp(-2.0 * x) + math.exp(-2.0 * (n - 1) * x))
 
     quad = integrate_decaying(integrand, 2.0, tol=tol, poly_degree=n, node_cap=node_cap)
-    prefactor = 2.0 * float(
-        Fraction(2 * (n - 1), math.factorial(n - 1) * n * 2**n * math.factorial(n))
-    )
+    prefactor = 2 * Fraction(2 * (n - 1), math.factorial(n - 1) * n * 2**n * math.factorial(n))
     return CoefficientEstimate(
         n=n,
         method="integral",
-        value=prefactor * quad.value,
-        error_bound=prefactor * quad.error_estimate,
+        value=_times_fraction(prefactor, quad.value),
+        error_bound=_times_fraction(prefactor, quad.error_estimate),
         work=quad.nodes_used,
     )
 
@@ -250,12 +260,12 @@ def integral_intermediate(
     quad = integrate_decaying(
         integrand, 2.0, tol=tol, poly_degree=n - 1, node_cap=node_cap
     )
-    prefactor = float(Fraction(1, math.factorial(n) * math.factorial(n - 1)))
+    prefactor = Fraction(1, math.factorial(n) * math.factorial(n - 1))
     return CoefficientEstimate(
         n=n,
         method="integral-intermediate",
-        value=prefactor * quad.value,
-        error_bound=prefactor * quad.error_estimate,
+        value=_times_fraction(prefactor, quad.value),
+        error_bound=_times_fraction(prefactor, quad.error_estimate),
         work=quad.nodes_used,
     )
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .errors import DEFAULT_NODE_CAP, ConvergenceError
 
 __all__ = [
@@ -179,12 +177,42 @@ class QuadratureResult:
     truncation_point: float
 
 
-_GL16 = tuple(
-    (float(x), float(w)) for x, w in zip(*np.polynomial.legendre.leggauss(16))
+# Gauss-Legendre nodes and weights on [-1, 1]: the positive half, ascending.
+# The repr of numpy.polynomial.legendre.leggauss(16) and (32) (numpy 2.4),
+# whose nodes are exactly antisymmetric and weights exactly symmetric, so
+# mirroring gives its full tables bit for bit and in its order.  A literal
+# table, not a Newton solve at import: Newton reproduces the nodes but not
+# every weight to the last bit, and the quadrature sums would move.
+_GL16_HALF = (
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
 )
-_GL32 = tuple(
-    (float(x), float(w)) for x, w in zip(*np.polynomial.legendre.leggauss(32))
+_GL32_HALF = (
+    (0.048307665687738324, 0.09654008851472766),
+    (0.1444719615827965, 0.09563872007927471),
+    (0.23928736225213706, 0.09384439908080451),
+    (0.33186860228212767, 0.09117387869576378),
+    (0.42135127613063533, 0.08765209300440378),
+    (0.5068999089322294, 0.08331192422694671),
+    (0.5877157572407623, 0.07819389578707023),
+    (0.6630442669302152, 0.07234579410884834),
+    (0.7321821187402897, 0.06582222277636168),
+    (0.7944837959679424, 0.058684093478535565),
+    (0.84936761373257, 0.05099805926237609),
+    (0.8963211557660521, 0.042835898022226836),
+    (0.9349060759377397, 0.034273862913021765),
+    (0.9647622555875064, 0.025392065309262024),
+    (0.9856115115452684, 0.016274394730905743),
+    (0.9972638618494816, 0.007018610009470506),
 )
+_GL16 = tuple((-x, w) for x, w in reversed(_GL16_HALF)) + _GL16_HALF
+_GL32 = tuple((-x, w) for x, w in reversed(_GL32_HALF)) + _GL32_HALF
 
 
 def _panel(f: Callable, a: float, b: float, rule) -> float | complex:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -294,3 +298,44 @@ def test_heat_scaled_trace_where_t_to_the_n_is_subnormal(capsys):
     with mp.workdps(40):
         want = mp.mpf(row["t"]) ** 53 * (mp.mpf(row["split_q"]) + mp.mpf(row["split_w"]))
         assert abs(row["scaled_trace"] - want) <= 1e-15 * want
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _numpy_loaded_after(code):
+    """Run code in a fresh interpreter on ./src; return whether numpy ended up in sys.modules."""
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    probe = f"import sys\n{code}\nprint('numpy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.splitlines()[-1] == "True"
+
+
+def test_import_leaves_numpy_unloaded():
+    assert not _numpy_loaded_after("import kohnspec")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "3", "--lambda", "100"],
+        ["count", "--n", "2", "--lambda", "20", "--modes"],
+        ["converge", "--n", "2", "--lambdas", "100,1000"],
+        ["heat", "--n", "2", "--t", "0.1,0.5", "--verify"],
+        ["coeff", "--n", "4", "--method", "series-zeta"],
+        ["coeff", "--n", "4", "--method", "integral"],
+        ["coeff", "--n", "4", "--method", "intermediate"],
+        ["stanton", "--n", "3", "--q", "1"],
+    ],
+    ids=" ".join,
+)
+def test_subcommands_leave_numpy_unloaded(argv):
+    # only the series-direct route needs numpy; every other call skips importing it
+    assert not _numpy_loaded_after(f"from kohnspec import cli\nassert cli.main({argv!r}) == 0")
+
+
+@pytest.mark.parametrize("method", ["series-direct", "all"])
+def test_series_direct_still_loads_numpy(method):
+    argv = ["coeff", "--n", "4", "--method", method, "--terms", "1000"]
+    assert _numpy_loaded_after(f"from kohnspec import cli\nassert cli.main({argv!r}) == 0")

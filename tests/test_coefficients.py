@@ -14,7 +14,7 @@ from kohnspec.coefficients import (
     series_direct,
     series_zeta,
 )
-from kohnspec.errors import ResourceCapError
+from kohnspec.errors import ConvergenceError, ResourceCapError
 
 
 def test_exact_form_n2():
@@ -161,3 +161,20 @@ def test_series_direct_past_the_float_range_of_q_to_the_n(n):
         ref = _weyl_reference(n)
         assert abs(est.value - ref) <= est.error_bound
         assert abs(est.value - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("method, last_answered", [("integral", 105), ("integral-intermediate", 100)])
+@pytest.mark.parametrize("n", range(85, 106))
+def test_integral_routes_where_the_prefactor_leaves_the_float_range(method, last_answered, n):
+    # The integral prefactor is subnormal from n = 92 and 0.0 from n = 96, the
+    # intermediate one from n = 99; the quadrature value and c(n) are normal.
+    # Beyond a route's range a typed error is allowed, never a silent 0.
+    try:
+        est = estimate(method, n)
+    except (ConvergenceError, OverflowError):
+        assert n > last_answered
+        return
+    ref = _weyl_reference(n)
+    # the quadrature bound leaves out the rounding of the final product
+    assert abs(est.value - ref) <= est.error_bound + 4 * math.ulp(est.value)
+    assert est.error_bound <= 1e-14 * est.value
