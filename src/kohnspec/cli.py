@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     coeff.add_argument(
         "--terms", type=int, default=coefficients.DEFAULT_SERIES_TERMS,
-        help="series length for series-direct",
+        help="exact head terms for series-direct, before its certified tail",
     )
     coeff.add_argument(
         "--tol", type=float, default=1e-10, help="quadrature tolerance for the integral routes"

@@ -8,8 +8,8 @@ agreement (reconcile) is the package's main correctness witness.
   P(q) = binom(q+n-2, n-2) + binom(q-1, n-2).  P is expanded exactly as a
   polynomial, turning the sum into an exact rational combination of even
   zeta values; only the final assembly is floating point.
-* series-direct: the same series summed numerically to a finite Q with a
-  rigorous tail majorant.
+* series-direct: the same series summed numerically: an exact head of
+  integer binomials and a certified Euler-Maclaurin tail.
 * integral: c(n) = vol(S^(2n-1)) (n-1) / (n (2 pi)^n n!) *
   2 * int_0^inf (x/sinh x)^n cosh((n-2)x) dx.
 * integral-intermediate: c(n) = (1/(n! (n-1)!)) * int_0^inf x^(n-1) *
@@ -25,13 +25,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, repeat, tee
+from operator import add, truediv
+from typing import Iterator
 
 from .combinatorics import binom_as_poly
-from .errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, ResourceCapError, check_n
-from .special_functions import folded_kernel, integrate_decaying, log1mexp2, zeta_even
+from .errors import (
+    DEFAULT_NODE_CAP,
+    DEFAULT_TERM_CAP,
+    ConvergenceError,
+    ResourceCapError,
+    check_n,
+)
+from .special_functions import (
+    EM_HEAD_TERMS,
+    U,
+    QuadratureResult,
+    euler_maclaurin_tail,
+    folded_kernel,
+    integrate_decaying,
+    log1mexp2,
+    zeta_even,
+)
 
 __all__ = [
     "DEFAULT_SERIES_TERMS",
+    "SERIES_DIRECT_MAX_N",
+    "INTERMEDIATE_MAX_N",
     "METHODS",
     "ZetaCombination",
     "CoefficientEstimate",
@@ -44,7 +64,12 @@ __all__ = [
     "reconcile",
 ]
 
-DEFAULT_SERIES_TERMS = 1_000_000
+DEFAULT_SERIES_TERMS = EM_HEAD_TERMS  # exact head terms before series-direct's tail
+SERIES_DIRECT_MAX_N = 144  # from n = 145 series-direct's bound is a subnormal float
+# Beyond it integral-intermediate's node count grows erratically: about
+# 27 000 nodes at n = 123 against 8 000 at n = 121, and the cap from n = 131.
+INTERMEDIATE_MAX_N = 121
+_EXP_ARG_SAFE = 700.0  # e^y and 2 e^y are finite floats below this y
 
 METHODS: tuple[str, ...] = (
     "series-zeta",
@@ -139,31 +164,74 @@ def _times_fraction(factor: Fraction, x: float) -> float:
     return math.ldexp(float(factor / Fraction(2) ** e) * x, e)
 
 
-_CHUNK = 1 << 18
+def _quadrature_rounding(quad: QuadratureResult, eval_rel: float) -> float:
+    """First-order rounding of an integrate_decaying value whose integrand is positive.
 
-
-def _direct_chunk(n: int, start: int, stop: int) -> tuple[float, int]:
-    """sum of P(q)/q**n over q = start..stop-1, and how many leading qs it kept.
-
-    It drops the qs whose q**n overflows, where the term is 0 or nan; the
-    binomial products stay finite wherever q**n does.  numpy is imported
-    here, the package's only use of it, so that no other route loads it.
+    eval_rel bounds the relative error of one integrand evaluation.  Each
+    accepted panel sums 32 weighted values (32 U) and scales them by its half
+    width (U); the panels, at most nodes_used / 48 of them, are added one by
+    one (U each); the final _times_fraction product rounds twice.
     """
-    import numpy as np
+    return (eval_rel + (35 + quad.nodes_used // 48) * U) * abs(quad.value)
 
-    qs = np.arange(start, stop, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rising = np.ones_like(qs)
-        for i in range(1, n - 1):
-            rising *= (qs + i) / i
-        falling = np.ones_like(qs)
-        for i in range(n - 2):
-            falling *= (qs - 1 - i) / (n - 2 - i)
-        power = qs**n
-        summands = (rising + falling) / power
-    kept = int(np.searchsorted(power, math.inf))  # q**n grows with q: the overflows come last
-    summands[kept:] = 0.0
-    return float(np.sum(summands)), kept
+
+def _integrand_rel(n: int) -> float:
+    """Relative rounding of one evaluation of either integral route's integrand, first order.
+
+    The n-th (or (n-1)-th) power of a quotient of rounded values costs 2n U;
+    a further n U covers the rounding of the node itself, which moves the
+    integrand by |x f'/f| U, about sqrt(n) U where the integrand carries its
+    mass; 16 U covers the remaining exponentials, sums and products.
+    """
+    return (3 * n + 16) * U
+
+
+_HEAD_BLOCK = 1 << 16  # hockey-stick prefix sums run one block at a time, so memory stays flat
+
+
+def _hockey_stick(r: int, stop: int) -> Iterator[int]:
+    """binom(k + r, r) for k = 0..stop-1, as the r-fold prefix sums of ones.
+
+    The sums run block by block, each pass carrying its running total over,
+    so memory does not grow with stop.
+    """
+    carries = [0] * r
+    for begin in range(0, stop, _HEAD_BLOCK):
+        block = [1] * min(_HEAD_BLOCK, stop - begin)
+        for j in range(r):
+            block[0] += carries[j]
+            block = list(accumulate(block))
+            carries[j] = block[-1]
+        yield from block
+
+
+def _head_quotients(n: int, terms: int) -> Iterator[float]:
+    """P(q)/q**n for q = 1..terms, each one correctly rounded division of exact integers.
+
+    With r = n - 2, P(q) = binom(q + r, r) + binom(q - 1, r), and the second
+    binomial is the first one's sequence delayed by r + 1 places.
+    """
+    r = n - 2
+    rising, lagged = tee(_hockey_stick(r, terms + 1))
+    next(rising)
+    falling = chain(repeat(0, r), lagged)
+    weights = map(add, rising, falling)
+    return map(truediv, weights, map(pow, range(1, terms + 1), repeat(n)))
+
+
+def _series_term(n: int, z):
+    """P(z)/z**n in product form, for real or complex z with Re z > 0.
+
+    (prod_i (1 + i/z)/i + prod_i (1 - i/z)/i) / z**2 over i = 1..n-2: every
+    partial product stays within the float range where the quotient does.
+    """
+    inv = 1.0 / z
+    rising = falling = 1.0
+    for i in range(1, n - 1):
+        step = i * inv
+        rising = rising * (1.0 + step) / i
+        falling = falling * (1.0 - step) / i
+    return (rising + falling) * inv * inv
 
 
 def series_direct(
@@ -172,36 +240,80 @@ def series_direct(
     *,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> CoefficientEstimate:
-    """Numerical partial sum of sum_q P(q)/q**n up to q = terms.
+    """The series (1/(2**n n!)) sum_q P(q)/q**n: an exact head and a certified tail.
 
-    Tail majorant: P(q) <= C(Q) * q**(n-2) for q > Q with
-    C(Q) = ((1 + (n-2)/(Q+1))**(n-2) + 1) / (n-2)!, and
-    sum_{q>Q} q**(-2) < 1/Q, so the discarded tail is below
-    (1/(2**n n!)) * C(Q) / Q.  The terms past the float range of q**n are
-    dropped; Q is then the last q before them, so the majorant covers them
-    too.  The reported bound adds a 64-ulp relative
-    cushion for the floating summation (numpy pairwise sums keep the actual
-    rounding far below it).  Binomials are evaluated in product form,
-    independent of the polynomial expansion used by series_zeta.
+    The head is q = 1..terms, with P(q) as an exact integer from hockey-stick
+    prefix sums and one correctly rounded division by q**n per term.  The
+    tail from a = terms + 1 is special_functions.euler_maclaurin_tail on the
+    product-form term; its integral takes the substitution x = a e^s, under
+    which the q^-2 decay becomes e^-s.  Everything is added by one fsum.
+    Binomials never come from the polynomial expansion of series_zeta.
+
+    work is terms; term_cap bounds the head plus every evaluation of the
+    tail (ResourceCapError at once if the head alone exceeds it,
+    ConvergenceError if the tail would).  The bound adds the tail's bound
+    (quadrature, R_m, aliasing and rounding) to the rounding of the head,
+    the fsum and the prefactor.  ValueError from n = SERIES_DIRECT_MAX_N + 1,
+    where the bound leaves the normal float range.
     """
     check_n(n)
+    if n > SERIES_DIRECT_MAX_N:
+        raise ValueError(
+            f"series-direct supports n <= {SERIES_DIRECT_MAX_N}, got n = {n}: "
+            "beyond it the error bound is a subnormal float, and c(n) is from n = 151"
+        )
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     if terms > term_cap:
         raise ResourceCapError(f"terms = {terms} exceeds the cap {term_cap}")
-    chunk_sums = []
-    last = 0  # the kept terms are q = 1..last, since the dropped ones come last
-    for start in range(1, terms + 1, _CHUNK):
-        chunk_sum, kept = _direct_chunk(n, start, min(start + _CHUNK, terms + 1))
-        chunk_sums.append(chunk_sum)
-        last += kept
-    prefactor = float(Fraction(1, 2**n * math.factorial(n)))
-    value = prefactor * math.fsum(chunk_sums)
-    envelope = ((1.0 + (n - 2) / (last + 1)) ** (n - 2) + 1.0) / math.factorial(n - 2)
-    tail = prefactor * envelope / last
-    bound = tail + 64.0 * math.ulp(1.0) * abs(value)
+    a = terms + 1
+    # Both products carry n - 2 factors of a few roundings each, and on
+    # Re z >= a/2 their sum never cancels to below half their moduli.
+    eval_rel = (16 * n + 64) * U
+    # x^2 f(x) decreases to 2/(n-2)!, so the tail integral is at least
+    # 2/((n-2)! a): tol is a relative U of it.
+    tol = U * 2.0 / (math.factorial(n - 2) * a)
+
+    def integral(node_cap: int):
+        def integrand(s: float) -> float:
+            x = a * math.exp(s)
+            return _series_term(n, x) * x
+
+        quad = integrate_decaying(integrand, 1.0, tol=tol, poly_degree=0, node_cap=node_cap)
+        # A node s moves x by (s + 2) U relatively, and |d log(x f) / d log x| <= n - 1.
+        nodes = (n - 1) * (quad.truncation_point + 2.0) * U
+        return quad, _quadrature_rounding(quad, eval_rel + nodes)
+
+    # |f(z)| <= |z|^-2 * 2 prod_i (1 + i/|z|)/i, at most (2/x)^2 * 2 prod_i (1 + 2i/x)/i
+    # on the circle of radius x/2 around x: (a/x)^2 times its value at x = a.
+    disk_max = 8.0 / (a * a)
+    for i in range(1, n - 1):
+        disk_max *= 1.0 / i + 2.0 / a
+    try:
+        parts, tail_bound, _ = euler_maclaurin_tail(
+            lambda z: _series_term(n, z),
+            a,
+            disk_max=disk_max,
+            growth=-2,
+            integral=integral,
+            eval_rel=lambda c: eval_rel,
+            eval_cap=term_cap - terms,
+        )
+    except ConvergenceError as err:
+        raise ConvergenceError(
+            f"series-direct tail at n={n}, terms={terms}, term_cap={term_cap}: {err}"
+        ) from err
+    total = math.fsum(chain(_head_quotients(n, terms), parts))
+    # The quotients and the fsum round once each, as do the prefactor's
+    # mantissa and its product.
+    rounding = 4.0 * U * abs(total)
+    prefactor = Fraction(1, 2**n * math.factorial(n))
     return CoefficientEstimate(
-        n=n, method="series-direct", value=value, error_bound=bound, work=terms
+        n=n,
+        method="series-direct",
+        value=_times_fraction(prefactor, total),
+        error_bound=_times_fraction(prefactor, tail_bound + rounding),
+        work=terms,
     )
 
 
@@ -223,25 +335,42 @@ def integral_coefficient(
 
     quad = integrate_decaying(integrand, 2.0, tol=tol, poly_degree=n, node_cap=node_cap)
     prefactor = 2 * Fraction(2 * (n - 1), math.factorial(n - 1) * n * 2**n * math.factorial(n))
+    bound = quad.error_estimate + _quadrature_rounding(quad, _integrand_rel(n))
     return CoefficientEstimate(
         n=n,
         method="integral",
         value=_times_fraction(prefactor, quad.value),
-        error_bound=_times_fraction(prefactor, quad.error_estimate),
+        error_bound=_times_fraction(prefactor, bound),
         work=quad.nodes_used,
     )
 
 
-def _intermediate_bracket(n: int, x: float) -> float:
-    """1/(1-e^(-2x))^(n-1) - 1 + 1/(e^(2x)-1)^(n-1), exact at all scales.
+def _intermediate_integrand(n: int, x: float) -> float:
+    """x^(n-1) (1/(1-e^(-2x))^(n-1) - 1 + 1/(e^(2x)-1)^(n-1)), exact at all scales.
 
-    With lE = log(1 - e^(-2x)) the three terms regroup as
-    expm1(-(n-1) lE) + exp(-(n-1)(2x + lE)); expm1/log1p keep both the
-    x -> 0 blowup ~ (2x)^(1-n) and the x -> inf decay ~ (n-1) e^(-2x) exact.
+    With lE = log(1 - e^(-2x)) the bracket's three terms regroup as
+    expm1(g) + e^h with g = -(n-1) lE and h = -(n-1)(2x + lE); expm1/log1p
+    keep both the x -> 0 blowup ~ (2x)^(1-n) and the x -> inf decay
+    ~ (n-1) e^(-2x) exact.  Where e^g (near 0, from n = 101 at the
+    quadrature's smallest nodes) or x^(n-1) (far out, from n = 122) leaves
+    the float range while the product does not, x^(n-1) goes into the
+    exponents: x^(n-1) expm1(g) is exp((n-1) log x + g) - x^(n-1) for
+    g > 1, which cancels by at most a factor e/(e-1); g <= 1 happens there
+    only at x > 100 (n <= INTERMEDIATE_MAX_N), where expm1(g) is
+    (n-1) e^(-2x) to double precision.
     """
     m = n - 1
     log_e = log1mexp2(x)
-    return math.expm1(-m * log_e) + math.exp(-m * (2.0 * x + log_e))
+    g = -m * log_e
+    h = -m * (2.0 * x + log_e)
+    log_x = math.log(x)
+    if g < _EXP_ARG_SAFE and m * log_x < _EXP_ARG_SAFE:
+        return x**m * (math.expm1(g) + math.exp(h))
+    if g > 1.0:
+        first = math.exp(m * log_x + g) - x**m
+    else:
+        first = math.exp(m * log_x + math.log(m) - 2.0 * x)
+    return first + math.exp(m * log_x + h)
 
 
 def integral_intermediate(
@@ -250,22 +379,25 @@ def integral_intermediate(
     """Half-line integral of x^(n-1) times the three-term bracket.
 
     The integrand tends to 2^(2-n) at 0 and decays like x^(n-1) e^(-2x);
-    prefactor 1/(n! (n-1)!).
+    prefactor 1/(n! (n-1)!).  ValueError from n = INTERMEDIATE_MAX_N + 1.
     """
     check_n(n)
-
-    def integrand(x: float) -> float:
-        return x ** (n - 1) * _intermediate_bracket(n, x)
+    if n > INTERMEDIATE_MAX_N:
+        raise ValueError(
+            f"integral-intermediate supports n <= {INTERMEDIATE_MAX_N}, got n = {n}: "
+            "beyond it the quadrature's node count grows erratically toward the node cap"
+        )
 
     quad = integrate_decaying(
-        integrand, 2.0, tol=tol, poly_degree=n - 1, node_cap=node_cap
+        lambda x: _intermediate_integrand(n, x), 2.0, tol=tol, poly_degree=n - 1, node_cap=node_cap
     )
     prefactor = Fraction(1, math.factorial(n) * math.factorial(n - 1))
+    bound = quad.error_estimate + _quadrature_rounding(quad, _integrand_rel(n))
     return CoefficientEstimate(
         n=n,
         method="integral-intermediate",
         value=_times_fraction(prefactor, quad.value),
-        error_bound=_times_fraction(prefactor, quad.error_estimate),
+        error_bound=_times_fraction(prefactor, bound),
         work=quad.nodes_used,
     )
 

@@ -10,9 +10,10 @@ splits, via the two-term multiplicity split, into two single sums:
 second).  The direct double sum is kept as an independent cross-check.
 
 Both split sums go through one helper, _split_sum, at a cost independent of
-t.  It adds the first HEAD_TERMS terms exactly (math.fsum).  If a geometric
+t.  It adds the first EM_HEAD_TERMS terms exactly (math.fsum).  If a geometric
 tail bound certifies the rest before then (large t), it stops there.
-Otherwise the tail from a = start + HEAD_TERMS on is the Euler-Maclaurin sum
+Otherwise the tail from a = start + EM_HEAD_TERMS on is the Euler-Maclaurin
+sum (special_functions.euler_maclaurin_tail)
 
     integral_a^inf f + f(a)/2 - sum_{j<=m} B_2j/(2j)! f^(2j-1)(a) + R_m,
 
@@ -40,7 +41,7 @@ from typing import Callable
 
 from .combinatorics import dim_hpq
 from .errors import DEFAULT_TERM_CAP, ConvergenceError, check_n
-from .special_functions import bernoulli, integrate_decaying
+from .special_functions import EM_HEAD_TERMS, U, euler_maclaurin_tail, integrate_decaying
 
 __all__ = [
     "MIN_T",
@@ -54,15 +55,10 @@ __all__ = [
 
 MIN_T = 1e-6
 
-U = 2.0**-53  # unit roundoff of a float
 # Largest x with exp(-x) > 0 in floating point.
 _EXP_ARG_MAX = -math.log(math.ulp(0.0))
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _RANGE_MARGIN = math.log(64.0)  # headroom of the trace and its bound over the first term
-
-HEAD_TERMS = 64  # terms summed exactly before the Euler-Maclaurin tail
-EM_ORDER = 6  # Bernoulli corrections; raised to ceil(n/2) so the R_m bound converges
-CONTOUR_POINTS = 64  # trapezoid nodes for the derivatives at a
 
 
 @dataclass(frozen=True)
@@ -193,12 +189,12 @@ def _split_sum(
     k; rate is the exponential decay rate of the term in k.  While summing
     the head, once ratio(k) < 1 the tail after term k is at most
     term * rho / (1 - rho); the sum stops there when that is below
-    max(abs_tol, rel_tol * partial).  Otherwise _euler_maclaurin_tail adds
-    the terms from start + HEAD_TERMS on.
+    max(abs_tol, rel_tol * partial).  Otherwise euler_maclaurin_tail adds
+    the terms from start + EM_HEAD_TERMS on.
     """
     head = []
     partial = 0.0
-    for k in range(start, start + HEAD_TERMS):
+    for k in range(start, start + EM_HEAD_TERMS):
         if len(head) >= term_cap:
             raise ConvergenceError(
                 f"{label} needed more than {term_cap} term evaluations at n={n}, t={t}"
@@ -214,15 +210,27 @@ def _split_sum(
                 rounding = (_eval_rel(n, rate * k) + U) * total
                 return HeatTraceSample(n, t, total, tail + rounding, len(head))
 
-    a = start + HEAD_TERMS
+    a = start + EM_HEAD_TERMS
+    tol = 0.25 * max(abs_tol, rel_tol * partial)
+
+    def integral(node_cap: int):
+        quad = integrate_decaying(
+            lambda u: term(n, t, a + u), rate, tol=tol, poly_degree=n - 2, node_cap=node_cap
+        )
+        tip = _eval_rel(n, rate * (a + quad.truncation_point))
+        return quad, (tip + quad.nodes_used * U) * abs(quad.value)
+
     try:
-        parts, tail_bound, evaluations = _euler_maclaurin_tail(
-            n,
-            t,
-            term,
+        # disk_max bounds |f| for Re z >= a/2, |z| <= 3a/2: on the disk of
+        # radius a/2 around a, and, times (x/a)^(n-2), on the circle of
+        # radius x/2 around any x >= a.
+        parts, tail_bound, evaluations = euler_maclaurin_tail(
+            lambda z: term(n, t, z),
             a,
-            rate,
-            tol=0.25 * max(abs_tol, rel_tol * partial),
+            disk_max=_majorant(n, t, rate, 0.5 * a, 1.5 * a),
+            growth=n - 2,
+            integral=integral,
+            eval_rel=lambda c: _eval_rel(n, c * rate * a),
             eval_cap=term_cap - len(head),
         )
     except ConvergenceError as err:
@@ -234,90 +242,6 @@ def _split_sum(
     return HeatTraceSample(
         n, t, total, tail_bound + rounding, len(head) + evaluations
     )
-
-
-def _euler_maclaurin_tail(
-    n: int,
-    t: float,
-    term: Callable,
-    a: int,
-    rate: float,
-    *,
-    tol: float,
-    eval_cap: int,
-) -> tuple[list[float], float, int]:
-    """sum_{k >= a} term(n, t, k) as (parts to add, error bound, evaluations).
-
-    The parts are the integral over [a, inf), f(a)/2 and the m Bernoulli
-    corrections; the bound adds the quadrature's error estimate, R_m, the
-    contour's aliasing bound and the rounding of every part.  tol is the
-    quadrature's target; ConvergenceError if more than eval_cap
-    evaluations of the term would be needed.
-    """
-    m = max(EM_ORDER, (n + 1) // 2)  # 2m >= n makes the R_m majorant integrable
-    points = max(CONTOUR_POINTS, 4 * m)
-    if 1 + points > eval_cap:
-        raise ConvergenceError(
-            f"the contour needs {1 + points} term evaluations, {eval_cap} are left"
-        )
-    f_a = term(n, t, a)
-    bernoullis = [float(bernoulli(2 * j)) for j in range(1, m + 1)]
-
-    # Taylor coefficients f^(k)(a) r^k / k! by the trapezoid rule on |z - a| = r.
-    r = 0.125 * a
-    samples = [
-        term(n, t, a + r * cmath.exp(2j * math.pi * i / points)) for i in range(points)
-    ]
-    parts = [0.5 * f_a]
-    deriv_scale = 0.0  # sum_j |B_2j| / (2j r^(2j-1)): scales coefficient errors
-    for j, b in enumerate(bernoullis, start=1):
-        k = 2 * j - 1
-        coeff = math.fsum(
-            (f * cmath.exp(-2j * math.pi * (k * i % points) / points)).real
-            for i, f in enumerate(samples)
-        ) / points
-        parts.append(-b / (2 * j) * coeff / r**k)
-        deriv_scale += abs(b) / (2 * j * r**k)
-
-    integral = integrate_decaying(
-        lambda u: term(n, t, a + u),
-        rate,
-        tol=tol,
-        poly_degree=n - 2,
-        node_cap=eval_cap - 1 - points,
-    )
-    parts.append(integral.value)
-
-    # disk_max bounds |f| for Re z >= a/2, |z| <= 3a/2: on the disk of radius
-    # a/2 around a, and, times (x/a)^(n-2), on the circle of radius x/2
-    # around any x >= a.
-    disk_max = _majorant(n, t, rate, 0.5 * a, 1.5 * a)
-    # R_m: |B_2m|/(2m)! int_a^inf |f^(2m)|, with f^(2m)(x) bounded by the
-    # Cauchy estimate on the circle of radius x/2; 2m >= n keeps the
-    # resulting x^(n-2-2m) integrable.
-    remainder = (
-        abs(bernoullis[-1]) * disk_max * a * (2.0 / a) ** (2 * m) / (2 * m + 1 - n)
-    )
-    # Aliasing: coefficient k is off by at most M R^-k s / (1 - s) with
-    # s = (r/R)^points and M = max |f| on the disk of radius R = a/2.
-    radius = 0.5 * a
-    shrink = (r / radius) ** points
-    aliasing = (
-        disk_max
-        * shrink
-        / (1.0 - shrink)
-        * sum(abs(b) / (2 * j) * radius ** (1 - 2 * j) for j, b in enumerate(bernoullis, 1))
-    )
-    rounding = (
-        _eval_rel(n, rate * a) * 0.5 * f_a
-        + (_eval_rel(n, 1.125 * rate * a) + points * U)
-        * max(abs(f) for f in samples)
-        * deriv_scale
-        + (_eval_rel(n, rate * (a + integral.truncation_point)) + integral.nodes_used * U)
-        * abs(integral.value)
-    )
-    bound = integral.error_estimate + remainder + aliasing + rounding
-    return parts, bound, 1 + points + integral.nodes_used
 
 
 def trace_split_q(

@@ -7,7 +7,9 @@ Covers exactly what the spectral computations need and nothing more:
 * the stable kernels log(1 - e^(-2x)) and (x/(1 - e^(-2x)))^m of the integrals,
 * integrate_decaying: adaptive Gauss-Legendre panels on [0, T] plus a
   certified analytic bound for the [T, inf) tail of integrands with a known
-  exponential decay rate.
+  exponential decay rate,
+* euler_maclaurin_tail: the tail sum_{k >= a} f(k) of a series whose term is
+  analytic on Re z > 0, with a Cauchy-certified remainder.
 
 Everything here is deterministic: fixed node sets, fixed refinement order,
 no randomness, so repeated calls return bit-identical results.
@@ -32,9 +34,16 @@ __all__ = [
     "folded_kernel",
     "QuadratureResult",
     "integrate_decaying",
+    "EM_HEAD_TERMS",
+    "euler_maclaurin_tail",
 ]
 
 ZETA_EVEN_MAX = 64
+
+U = 2.0**-53  # unit roundoff of a float
+EM_HEAD_TERMS = 64  # terms a caller sums exactly before the Euler-Maclaurin tail
+EM_ORDER = 6  # Bernoulli corrections; raised where the R_m bound needs more
+CONTOUR_POINTS = 64  # trapezoid nodes for the derivatives at a
 
 
 @dataclass(frozen=True)
@@ -178,11 +187,11 @@ class QuadratureResult:
 
 
 # Gauss-Legendre nodes and weights on [-1, 1]: the positive half, ascending.
-# The repr of numpy.polynomial.legendre.leggauss(16) and (32) (numpy 2.4),
-# whose nodes are exactly antisymmetric and weights exactly symmetric, so
-# mirroring gives its full tables bit for bit and in its order.  A literal
-# table, not a Newton solve at import: Newton reproduces the nodes but not
-# every weight to the last bit, and the quadrature sums would move.
+# The repr of the leggauss(16) and leggauss(32) tables that README's design
+# notes name, whose nodes are exactly antisymmetric and weights exactly
+# symmetric, so mirroring gives the full tables bit for bit and in order.
+# A literal table, not a Newton solve at import: Newton reproduces the nodes
+# but not every weight to the last bit, and the quadrature sums would move.
 _GL16_HALF = (
     (0.09501250983763744, 0.18945061045506864),
     (0.2816035507792589, 0.18260341504492364),
@@ -344,3 +353,87 @@ def integrate_decaying(
             stack.append((a, mid))
 
     return QuadratureResult(value, panel_error + tail_bound, nodes_used, T)
+
+
+def euler_maclaurin_tail(
+    term: Callable[[float | complex], float | complex],
+    a: int,
+    *,
+    disk_max: float,
+    growth: int,
+    integral: Callable[[int], tuple[QuadratureResult, float]],
+    eval_rel: Callable[[float], float],
+    eval_cap: int,
+) -> tuple[list[float], float, int]:
+    """sum_{k >= a} term(k) as (parts to add, error bound, evaluations), a >= 1.
+
+    The Euler-Maclaurin sum
+
+        integral_a^inf f + f(a)/2 - sum_{j<=m} B_2j/(2j)! f^(2j-1)(a) + R_m
+
+    with exact Bernoulli numbers and the odd derivatives from a trapezoid
+    rule on the circle of radius a/8 around a.  The term must be analytic
+    on Re z > 0 and accept real and complex arguments.  The caller states:
+
+    * disk_max, a bound of |f| on the disk of radius a/2 around a, and
+      growth, such that disk_max * (x/a)**growth bounds |f| on the circle of
+      radius x/2 around every x >= a; Cauchy estimates on those circles
+      bound R_m and the contour's aliasing;
+    * integral(node_cap), the integral over [a, inf) in at most node_cap
+      evaluations of the term, with the first-order rounding of its value;
+    * eval_rel(c), the relative rounding of one evaluation of the term at
+      points of modulus up to c * a.
+
+    The parts are f(a)/2, the m Bernoulli corrections and the integral; the
+    bound adds the quadrature's error estimate, R_m, the aliasing bound and
+    the rounding of every part.  ConvergenceError if more than eval_cap
+    evaluations of the term would be needed.
+    """
+    m = max(EM_ORDER, (growth + 3) // 2)  # 2m - 1 - growth >= 1 keeps the R_m majorant integrable
+    points = max(CONTOUR_POINTS, 4 * m)
+    if 1 + points > eval_cap:
+        raise ConvergenceError(
+            f"the contour needs {1 + points} term evaluations, {eval_cap} are left"
+        )
+    f_a = term(a)
+    bernoullis = [float(bernoulli(2 * j)) for j in range(1, m + 1)]
+
+    # Taylor coefficients f^(k)(a) r^k / k! by the trapezoid rule on |z - a| = r.
+    r = 0.125 * a
+    samples = [term(a + r * cmath.exp(2j * math.pi * i / points)) for i in range(points)]
+    parts = [0.5 * f_a]
+    deriv_scale = 0.0  # sum_j |B_2j| / (2j r^(2j-1)): scales coefficient errors
+    for j, b in enumerate(bernoullis, start=1):
+        k = 2 * j - 1
+        coeff = math.fsum(
+            (f * cmath.exp(-2j * math.pi * (k * i % points) / points)).real
+            for i, f in enumerate(samples)
+        ) / points
+        parts.append(-b / (2 * j) * coeff / r**k)
+        deriv_scale += abs(b) / (2 * j * r**k)
+
+    quad, quad_rounding = integral(eval_cap - 1 - points)
+    parts.append(quad.value)
+
+    # R_m: |B_2m|/(2m)! int_a^inf |f^(2m)|, with f^(2m)(x) bounded by the
+    # Cauchy estimate on the circle of radius x/2, which lies in Re z >= x/2.
+    remainder = (
+        abs(bernoullis[-1]) * disk_max * a * (2.0 / a) ** (2 * m) / (2 * m - 1 - growth)
+    )
+    # Aliasing: coefficient k is off by at most M R^-k s / (1 - s) with
+    # s = (r/R)^points and M = max |f| on the disk of radius R = a/2.
+    radius = 0.5 * a
+    shrink = (r / radius) ** points
+    aliasing = (
+        disk_max
+        * shrink
+        / (1.0 - shrink)
+        * sum(abs(b) / (2 * j) * radius ** (1 - 2 * j) for j, b in enumerate(bernoullis, 1))
+    )
+    rounding = (
+        eval_rel(1) * 0.5 * f_a
+        + (eval_rel(1.125) + points * U) * max(abs(f) for f in samples) * deriv_scale
+        + quad_rounding
+    )
+    bound = quad.error_estimate + remainder + aliasing + rounding
+    return parts, bound, 1 + points + quad.nodes_used

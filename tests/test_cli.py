@@ -283,8 +283,26 @@ def test_coeff_single_method_rows_match_the_all_rows(capsys):
         assert json.loads(out)["rows"] == [by_method[method]]
 
 
+@pytest.mark.parametrize(
+    "method, n, last", [("series-direct", 160, 144), ("series-direct", 174, 144), ("intermediate", 122, 121)]
+)
+def test_coeff_past_a_route_range_names_it(capsys, method, n, last):
+    # no silent 0 and no bare float-range message
+    code, out, err = run(capsys, "coeff", "--n", str(n), "--method", method)
+    assert code == 1
+    assert out == ""
+    assert f"n <= {last}" in err
+
+
+def test_coeff_intermediate_where_its_bracket_overflows(capsys):
+    code, out, err = run(capsys, "coeff", "--n", "102", "--method", "intermediate", "--format", "json")
+    assert code == 0, err
+    row = json.loads(out)["rows"][0]
+    assert 0.0 < row["error_bound"] <= 1e-13 * row["value"]
+
+
 def test_coeff_all_leaks_no_overflow_warning(capsys):
-    # q**56 overflows inside series-direct; the suite turns RuntimeWarning into an error
+    # q**56 overflowed inside the old series-direct; the suite turns RuntimeWarning into an error
     code, _, err = run(capsys, "coeff", "--n", "56", "--method", "all", "--format", "csv")
     assert code == 0, err
     assert err == ""
@@ -326,16 +344,11 @@ def test_import_leaves_numpy_unloaded():
         ["coeff", "--n", "4", "--method", "series-zeta"],
         ["coeff", "--n", "4", "--method", "integral"],
         ["coeff", "--n", "4", "--method", "intermediate"],
+        ["coeff", "--n", "4", "--method", "series-direct", "--terms", "1000"],
+        ["coeff", "--n", "10", "--method", "all"],
         ["stanton", "--n", "3", "--q", "1"],
     ],
     ids=" ".join,
 )
 def test_subcommands_leave_numpy_unloaded(argv):
-    # only the series-direct route needs numpy; every other call skips importing it
     assert not _numpy_loaded_after(f"from kohnspec import cli\nassert cli.main({argv!r}) == 0")
-
-
-@pytest.mark.parametrize("method", ["series-direct", "all"])
-def test_series_direct_still_loads_numpy(method):
-    argv = ["coeff", "--n", "4", "--method", method, "--terms", "1000"]
-    assert _numpy_loaded_after(f"from kohnspec import cli\nassert cli.main({argv!r}) == 0")

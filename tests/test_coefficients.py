@@ -1,12 +1,17 @@
+import functools
 import math
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from kohnspec.coefficients import (
+    DEFAULT_SERIES_TERMS,
+    INTERMEDIATE_MAX_N,
     METHODS,
-    _intermediate_bracket,
+    SERIES_DIRECT_MAX_N,
+    _intermediate_integrand,
     estimate,
     integral_coefficient,
     integral_intermediate,
@@ -100,11 +105,11 @@ def test_method_names_exported():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_intermediate_bracket_boundary_decay(n):
-    # x^n * bracket vanishes linearly at 0 (slope 2^(2-n)) and
+    # x^n * bracket = x * integrand vanishes linearly at 0 (slope 2^(2-n)) and
     # exponentially at infinity, so both integration-by-parts boundary
     # terms drop
     def witness(x):
-        return x**n * _intermediate_bracket(n, x)
+        return x * _intermediate_integrand(n, x)
 
     assert abs(witness(1e-9)) < 1e-8
     assert abs(witness(40.0)) < 1e-8
@@ -134,6 +139,7 @@ def test_estimate_rejects_unknown_method():
         estimate("intermediate", 4)
 
 
+@functools.cache
 def _weyl_reference(n: int) -> mp.mpf:
     """c(n) at 50 digits: P(q) expanded exactly, then sum_j a_j zeta(n - j) in mpmath."""
     rising, falling = [Fraction(1)], [Fraction(1)]
@@ -151,30 +157,66 @@ def _weyl_reference(n: int) -> mp.mpf:
         return total / (mp.factorial(n - 2) * mp.mpf(2) ** n * mp.factorial(n))
 
 
-@pytest.mark.parametrize("n", [56, 70, 80])
-def test_series_direct_past_the_float_range_of_q_to_the_n(n):
-    # q**n overflows from q ~ 3e5 at n = 56; from n = 70 the binomial
-    # products overflow too and used to turn the sum into nan
-    est = series_direct(n)
-    assert math.isfinite(est.value) and math.isfinite(est.error_bound)
-    with mp.workdps(50):
+@pytest.mark.parametrize("terms", [2, DEFAULT_SERIES_TERMS, 1000])
+def test_series_direct_against_the_oracle(terms):
+    # every n up to 100, at a tail start from a = 3 to a = 1001; the default
+    # must be a witness as sharp as the other routes
+    for n in range(2, 101):
+        est = series_direct(n, terms)
+        assert est.work == terms
         ref = _weyl_reference(n)
-        assert abs(est.value - ref) <= est.error_bound
-        assert abs(est.value - ref) <= 1e-15 * ref
+        assert abs(est.value - ref) <= est.error_bound, n
+        if terms == DEFAULT_SERIES_TERMS:
+            assert est.error_bound <= 1e-13 * est.value, n
+            assert abs(est.value - ref) <= 1e-15 * ref, n
 
 
-@pytest.mark.parametrize("method, last_answered", [("integral", 105), ("integral-intermediate", 100)])
-@pytest.mark.parametrize("n", range(85, 106))
+def test_series_direct_to_the_edge_of_the_float_range():
+    est = series_direct(SERIES_DIRECT_MAX_N)
+    assert est.error_bound >= sys.float_info.min
+    assert abs(est.value - _weyl_reference(SERIES_DIRECT_MAX_N)) <= est.error_bound
+    for n in (SERIES_DIRECT_MAX_N + 1, 160, 174):
+        with pytest.raises(ValueError, match=f"n <= {SERIES_DIRECT_MAX_N}"):
+            series_direct(n)
+
+
+def test_series_direct_tail_counts_against_the_term_cap():
+    # the head fits, the tail's contour does not
+    with pytest.raises(ConvergenceError, match="term_cap=100"):
+        series_direct(4, 64, term_cap=100)
+
+
+@pytest.mark.parametrize("method", ["integral", "integral-intermediate"])
+def test_integral_routes_against_the_oracle(method):
+    # the bound covers the rounding of the integrand, the panel sums and the
+    # prefactor product (at n = 49 integral-intermediate is off by about 3 ulp)
+    for n in range(2, 101):
+        ref = _weyl_reference(n)
+        est = estimate(method, n)
+        assert abs(est.value - ref) <= est.error_bound, n
+        # the default tol is absolute: at small n it, not rounding, sets the bound
+        sharp = estimate(method, n, tol=1e-14)
+        assert abs(sharp.value - ref) <= sharp.error_bound, n
+        assert sharp.error_bound <= 1e-13 * sharp.value, n
+
+
+@pytest.mark.parametrize(
+    "method, last_answered", [("integral", 105), ("integral-intermediate", INTERMEDIATE_MAX_N)]
+)
+@pytest.mark.parametrize("n", [*range(85, 111), INTERMEDIATE_MAX_N, INTERMEDIATE_MAX_N + 1])
 def test_integral_routes_where_the_prefactor_leaves_the_float_range(method, last_answered, n):
     # The integral prefactor is subnormal from n = 92 and 0.0 from n = 96, the
     # intermediate one from n = 99; the quadrature value and c(n) are normal.
-    # Beyond a route's range a typed error is allowed, never a silent 0.
+    # The intermediate bracket alone overflows from n = 101.  Beyond a route's
+    # range a typed error is allowed, never a silent 0.
     try:
         est = estimate(method, n)
-    except (ConvergenceError, OverflowError):
+    except (ConvergenceError, OverflowError, ValueError) as err:
         assert n > last_answered
+        if isinstance(err, ValueError):
+            assert f"n <= {last_answered}" in str(err)
         return
+    assert n <= last_answered
     ref = _weyl_reference(n)
-    # the quadrature bound leaves out the rounding of the final product
-    assert abs(est.value - ref) <= est.error_bound + 4 * math.ulp(est.value)
-    assert est.error_bound <= 1e-14 * est.value
+    assert abs(est.value - ref) <= est.error_bound
+    assert est.error_bound <= 1e-13 * est.value

@@ -203,3 +203,31 @@ def test_direct_bound_covers_rounding(n, t):
     got = trace_direct(n, t)
     ref = _oracle_split(n, t, "q") + _oracle_split(n, t, "w")
     assert abs(mp.mpf(got.value) - ref) <= got.error_bound
+
+
+# Values, bounds (both as float.hex) and evaluation counts of the split sums
+# before their Euler-Maclaurin tail moved into special_functions: large t
+# stops in the head, the rest run the tail, and at n = 40 the Bernoulli order
+# rises above EM_ORDER.
+_PINNED_SPLIT_SUMS = [
+    (trace_split_q, 2, 0.5, "0x1.2fc510cfdb188p+0", "0x1.7602304a273f0p-44", 30),
+    (trace_split_w, 2, 0.5, "0x1.2fc510cfdb188p+0", "0x1.7602304a273f0p-44", 30),
+    (trace_split_q, 3, 1e-06, "0x1.3c13df10d71b6p+58", "0x1.19fdb4c0a8210p+13", 1321),
+    (trace_split_w, 3, 1e-06, "0x1.895d768c0115dp+55", "0x1.1bb0f0688c404p+10", 1377),
+    (trace_split_q, 5, 0.01, "0x1.429b7a2285bd5p+30", "0x1.a37291d101ce1p-16", 665),
+    (trace_split_w, 5, 0.01, "0x1.029f6268b733dp+24", "0x1.1a046362b8d3ep-20", 825),
+    (trace_split_q, 8, 0.001, "0x1.770d1c9ae3d62p+74", "0x1.2639555760547p+29", 737),
+    (trace_split_w, 8, 0.001, "0x1.e90403431347ap+62", "0x1.2424af1901de3p+20", 953),
+    (trace_split_q, 40, 0.0001, "0x1.ba28340e945e6p+496", "0x1.314a5a497e9bbp+453", 873),
+    (trace_split_w, 40, 0.0001, "0x1.292c20bf3cecap+479", "0x1.1a3e25e8813c6p+438", 2121),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, n, t, value, bound, terms",
+    _PINNED_SPLIT_SUMS,
+    ids=[f"{fn.__name__}-{n}-{t}" for fn, n, t, *_ in _PINNED_SPLIT_SUMS],
+)
+def test_split_sums_arithmetic_is_pinned(fn, n, t, value, bound, terms):
+    got = fn(n, t)
+    assert (got.value.hex(), got.error_bound.hex(), got.terms_used) == (value, bound, terms)
