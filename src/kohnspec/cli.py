@@ -68,46 +68,52 @@ def _node_cap() -> int:
 # ---------------------------------------------------------------- rendering
 
 
-def _fmt_cell(value, machine: bool) -> str:
-    if value is None:
-        return "" if machine else "-"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}" if machine else f"{value:.10g}"
-    return str(value)
+def _formatter(kind: type, fmt: str):
+    """How one cell of Python type `kind` prints in format `fmt`."""
+    if kind is type(None):
+        empty = {"table": "-", "csv": "", "json": "null"}[fmt]
+        return lambda value: empty
+    if kind is bool:
+        return {True: "true", False: "false"}.__getitem__
+    if fmt == "json":
+        return str if kind is int else json.dumps
+    if issubclass(kind, float):
+        return "{:.10g}".format if fmt == "table" else "{:.17g}".format
+    return str
 
 
-def _render_table(columns: list[str], rows: list[dict], footer: str | None) -> str:
-    cells = [[_fmt_cell(row.get(c), machine=False) for c in columns] for row in rows]
-    widths = [
-        max(len(columns[i]), max((len(r[i]) for r in cells), default=0))
-        for i in range(len(columns))
-    ]
-    lines = ["  ".join(c.rjust(w) for c, w in zip(columns, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in cells:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)))
-    if footer:
-        lines.append(footer)
+def _format_column(values: tuple, fmt: str) -> list[str]:
+    """The column's cells as text: one map when every cell has one type."""
+    formatters = {kind: _formatter(kind, fmt) for kind in set(map(type, values))}
+    if len(formatters) == 1:
+        [only] = formatters.values()
+        return list(map(only, values))
+    return [formatters[type(value)](value) for value in values]
+
+
+def _render(
+    fmt: str, command: str, params: dict, columns: list[str], rows: list, footer: str | None
+) -> str:
+    """The whole output of one call; rows are sequences in column order."""
+    cells = [_format_column(values, fmt) for values in zip(*rows)] or [[]] * len(columns)
+    if fmt == "table":
+        widths = [max([len(c), *map(len, col)]) for c, col in zip(columns, cells)]
+        line = "  ".join(f"{{:>{w}}}" for w in widths).format
+        lines = [line(*columns), "  ".join("-" * w for w in widths), *map(line, *cells)]
+        if footer:
+            lines.append(footer)
+    elif fmt == "csv":
+        lines = [f"# schema={_SCHEMA}", ",".join(columns), *map(",".join, zip(*cells))]
+    else:
+        payload = {"schema": _SCHEMA, "command": command, "params": params, "rows": []}
+        head = json.dumps(payload, indent=2)
+        if not rows:
+            return head + "\n"
+        # json.dumps(payload with rows, indent=2), with each row from one template
+        fields = ",\n".join("      " + json.dumps(c).replace("%", "%%") + ": %s" for c in columns)
+        body = ",\n".join(map(f"    {{\n{fields}\n    }}".__mod__, zip(*cells)))
+        return head.removesuffix("[]\n}") + f"[\n{body}\n  ]\n}}\n"
     return "\n".join(lines) + "\n"
-
-
-def _render_csv(columns: list[str], rows: list[dict]) -> str:
-    lines = [f"# schema={_SCHEMA}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(row.get(c), machine=True) for c in columns))
-    return "\n".join(lines) + "\n"
-
-
-def _render_json(command: str, params: dict, columns: list[str], rows: list[dict]) -> str:
-    payload = {
-        "schema": _SCHEMA,
-        "command": command,
-        "params": params,
-        "rows": [{c: row.get(c) for c in columns} for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _emit(
@@ -115,19 +121,19 @@ def _emit(
     command: str,
     params: dict,
     columns: list[str],
-    rows: list[dict],
+    rows: list,
     footer: str | None = None,
 ) -> None:
-    if args.format == "table":
-        text = _render_table(columns, rows, footer)
-    elif args.format == "csv":
-        text = _render_csv(columns, rows)
-    else:
-        text = _render_json(command, params, columns, rows)
+    text = _render(args.format, command, params, columns, rows, footer)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _records(rows: list[dict]) -> tuple[list[str], list[tuple]]:
+    """Columns and rows of dict rows that share their keys, in key order."""
+    return list(rows[0]), [tuple(row.values()) for row in rows]
 
 
 def _parse_float_list(raw: str, flag: str) -> list[float]:
@@ -146,33 +152,16 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
 def _cmd_coeff(args) -> int:
     columns = ["kind", "n", "method", "value", "error_bound", "work", "exact_form"]
 
-    def estimate_row(est) -> dict:
-        return {
-            "kind": "estimate",
-            "n": est.n,
-            "method": est.method,
-            "value": est.value,
-            "error_bound": est.error_bound,
-            "work": est.work,
-            "exact_form": str(est.exact_form) if est.exact_form else None,
-        }
+    def estimate_row(est) -> tuple:
+        exact_form = str(est.exact_form) if est.exact_form else None
+        return ("estimate", est.n, est.method, est.value, est.error_bound, est.work, exact_form)
 
     options = dict(terms=args.terms, tol=args.tol, term_cap=_term_cap(), node_cap=_node_cap())
     if args.method == "all":
         report = coefficients.reconcile(args.n, **options)
         rows = [estimate_row(est) for est in report.estimates]
         for a, b, diff, combined in report.differences:
-            rows.append(
-                {
-                    "kind": "difference",
-                    "n": args.n,
-                    "method": f"{a}|{b}",
-                    "value": diff,
-                    "error_bound": combined,
-                    "work": None,
-                    "exact_form": None,
-                }
-            )
+            rows.append(("difference", args.n, f"{a}|{b}", diff, combined, None, None))
         verdict = "reconciliation: ok" if report.ok else "reconciliation: FAILED"
         _emit(
             args,
@@ -203,20 +192,11 @@ def _cmd_count(args) -> int:
     cap = _line_cap()
     if args.modes:
         lines = spectrum.enumerate_modes(args.n, args.lam, line_cap=cap)
-        columns = ["p", "q", "eigenvalue", "multiplicity"]
-        rows = [
-            {
-                "p": line.p,
-                "q": line.q,
-                "eigenvalue": line.eigenvalue,
-                "multiplicity": line.multiplicity,
-            }
-            for line in lines
-        ]
-        _emit(args, "count", {"n": args.n, "lambda": args.lam, "modes": True}, columns, rows)
+        columns = list(spectrum.SpectralLine._fields)
+        _emit(args, "count", {"n": args.n, "lambda": args.lam, "modes": True}, columns, lines)
         return 0
     rows = [_count_row(args.n, args.lam, cap)]
-    _emit(args, "count", {"n": args.n, "lambda": args.lam, "modes": False}, list(rows[0]), rows)
+    _emit(args, "count", {"n": args.n, "lambda": args.lam, "modes": False}, *_records(rows))
     return 0
 
 
@@ -263,8 +243,7 @@ def _cmd_heat(args) -> int:
         args,
         "heat",
         {"n": args.n, "t": ts, "verify": bool(args.verify)},
-        list(rows[0]),
-        rows,
+        *_records(rows),
     )
     if args.verify and not all_within:
         print("error: split sums disagree with the direct trace", file=sys.stderr)
@@ -279,7 +258,7 @@ def _cmd_converge(args) -> int:
     rows = [_count_row(args.n, lam, cap) for lam in lams]
     for row in rows:
         row["ratio_minus_limit"] = None if row["ratio"] is None else row["ratio"] - limit
-    _emit(args, "converge", {"n": args.n, "limit": limit}, list(rows[0]), rows)
+    _emit(args, "converge", {"n": args.n, "limit": limit}, *_records(rows))
     return 0
 
 
@@ -354,8 +333,7 @@ def _cmd_stanton(args) -> int:
         args,
         "stanton",
         {"n": args.n, "tol": args.tol, "points": len(rows)},
-        list(rows[0]),
-        rows,
+        *_records(rows),
     )
     return 0
 

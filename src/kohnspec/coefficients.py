@@ -52,6 +52,7 @@ __all__ = [
     "DEFAULT_SERIES_TERMS",
     "SERIES_DIRECT_MAX_N",
     "INTERMEDIATE_MAX_N",
+    "INTEGRAL_MAX_N",
     "METHODS",
     "ZetaCombination",
     "CoefficientEstimate",
@@ -69,6 +70,9 @@ SERIES_DIRECT_MAX_N = 144  # from n = 145 series-direct's bound is a subnormal f
 # Beyond it integral-intermediate's node count grows erratically: about
 # 27 000 nodes at n = 123 against 8 000 at n = 121, and the cap from n = 131.
 INTERMEDIATE_MAX_N = 121
+# Beyond it integral's quadrature meets the node cap (n = 106..108, bisecting
+# near x ~ 407) and then (x / (1 - e^(-2x)))^n overflows on its own (n >= 109).
+INTEGRAL_MAX_N = 105
 _EXP_ARG_SAFE = 700.0  # e^y and 2 e^y are finite floats below this y
 
 METHODS: tuple[str, ...] = (
@@ -325,9 +329,15 @@ def integral_coefficient(
     (x/sinh x)^n cosh((n-2)x) = 2^(n-1) (x/E)^n (e^(-2x) + e^(-2(n-1)x)) with
     E = 1 - e^(-2x) built from expm1; value 1 at x = 0, decay e^(-2x).  The
     pi powers of the volume and (2 pi)^n prefactors cancel exactly, leaving
-    the rational prefactor 2(n-1) / ((n-1)! n 2^n n!).
+    the rational prefactor 2(n-1) / ((n-1)! n 2^n n!).  ValueError from
+    n = INTEGRAL_MAX_N + 1.
     """
     check_n(n)
+    if n > INTEGRAL_MAX_N:
+        raise ValueError(
+            f"integral supports n <= {INTEGRAL_MAX_N}, got n = {n}: beyond it the quadrature "
+            "meets the node cap and then its kernel leaves the float range"
+        )
     scale = 2.0 ** (n - 1)
 
     def integrand(x: float) -> float:

@@ -5,11 +5,14 @@ eigenvalue 2q(p + n - 1) with multiplicity dim_hpq(n, p, q).  Eigenvalues
 are even integers, so the threshold comparison "eigenvalue <= lambda" is an
 exact int-vs-float comparison in Python, with no rounding at the boundary.
 
-enumerate_modes costs one loop iteration per spectral line (distinct (p, q)
-pair under the threshold), which is the size of its output.  Its line cap
-bounds the lines; it is enforced incrementally while streaming, plus a
-fast-fail when the q range alone (every q <= lambda / (2(n-1)) contributes
-at least the p = 0 line) already exceeds the cap.
+enumerate_modes costs one sort plus a few C-level steps per spectral line
+(distinct (p, q) pair under the threshold), which is the size of its output.
+With A[k] = binom(n + k - 1, k), built once by A[k] = A[k-1] (n + k - 1) / k,
+dim_hpq(n, p, q) = A[p] A[q] - A[p-1] A[q-1] with A[-1] = 0, exactly; the
+lines of one q are p = 0 .. L // q - m (L and m as below), built from ranges.
+Its line cap bounds the lines: it is checked per q before that q's lines are
+built, after a fast-fail when q = 1 alone, or the q range (every
+q <= lambda / (2(n-1)) contributes its p = 0 line), already exceeds the cap.
 
 count never visits a line.  With L = floor(lambda / 2), m = n - 1 and
 F(x) = binom(n + x, n), the lines under the threshold are the (p, q) with
@@ -27,11 +30,11 @@ blocks, whose number is known before any work is done.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from itertools import repeat
+from operator import sub
+from typing import NamedTuple
 
-from .combinatorics import dim_hpq
 from .errors import DEFAULT_LINE_CAP, ResourceCapError, check_n
 
 __all__ = [
@@ -43,9 +46,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectralLine:
-    """One eigenspace: bidegree, exact eigenvalue, exact multiplicity."""
+class SpectralLine(NamedTuple):
+    """One eigenspace: bidegree, exact eigenvalue, exact multiplicity.
+
+    A tuple in the column order the CLI prints, so a line is already a row.
+    """
 
     p: int
     q: int
@@ -71,41 +76,46 @@ def _validate_threshold(n: int, lam: float) -> None:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
 
 
-def _iter_lines(n: int, lam: float, line_cap: int) -> Iterator[SpectralLine]:
-    """Yield every spectral line with eigenvalue <= lam, q-major order."""
-    # Every q with 2q(n-1) <= lam contributes at least its p = 0 line, so the
-    # q range alone is a lower bound on the line count.
-    if lam / (2 * (n - 1)) > line_cap:
-        raise ResourceCapError(
-            f"at least {int(lam / (2 * (n - 1)))} spectral lines up to "
-            f"lambda = {lam}; cap is {line_cap}"
-        )
-    emitted = 0
-    q = 1
-    while 2 * q * (n - 1) <= lam:
-        p = 0
-        while 2 * q * (p + n - 1) <= lam:
-            emitted += 1
-            if emitted > line_cap:
-                raise ResourceCapError(
-                    f"more than {line_cap} spectral lines up to lambda = {lam}"
-                )
-            yield SpectralLine(p, q, 2 * q * (p + n - 1), dim_hpq(n, p, q))
-            p += 1
-        q += 1
-
-
 def enumerate_modes(
     n: int, lam: float, *, line_cap: int = DEFAULT_LINE_CAP
 ) -> list[SpectralLine]:
     """All spectral lines with eigenvalue <= lam, sorted by (eigenvalue, q, p).
 
-    Materializes the list; raises ResourceCapError past line_cap lines.
+    Materializes the list; raises ResourceCapError past line_cap lines,
+    before the lines of the q that would pass it are built.
     """
     _validate_threshold(n, lam)
-    lines = list(_iter_lines(n, lam, line_cap))
-    lines.sort(key=lambda line: (line.eigenvalue, line.q, line.p))
-    return lines
+    m = n - 1
+    L = int(lam // 2)  # 2q(p + m) <= lam  <=>  q(p + m) <= floor(lam / 2)
+    q_max = L // m
+    # q = 1 has L - m + 1 lines and every q <= q_max its p = 0 line, so the
+    # binomial table below (p <= L - m, q <= q_max) is never longer than the output.
+    at_least = max(L - m + 1, q_max)
+    if at_least > line_cap:
+        raise ResourceCapError(
+            f"at least {at_least} spectral lines up to lambda = {lam}; cap is {line_cap}"
+        )
+    binoms = [1]  # binom(n + k - 1, k)
+    for k in range(1, at_least + 1):
+        binoms.append(binoms[-1] * (n + k - 1) // k)
+    shifted = [0, *binoms]  # shifted[k] = binoms[k - 1], with binoms[-1] = 0
+
+    keys = []  # (eigenvalue, q, p, multiplicity), the sort order
+    for q in range(1, q_max + 1):
+        lines = L // q - m + 1
+        if len(keys) + lines > line_cap:
+            raise ResourceCapError(
+                f"more than {line_cap} spectral lines up to lambda = {lam}"
+            )
+        step = 2 * q
+        dims = map(
+            sub,
+            map(binoms[q].__mul__, binoms[:lines]),
+            map(shifted[q].__mul__, shifted[:lines]),
+        )
+        keys += zip(range(step * m, step * (m + lines), step), repeat(q), range(lines), dims)
+    keys.sort()
+    return [SpectralLine(p, q, e, d) for e, q, p, d in keys]
 
 
 def _block_count(L: int, m: int) -> int:

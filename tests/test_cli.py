@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -261,6 +262,72 @@ def test_out_writes_file(capsys, tmp_path):
     assert payload["rows"][0]["count"] == 42
 
 
+# sha256 of stdout as the per-cell renderer printed it before the column-wise
+# one: integer cells (--modes), None cells (stanton outside a strip), string
+# cells and a footer (coeff --method all), bool cells (heat --verify)
+_PINNED_STDOUT = {
+    ("count --n 2 --lambda 30 --modes", "table"): "4668eb09ca029bc9831c05082d204f9bb883fb887e50f4fdada9666bbc573c11",
+    ("count --n 2 --lambda 30 --modes", "csv"): "2a0f85bf31c828b40b8fba7fb840ef552639453df90a74105d7a57d27b7b6139",
+    ("count --n 2 --lambda 30 --modes", "json"): "3de400241d70fc266542d9716ddad09f02ce5842ef2e0c5a9bdb0476e6ba458a",
+    ("stanton --n 3 --grid=-0.5:1.5:5", "table"): "ecba76eefcde9560cafa5193c6cd3d1b04cb9fbecc6e3155a0affbc9306643b3",
+    ("stanton --n 3 --grid=-0.5:1.5:5", "csv"): "9df9c3204da98a7d2ed96746961308de09b6c560c884f23f5258e6d398bc9a54",
+    ("stanton --n 3 --grid=-0.5:1.5:5", "json"): "1efeee26690395926009610ff20bf295c4b454c16c9c4d81f08b9d869776406b",
+    ("coeff --n 3 --method all", "table"): "ab0463f1024e6f92879eb14216ec76dcf7e89a766783fb8f45427b0e3de8534f",
+    ("coeff --n 3 --method all", "csv"): "43ba60b72b8ac5558c32971a964ba3d5c6353d60e814ef94a2e214817dd74b64",
+    ("coeff --n 3 --method all", "json"): "5aade8197315f67bd8574a7d0f166c7ed6f9735ea3369c3a19a8be63f67e4999",
+    ("heat --n 2 --t 0.1,0.5 --verify", "table"): "19c007203cb7a143d2a46fee2413f9232a0ee32a6cdce38a549366bfe605af79",
+    ("heat --n 2 --t 0.1,0.5 --verify", "csv"): "255b559b7fc5019b3f61a816a1ccd92e7afea7f7f963605798864e110b88aaff",
+    ("heat --n 2 --t 0.1,0.5 --verify", "json"): "5d4a2febe8b002b41724ac8a96ebb67f9ebc1b7d7ab14049482d16dc4a2893fe",
+}
+
+
+@pytest.mark.parametrize("call, fmt", _PINNED_STDOUT, ids=" ".join)
+def test_stdout_bytes_are_pinned(capsys, call, fmt):
+    code, out, err = run(capsys, *call.split(), "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _PINNED_STDOUT[call, fmt]
+    if fmt == "json":
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_modes_without_lines_print_the_header_only(capsys):
+    argv = ("count", "--n", "3", "--lambda", "1", "--modes", "--format")
+    assert run(capsys, *argv, "table")[1] == (
+        "p  q  eigenvalue  multiplicity\n"
+        "-  -  ----------  ------------\n"
+    )
+    assert run(capsys, *argv, "csv")[1] == "# schema=1\np,q,eigenvalue,multiplicity\n"
+    assert run(capsys, *argv, "json")[1] == (
+        '{\n  "schema": 1,\n  "command": "count",\n'
+        '  "params": {\n    "n": 3,\n    "lambda": 1.0,\n    "modes": true\n  },\n'
+        '  "rows": []\n}\n'
+    )
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("call", ["count --n 2 --lambda 30 --modes", "coeff --n 3 --method all"])
+def test_out_writes_the_bytes_stdout_gets(capsys, tmp_path, call, fmt):
+    argv = [*call.split(), "--format", fmt]
+    _, printed, _ = run(capsys, *argv)
+    target = tmp_path / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 0, err
+    assert out == ""
+    assert target.read_bytes() == printed.encode("utf-8")
+
+
+def test_failed_call_writes_no_out_file(capsys, tmp_path):
+    target = tmp_path / "modes.json"
+    code, out, err = run(
+        capsys, "count", "--n", "2", "--lambda", "1e9", "--modes", "--format", "json",
+        "--out", str(target),
+    )
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("fmt", ["table", "csv"])
 def test_coeff_accepts_the_method_name_it_prints(capsys, fmt):
     outputs = []
@@ -284,7 +351,14 @@ def test_coeff_single_method_rows_match_the_all_rows(capsys):
 
 
 @pytest.mark.parametrize(
-    "method, n, last", [("series-direct", 160, 144), ("series-direct", 174, 144), ("intermediate", 122, 121)]
+    "method, n, last",
+    [
+        ("series-direct", 160, 144),
+        ("series-direct", 174, 144),
+        ("intermediate", 122, 121),
+        ("integral", 106, 105),
+        ("integral", 109, 105),
+    ],
 )
 def test_coeff_past_a_route_range_names_it(capsys, method, n, last):
     # no silent 0 and no bare float-range message

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kohnspec.combinatorics import binom
+from kohnspec.combinatorics import binom, dim_hpq
 from kohnspec.errors import ResourceCapError
 from kohnspec.spectrum import (
     SpectralLine,
@@ -63,6 +63,53 @@ def test_enumerate_modes_sorted_and_consistent_with_count():
             keys = [(ln.eigenvalue, ln.q, ln.p) for ln in lines]
             assert keys == sorted(keys)
             assert sum(ln.multiplicity for ln in lines) == count(n, lam)
+
+
+def naive_modes(n: int, lam: float) -> list[tuple[int, int, int, int]]:
+    """Brute-force reference: dim_hpq over the (p, q) lattice, sorted by (eigenvalue, q, p)."""
+    lines = []
+    q = 1
+    while 2 * q * (n - 1) <= lam:
+        p = 0
+        while 2 * q * (p + n - 1) <= lam:
+            lines.append((p, q, eigenvalue(n, p, q), dim_hpq(n, p, q)))
+            p += 1
+        q += 1
+    return sorted(lines, key=lambda line: (line[2], line[1], line[0]))
+
+
+def mode_thresholds(n: int) -> list[float]:
+    """Below the first eigenvalue (no lines), eigenvalues, the floats just below them, non-integers."""
+    exact = [2 * (n - 1), eigenvalue(n, 3, 2), eigenvalue(n, 0, 7), 120, 240]
+    below = [math.nextafter(float(lam), 0.0) for lam in exact]
+    return [0, 1, 2 * (n - 1) - 0.5, *exact, *below, 35.5, 99.9, 181.25]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_enumerate_modes_matches_naive_lattice(n):
+    for lam in mode_thresholds(n):
+        want = naive_modes(n, lam)
+        assert enumerate_modes(n, lam) == want, lam
+    assert enumerate_modes(n, 2 * (n - 1) - 0.5) == []
+    assert enumerate_modes(n, 2 * (n - 1)) == [(0, 1, 2 * (n - 1), n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_enumerate_modes_line_cap_is_exact(n):
+    for lam in (2 * (n - 1), 35.5, 240):
+        lines = len(naive_modes(n, lam))
+        assert len(enumerate_modes(n, lam, line_cap=lines)) == lines
+        # a cap of lines - 1: the lines count is cap + 1
+        with pytest.raises(ResourceCapError):
+            enumerate_modes(n, lam, line_cap=lines - 1)
+
+
+def test_spectral_line_is_an_immutable_row():
+    line = SpectralLine(p=1, q=2, eigenvalue=8, multiplicity=4)
+    assert line == (1, 2, 8, 4)
+    assert SpectralLine._fields == ("p", "q", "eigenvalue", "multiplicity")
+    with pytest.raises(AttributeError):
+        line.p = 0
 
 
 def test_count_small_anchors():
@@ -126,6 +173,12 @@ def test_line_cap_fast_fails_on_huge_thresholds():
     # grind through the lattice
     with pytest.raises(ResourceCapError):
         count(2, 1e12, line_cap=1_000_000)
+
+
+def test_enumerate_modes_fails_fast_when_one_q_passes_the_cap():
+    # 125 000 q, far below the cap, but q = 1 alone has 999 993 lines
+    with pytest.raises(ResourceCapError, match="at least 999993 spectral lines"):
+        enumerate_modes(9, 2e6, line_cap=200_000)
 
 
 @st.composite
