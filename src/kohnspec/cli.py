@@ -209,12 +209,13 @@ def _count_row(n: int, lam: float, cap: int) -> dict:
 def _cmd_heat(args) -> int:
     ts = _parse_float_list(args.t, "--t")
     cap = _term_cap()
+    caps = dict(term_cap=cap, node_cap=_node_cap())
     abs_tol = args.tol if args.tol is not None else 1e-15
     rows = []
     all_within = True
     for t in ts:
-        part_q = heat_trace.trace_split_q(args.n, t, abs_tol=abs_tol, term_cap=cap)
-        part_w = heat_trace.trace_split_w(args.n, t, abs_tol=abs_tol, term_cap=cap)
+        part_q = heat_trace.trace_split_q(args.n, t, abs_tol=abs_tol, **caps)
+        part_w = heat_trace.trace_split_w(args.n, t, abs_tol=abs_tol, **caps)
         row = {
             "n": args.n,
             "t": t,

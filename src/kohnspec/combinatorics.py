@@ -17,6 +17,7 @@ from .errors import check_n
 __all__ = [
     "binom",
     "dim_hpq",
+    "multichoose_table",
     "split_terms",
     "sceil",
     "RationalPoly",
@@ -49,6 +50,21 @@ def dim_hpq(n: int, p: int, q: int) -> int:
     return binom(n + p - 1, p) * binom(n + q - 1, q) - binom(n + p - 2, p - 1) * binom(
         n + q - 2, q - 1
     )
+
+
+def multichoose_table(n: int, size: int, table: list[int] | None = None) -> list[int]:
+    """The list A[k] = binom(n + k - 1, k) for k < size (at least A[0] = 1), exact.
+
+    Built by A[k] = A[k-1] (n + k - 1) // k, one small multiplication and
+    division per entry.  Given table, a prefix of that list, it is extended
+    in place and returned.  dim_hpq(n, p, q) = A[p] A[q] - A[p-1] A[q-1]
+    with A[-1] = 0.
+    """
+    if table is None:
+        table = [1]
+    for k in range(len(table), size):
+        table.append(table[-1] * (n + k - 1) // k)
+    return table
 
 
 def split_terms(n: int, p: int, q: int) -> tuple[int, int]:

@@ -7,7 +7,9 @@ splits, via the two-term multiplicity split, into two single sums:
     split_w:  sum_{w >= n-1} binom(w-1, n-2)  * s       / (1 - s)^n,  s = exp(-2tw)
 
 (p has been summed in closed form in each piece; w = p + n - 1 in the
-second).  The direct double sum is kept as an independent cross-check.
+second).  The direct double sum is kept as an independent cross-check; it
+takes every multiplicity from one exact table A[k] = binom(n+k-1, k) as
+A[p] A[q] - A[p-1] A[q-1], and its number of terms grows like 1/t^2.
 
 Both split sums go through one helper, _split_sum, at a cost independent of
 t.  It adds the first EM_HEAD_TERMS terms exactly (math.fsum).  If a geometric
@@ -25,6 +27,9 @@ aliasing error in closed form.  The reported error bound is the sum of the
 stopped tail (or of the quadrature error, R_m and the aliasing bound) and
 a first-order bound on floating-point rounding.
 
+Every sum needs the trace inside the normal float range; _validate names
+the supported t on either side.
+
 Denominators 1 - exp(-2tq) are formed with expm1, also at complex
 arguments, so the small-t limit (t/(1 - e^(-at)))^n -> a^(-n) survives in
 floating point; that is what makes the scaled trace t**n * G(t) stable down
@@ -39,8 +44,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .combinatorics import dim_hpq
-from .errors import DEFAULT_TERM_CAP, ConvergenceError, check_n
+from .combinatorics import multichoose_table
+from .errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, ConvergenceError, check_n
 from .special_functions import EM_HEAD_TERMS, U, euler_maclaurin_tail, integrate_decaying
 
 __all__ = [
@@ -58,6 +63,7 @@ MIN_T = 1e-6
 # Largest x with exp(-x) > 0 in floating point.
 _EXP_ARG_MAX = -math.log(math.ulp(0.0))
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)  # smallest normal float
 _RANGE_MARGIN = math.log(64.0)  # headroom of the trace and its bound over the first term
 
 
@@ -95,6 +101,14 @@ def _validate(n: int, t: float, min_t: float) -> None:
         raise ValueError(
             f"the heat trace at n = {n}, t = {t} is about e^{log_first:.0f}, beyond "
             f"the float range; at n = {n} the supported range is t >= about {t_min:.3g}"
+        )
+    # The trace is at least its first weight e^(-2t(n-1)); that weight must be
+    # a normal float with the same headroom, or every sum reads 0.
+    t_max = (-_LOG_FLOAT_MIN - _RANGE_MARGIN) / (2.0 * (n - 1))
+    if t > t_max:
+        raise ValueError(
+            f"the heat trace at n = {n}, t = {t} is about e^{log_first:.0f}, below "
+            f"the float range; at n = {n} the supported range is t <= about {t_max:.3g}"
         )
 
 
@@ -182,6 +196,7 @@ def _split_sum(
     abs_tol: float,
     rel_tol: float,
     term_cap: int,
+    node_cap: int,
 ) -> HeatTraceSample:
     """sum_{k >= start} term(n, t, k): exact head plus Euler-Maclaurin tail.
 
@@ -213,9 +228,13 @@ def _split_sum(
     a = start + EM_HEAD_TERMS
     tol = 0.25 * max(abs_tol, rel_tol * partial)
 
-    def integral(node_cap: int):
+    def integral(evals_left: int):
         quad = integrate_decaying(
-            lambda u: term(n, t, a + u), rate, tol=tol, poly_degree=n - 2, node_cap=node_cap
+            lambda u: term(n, t, a + u),
+            rate,
+            tol=tol,
+            poly_degree=n - 2,
+            node_cap=min(evals_left, node_cap),
         )
         tip = _eval_rel(n, rate * (a + quad.truncation_point))
         return quad, (tip + quad.nodes_used * U) * abs(quad.value)
@@ -251,6 +270,7 @@ def trace_split_q(
     abs_tol: float = 1e-15,
     rel_tol: float = 1e-13,
     term_cap: int = DEFAULT_TERM_CAP,
+    node_cap: int = DEFAULT_NODE_CAP,
     min_t: float = MIN_T,
 ) -> HeatTraceSample:
     """The q-indexed single sum of the split heat trace.
@@ -258,7 +278,8 @@ def trace_split_q(
     Term ratios are bounded by rho(q) = ((n+q-1)/(q+1)) * exp(-2t(n-1)),
     decreasing in q; the terms decay at rate 2t(n-1).  See _split_sum for
     the summation and its error bound; ConvergenceError when more than
-    term_cap term evaluations would be needed.
+    term_cap term evaluations, or more than node_cap of them in the tail
+    integral, would be needed.
     """
     _validate(n, t, min_t)
     decay = math.exp(-2.0 * t * (n - 1))
@@ -273,6 +294,7 @@ def trace_split_q(
         abs_tol,
         rel_tol,
         term_cap,
+        node_cap,
     )
 
 
@@ -283,6 +305,7 @@ def trace_split_w(
     abs_tol: float = 1e-15,
     rel_tol: float = 1e-13,
     term_cap: int = DEFAULT_TERM_CAP,
+    node_cap: int = DEFAULT_NODE_CAP,
     min_t: float = MIN_T,
 ) -> HeatTraceSample:
     """The w-indexed single sum of the split heat trace (w = p + n - 1).
@@ -303,6 +326,7 @@ def trace_split_w(
         abs_tol,
         rel_tol,
         term_cap,
+        node_cap,
     )
 
 
@@ -317,61 +341,204 @@ def trace_direct(
 ) -> HeatTraceSample:
     """The raw double sum over (p, q), exact multiplicities, as a cross-check.
 
+    Each multiplicity is A[p] A[q] - A[p-1] A[q-1] from one exact table
+    A[k] = binom(n+k-1, k) (combinatorics.multichoose_table), grown as the
+    sum reaches further, so a term costs two products of table entries.
     Inner p-tails are bounded through the product majorant
-    dim_hpq <= binom(n+p-1, p) * binom(n+q-1, q); outer q-tails through the
-    majorant M(q) = binom(n+q-1, q) * exp(-2tq(n-1)) / (1-exp(-2tq))^n
-    obtained by summing that product bound over all p.  The reported bound
-    is the outer tail plus the accumulated inner tails plus rounding.
-    Recursive summation of positive terms adds at most (terms-1) * U * partial.
-    Each weight exp(-2tq)^(n-1+p) is built from one rounded exponential by a
-    power and p multiplications, so its relative error is at most
-    (n + 2p + 3 + x) * U with x = 2tq(n-1+p) < _EXP_ARG_MAX for every nonzero
-    weight, and p < terms.
+    dim_hpq <= A[p] * A[q]; outer q-tails through the majorant
+    M(q) = A[q] * exp(-2tq(n-1)) / (1-exp(-2tq))^n obtained by summing that
+    product bound over all p.  The reported bound is the outer tail plus the
+    accumulated inner tails plus rounding.  Recursive summation of positive
+    terms adds at most (terms-1) * U * partial.  Each weight exp(-2tq)^(n-1+p)
+    is built from one rounded exponential by a power and p multiplications,
+    so its relative error is at most (n + 2p + 3 + x) * U with
+    x = 2tq(n-1+p) < _EXP_ARG_MAX for every nonzero weight, and p < terms.
+
+    Where a multiplicity passes the float range (large n), float(multiplicity)
+    raises OverflowError, as the terms themselves are in range; that block and
+    every later one are then formed scaled by powers of two (see _DirectSum).
+    The cost grows like 1/t^2.
     """
     _validate(n, t, min_t)
-    partial = 0.0
-    inner_slack = 0.0
-    terms = 0
-    q = 1
-    while True:
-        x = math.exp(-2.0 * t * q)
-        bq = _comb_float(n + q - 1, q)
-        # Inner sum over p at this q.
+    try:
+        return _DirectSum(n, t, abs_tol, rel_tol, term_cap).run()
+    except OverflowError as err:
+        raise ValueError(
+            f"the direct heat sum at n = {n}, t = {t} leaves the float range"
+        ) from err
+
+
+def _float_or_inf(k: int) -> float:
+    """float(k), or inf where k is past the float range."""
+    try:
+        return float(k)
+    except OverflowError:
+        return math.inf
+
+
+# A scaled block keeps its weight as mantissa * 2^-exponent with the mantissa
+# in [2^-_SCALE_SHIFT, 1], and divides big integers by 2^s before conversion,
+# so no factor of a term leaves the float range.
+_SCALE_SHIFT = 512
+_SCALE_TINY = 2.0**-_SCALE_SHIFT
+_SCALE_BITS = 1000
+
+
+def _scaled(k: int, mantissa: float, exponent: int) -> float:
+    """k * mantissa * 2^-exponent, rounding k/2^s and the product once each."""
+    s = max(k.bit_length() - _SCALE_BITS, 0)
+    return math.ldexp(k / (1 << s) * mantissa, s - exponent)
+
+
+class _DirectSum:
+    """The direct double sum, one block of terms p = 0, 1, ... per q.
+
+    Blocks are formed in plain float arithmetic (block, outer_majorant).  An
+    entry of the float table past the float range is inf; a term reading it
+    has overflowed already, because its multiplicity is at least both of its
+    entries, so that block raises OverflowError.  From then on (scaled) the
+    block is redone, and every later one formed, by scaled_block and
+    scaled_outer_majorant: the same terms, order, stop tests and cap check,
+    each term and majorant formed by _scaled.  A scaled weight takes n - 1
+    multiplications instead of a power and never underflows, so its relative
+    error is at most (2n + 2p + x) * U for every x = 2tq(n-1+p) reached; such
+    a block reports n + x as its reach for the rounding bound, a plain block
+    _EXP_ARG_MAX.
+    """
+
+    def __init__(self, n: int, t: float, abs_tol: float, rel_tol: float, term_cap: int):
+        self.n, self.t = n, t
+        self.abs_tol, self.rel_tol, self.term_cap = abs_tol, rel_tol, term_cap
+        self.scaled = False
+        self.exact = multichoose_table(n, 64)
+        self.floats = list(map(_float_or_inf, self.exact))
+        self.ratios = [(n + p) / (p + 1) for p in range(len(self.exact))]
+
+    def grow(self) -> None:
+        multichoose_table(self.n, 2 * len(self.exact), self.exact)
+        n, size = self.n, len(self.exact)
+        self.floats += map(_float_or_inf, self.exact[len(self.floats):])
+        self.ratios += [(n + p) / (p + 1) for p in range(len(self.ratios), size)]
+
+    def run(self) -> HeatTraceSample:
+        n, t, abs_tol, rel_tol = self.n, self.t, self.abs_tol, self.rel_tol
+        partial = 0.0
+        inner_slack = 0.0
+        reach = 0.0
+        terms = 0
+        decay = math.exp(-2.0 * t * (n - 1))
+        q = 1
+        while True:
+            if q + 1 >= len(self.exact):
+                self.grow()
+            block = self.scaled_block if self.scaled else self.block
+            try:
+                partial, terms, inner_tail, block_reach = block(q, partial, terms)
+            except OverflowError:
+                if self.scaled:
+                    raise
+                self.scaled = True
+                continue
+            inner_slack += inner_tail
+            reach = max(reach, block_reach)
+            # Outer tail bound after block q; the ratio bound is evaluated at the
+            # first discarded index q + 1, the largest over the discarded range.
+            r_outer = ((n + q + 1) / (q + 2)) * decay
+            if r_outer < 1.0:
+                majorant = self.scaled_outer_majorant if self.scaled else self.outer_majorant
+                outer_tail = majorant(q + 1) / (1.0 - r_outer)
+                if outer_tail <= max(abs_tol, rel_tol * partial) / 2.0:
+                    rounding = (3 * terms + n + reach + 2) * U * partial
+                    return HeatTraceSample(
+                        n, t, partial, outer_tail + inner_slack + rounding, terms
+                    )
+            q += 1
+
+    def cap_error(self) -> ConvergenceError:
+        return ConvergenceError(
+            f"direct sum needed more than {self.term_cap} terms at n={self.n}, t={self.t}"
+        )
+
+    def outer_majorant(self, q: int) -> float:
+        t = self.t
+        return (
+            self.floats[q]
+            * math.exp(-2.0 * t * q * (self.n - 1))
+            / (-math.expm1(-2.0 * t * q)) ** self.n
+        )
+
+    def scaled_outer_majorant(self, q: int) -> float:
+        t, n = self.t, self.n
+        return math.exp(
+            math.log(self.exact[q])
+            - 2.0 * t * q * (n - 1)
+            - n * math.log(-math.expm1(-2.0 * t * q))
+        )
+
+    def block(self, q: int, partial: float, terms: int) -> tuple[float, int, float, float]:
+        """Add the terms p = 0, 1, ... at this q to partial, in order, until the
+        inner tail is certified; (partial, terms, inner tail, weight reach)."""
+        n, exact, floats, ratios = self.n, self.exact, self.floats, self.ratios
+        abs_tol, rel_tol = self.abs_tol, self.rel_tol
+        x = math.exp(-2.0 * self.t * q)
+        a_q, a_prev, b_q = exact[q], exact[q - 1], floats[q]
+        share = 2.0 * q * (q + 1)
+        room = self.term_cap - terms
+        end = min(len(exact), room)
         weight = x ** (n - 1)
+        previous = 0  # A[p - 1], with A[-1] = 0
         p = 0
         while True:
-            terms += 1
-            if terms > term_cap:
-                raise ConvergenceError(
-                    f"direct sum needed more than {term_cap} terms at n={n}, t={t}"
-                )
-            partial += dim_hpq(n, p, q) * weight
-            r_inner = ((n + p) / (p + 1)) * x
+            if p == end:
+                if p == room:
+                    raise self.cap_error()
+                self.grow()
+                end = min(len(exact), room)
+            current = exact[p]
+            partial += (current * a_q - previous * a_prev) * weight
+            r_inner = ratios[p] * x
             if r_inner < 1.0:
-                majorant = _comb_float(n + p - 1, p) * bq * weight
-                inner_tail = majorant * r_inner / (1.0 - r_inner)
-                if inner_tail <= max(abs_tol, rel_tol * partial) / (2.0 * q * (q + 1)):
-                    inner_slack += inner_tail
-                    break
+                inner_tail = floats[p] * b_q * weight * r_inner / (1.0 - r_inner)
+                limit = rel_tol * partial
+                if inner_tail <= (limit if limit > abs_tol else abs_tol) / share:
+                    return partial, terms + p + 1, inner_tail, _EXP_ARG_MAX
+            previous = current
             p += 1
             weight *= x
-        # Outer tail bound after block q; the ratio bound is evaluated at the
-        # first discarded index q + 1, the largest over the discarded range.
-        r_outer = ((n + q + 1) / (q + 2)) * math.exp(-2.0 * t * (n - 1))
-        if r_outer < 1.0:
-            nxt = q + 1
-            m_next = (
-                _comb_float(n + nxt - 1, nxt)
-                * math.exp(-2.0 * t * nxt * (n - 1))
-                / (-math.expm1(-2.0 * t * nxt)) ** n
-            )
-            outer_tail = m_next / (1.0 - r_outer)
-            if outer_tail <= max(abs_tol, rel_tol * partial) / 2.0:
-                rounding = (3 * terms + n + _EXP_ARG_MAX + 2) * U * partial
-                return HeatTraceSample(
-                    n, t, partial, outer_tail + inner_slack + rounding, terms
-                )
-        q += 1
+
+    def scaled_block(self, q: int, partial: float, terms: int) -> tuple[float, int, float, float]:
+        """block, with every term and inner majorant formed by _scaled."""
+        n, exact, ratios = self.n, self.exact, self.ratios
+        abs_tol, rel_tol = self.abs_tol, self.rel_tol
+        x = math.exp(-2.0 * self.t * q)
+        a_q, a_prev = exact[q], exact[q - 1]
+        share = 2.0 * q * (q + 1)
+        room = self.term_cap - terms
+        mantissa, exponent = 1.0, 0
+        for _ in range(n - 1):
+            mantissa *= x
+            if mantissa < _SCALE_TINY:
+                mantissa, exponent = math.ldexp(mantissa, _SCALE_SHIFT), exponent + _SCALE_SHIFT
+        previous = 0
+        p = 0
+        while True:
+            if p == room:
+                raise self.cap_error()
+            if p == len(exact):
+                self.grow()
+            current = exact[p]
+            top = current * a_q
+            partial += _scaled(top - previous * a_prev, mantissa, exponent)
+            r_inner = ratios[p] * x
+            if r_inner < 1.0:
+                inner_tail = _scaled(top, mantissa, exponent) * r_inner / (1.0 - r_inner)
+                if inner_tail <= max(abs_tol, rel_tol * partial) / share:
+                    return partial, terms + p + 1, inner_tail, n + 2.0 * self.t * q * (n - 1 + p)
+            previous = current
+            p += 1
+            mantissa *= x
+            if mantissa < _SCALE_TINY:
+                mantissa, exponent = math.ldexp(mantissa, _SCALE_SHIFT), exponent + _SCALE_SHIFT
 
 
 def scaled_trace(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -355,6 +356,20 @@ def integrate_decaying(
     return QuadratureResult(value, panel_error + tail_bound, nodes_used, T)
 
 
+def _float_factors_fit(m: int, a: int) -> bool:
+    """Whether B_2m, (a/8)^(2m-1), (2/a)^2m and (a/2)^(1-2m) are all normal floats.
+
+    |B_2j| grows from j = 3 on and, for a > 8, each power moves monotonically
+    in j, so j = m stands for every correction.
+    """
+    try:
+        float(bernoulli(2 * m))
+        (0.125 * a) ** (2 * m - 1)
+    except OverflowError:
+        return False
+    return min((2.0 / a) ** (2 * m), (0.5 * a) ** (1 - 2 * m)) >= sys.float_info.min
+
+
 def euler_maclaurin_tail(
     term: Callable[[float | complex], float | complex],
     a: int,
@@ -396,10 +411,20 @@ def euler_maclaurin_tail(
             f"the contour needs {1 + points} term evaluations, {eval_cap} are left"
         )
     f_a = term(a)
-    bernoullis = [float(bernoulli(2 * j)) for j in range(1, m + 1)]
+    r = 0.125 * a
+    radius = 0.5 * a
+    # B_2m, r^(2m-1), (2/a)^2m and R^(1-2m), R = a/2, are the extreme factors
+    # of the corrections and bounds below.  While they are normal floats the
+    # float form is used; past that (n >= about 165 for the heat sums) each
+    # product of them is formed from exact rationals and rounded once.
+    exact = not _float_factors_fit(m, a)
+    if exact:
+        bernoullis = [bernoulli(2 * j) for j in range(1, m + 1)]
+        scales = [float(b / (2 * j * Fraction(a, 8) ** (2 * j - 1))) for j, b in enumerate(bernoullis, 1)]
+    else:
+        bernoullis = [float(bernoulli(2 * j)) for j in range(1, m + 1)]
 
     # Taylor coefficients f^(k)(a) r^k / k! by the trapezoid rule on |z - a| = r.
-    r = 0.125 * a
     samples = [term(a + r * cmath.exp(2j * math.pi * i / points)) for i in range(points)]
     parts = [0.5 * f_a]
     deriv_scale = 0.0  # sum_j |B_2j| / (2j r^(2j-1)): scales coefficient errors
@@ -409,27 +434,37 @@ def euler_maclaurin_tail(
             (f * cmath.exp(-2j * math.pi * (k * i % points) / points)).real
             for i, f in enumerate(samples)
         ) / points
-        parts.append(-b / (2 * j) * coeff / r**k)
-        deriv_scale += abs(b) / (2 * j * r**k)
+        if exact:
+            parts.append(-scales[j - 1] * coeff)
+            deriv_scale += abs(scales[j - 1])
+        else:
+            parts.append(-b / (2 * j) * coeff / r**k)
+            deriv_scale += abs(b) / (2 * j * r**k)
 
     quad, quad_rounding = integral(eval_cap - 1 - points)
     parts.append(quad.value)
 
     # R_m: |B_2m|/(2m)! int_a^inf |f^(2m)|, with f^(2m)(x) bounded by the
     # Cauchy estimate on the circle of radius x/2, which lies in Re z >= x/2.
-    remainder = (
-        abs(bernoullis[-1]) * disk_max * a * (2.0 / a) ** (2 * m) / (2 * m - 1 - growth)
-    )
     # Aliasing: coefficient k is off by at most M R^-k s / (1 - s) with
     # s = (r/R)^points and M = max |f| on the disk of radius R = a/2.
-    radius = 0.5 * a
     shrink = (r / radius) ** points
-    aliasing = (
-        disk_max
-        * shrink
-        / (1.0 - shrink)
-        * sum(abs(b) / (2 * j) * radius ** (1 - 2 * j) for j, b in enumerate(bernoullis, 1))
-    )
+    if exact:
+        remainder = (
+            float(abs(bernoullis[-1]) * Fraction(2, a) ** (2 * m))
+            * disk_max
+            * a
+            / (2 * m - 1 - growth)
+        )
+        alias_sum = float(
+            sum(abs(b) / (2 * j) * Fraction(2, a) ** (2 * j - 1) for j, b in enumerate(bernoullis, 1))
+        )
+    else:
+        remainder = (
+            abs(bernoullis[-1]) * disk_max * a * (2.0 / a) ** (2 * m) / (2 * m - 1 - growth)
+        )
+        alias_sum = sum(abs(b) / (2 * j) * radius ** (1 - 2 * j) for j, b in enumerate(bernoullis, 1))
+    aliasing = disk_max * shrink / (1.0 - shrink) * alias_sum
     rounding = (
         eval_rel(1) * 0.5 * f_a
         + (eval_rel(1.125) + points * U) * max(abs(f) for f in samples) * deriv_scale

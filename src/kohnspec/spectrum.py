@@ -35,6 +35,7 @@ from itertools import repeat
 from operator import sub
 from typing import NamedTuple
 
+from .combinatorics import multichoose_table
 from .errors import DEFAULT_LINE_CAP, ResourceCapError, check_n
 
 __all__ = [
@@ -95,9 +96,7 @@ def enumerate_modes(
         raise ResourceCapError(
             f"at least {at_least} spectral lines up to lambda = {lam}; cap is {line_cap}"
         )
-    binoms = [1]  # binom(n + k - 1, k)
-    for k in range(1, at_least + 1):
-        binoms.append(binoms[-1] * (n + k - 1) // k)
+    binoms = multichoose_table(n, at_least + 1)  # binom(n + k - 1, k)
     shifted = [0, *binoms]  # shifted[k] = binoms[k - 1], with binoms[-1] = 0
 
     keys = []  # (eigenvalue, q, p, multiplicity), the sort order

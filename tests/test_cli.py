@@ -143,6 +143,24 @@ def test_heat_below_floor_names_floor_not_a_flag(capsys):
     assert "pass min_t explicitly" not in err
 
 
+@pytest.mark.parametrize("n, t", [("2", "400"), ("53", "10")])
+def test_heat_below_float_range_names_the_largest_t(capsys, n, t):
+    # the trace is about e^(-2t(n-1)), below the float range: no row of zeros
+    code, out, err = run(capsys, "heat", "--n", n, "--t", t, "--verify")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "below the float range" in err and "t <= about" in err
+
+
+@pytest.mark.parametrize("n", ["203", "259"])
+def test_heat_answers_past_the_float_form_of_the_tail(capsys, n):
+    code, out, err = run(capsys, "heat", "--n", n, "--t", "0.3", "--format", "json")
+    assert code == 0, err
+    row = json.loads(out)["rows"][0]
+    for part in ("split_q", "split_w"):
+        assert 0.0 < row[part + "_bound"] <= 1e-11 * row[part]
+
+
 def test_count_ratio_finite_where_lambda_power_overflows(capsys):
     # 1e9**40 is beyond the float range; the ratio is formed exactly
     code, out, err = run(capsys, "count", "--n", "40", "--lambda", "1e9", "--format", "json")

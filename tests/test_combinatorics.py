@@ -8,6 +8,7 @@ from kohnspec.combinatorics import (
     binom,
     binom_as_poly,
     dim_hpq,
+    multichoose_table,
     sceil,
     split_terms,
 )
@@ -66,6 +67,23 @@ def test_dim_validates_arguments():
         dim_hpq(2, -1, 0)
     with pytest.raises(ValueError):
         dim_hpq(2, 0, -2)
+
+
+def test_multichoose_table_gives_every_multiplicity():
+    for n in (2, 3, 7, 40):
+        table = multichoose_table(n, 30)
+        assert table == [math.comb(n + k - 1, k) for k in range(30)]
+        for p in range(29):
+            for q in range(29):
+                below = table[p - 1] * table[q - 1] if p and q else 0
+                assert table[p] * table[q] - below == dim_hpq(n, p, q)
+
+
+def test_multichoose_table_extends_in_place():
+    table = multichoose_table(5, 4)
+    assert multichoose_table(5, 10, table) is table
+    assert table == multichoose_table(5, 10)
+    assert multichoose_table(5, 0) == [1]
 
 
 def test_split_examples():

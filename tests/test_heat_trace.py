@@ -1,12 +1,14 @@
 import functools
 import math
+import sys
 
 import mpmath as mp
 import pytest
 
 from kohnspec.combinatorics import dim_hpq
-from kohnspec.errors import ConvergenceError
+from kohnspec.errors import DEFAULT_NODE_CAP, ConvergenceError
 from kohnspec.heat_trace import (
+    _DirectSum,
     _split_q_term,
     scaled_trace,
     trace_direct,
@@ -167,6 +169,38 @@ def _oracle_split(n, t, which, head=100, order=3):
         return total
 
 
+def _oracle_plain_sum(n, t, which):
+    """One split sum at 20 digits by plain summation, cheap at large n and moderate t.
+
+    Each binomial follows from the last by its exact ratio.  Past the peak
+    the term ratio is at most rho(k) = (binomial ratio) * e^(-rate), which
+    falls in k, so the sum stops once term * rho / (1 - rho) < 1e-22 * sum.
+    """
+    with mp.workdps(ORACLE_DPS):
+        tt = mp.mpf(t)
+        if which == "q":
+            k, coef, rate = 1, mp.mpf(n - 1), 2 * tt * (n - 1)
+            grow = lambda k: mp.mpf(n + k - 1) / (k + 1)  # binom(n+k-1, n-2) / binom(n+k-2, n-2)
+        else:
+            k, coef, rate = n - 1, mp.mpf(1), 2 * tt
+            grow = lambda k: mp.mpf(k) / (k - n + 2)  # binom(k, n-2) / binom(k-1, n-2)
+        total = mp.mpf(0)
+        while True:
+            term = coef * mp.exp(-rate * k) / (-mp.expm1(-2 * tt * k)) ** n
+            total += term
+            rho = grow(k) * mp.exp(-rate)
+            if rho < 1 and term * rho / (1 - rho) < mp.mpf(10) ** -22 * total:
+                return total
+            coef *= grow(k)
+            k += 1
+
+
+def test_plain_oracle_agrees_with_the_split_oracle():
+    for which in ("q", "w"):
+        ref = _oracle_split(5, 0.05, which)
+        assert abs(_oracle_plain_sum(5, 0.05, which) - ref) <= 1e-16 * ref
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 @pytest.mark.parametrize("t", [1e-6, 1e-4, 1e-2, 0.1, 1.0, 10.0])
 def test_split_sums_against_mpmath(n, t):
@@ -231,3 +265,114 @@ _PINNED_SPLIT_SUMS = [
 def test_split_sums_arithmetic_is_pinned(fn, n, t, value, bound, terms):
     got = fn(n, t)
     assert (got.value.hex(), got.error_bound.hex(), got.terms_used) == (value, bound, terms)
+
+
+# Values, bounds (float.hex) and term counts of the direct double sum when
+# each multiplicity was a dim_hpq call: the four bench --verify inputs, small
+# n over three decades of t, and two larger n.
+_PINNED_DIRECT = [
+    (3, 0.001115, '0x1.1a8253cf4b091p+28', '0x1.0784d4de55564p-6', 162512),
+    (3, 0.002859, '0x1.0b838817a3e07p+24', '0x1.5a6d083404048p-12', 56077),
+    (5, 0.00202, '0x1.e5a77dee63a14p+41', '0x1.bfe2ea36beb7ep+6', 80049),
+    (8, 0.002929, '0x1.188261d274addp+62', '0x1.426a2a95fa2e2p+26', 49673),
+    (2, 0.05, '0x1.3f11f52263241p+8', '0x1.38ce3a1bc300ap-32', 2230),
+    (2, 0.5, '0x1.2fc510cfdb172p+1', '0x1.f4ea8c611e3d8p-42', 136),
+    (2, 10.0, '0x1.1b48655f37267p-28', '0x1.124acff840e59p-55', 1),
+    (3, 0.05, '0x1.810aa86e2b0b6p+11', '0x1.5e47893bcf921p-29', 1995),
+    (3, 0.5, '0x1.9a6fbb7a85c23p+0', '0x1.33c4d5d0f4102p-42', 111),
+    (3, 10.0, '0x1.d635b6e68a736p-57', '0x1.863f1d9370d59p-84', 1),
+    (4, 0.05, '0x1.0b9f4bb2913b6p+15', '0x1.d535f8a1fcbc3p-26', 1897),
+    (4, 0.5, '0x1.2d80c2ac46b06p+0', '0x1.8cda3a2499932p-43', 101),
+    (4, 10.0, '0x1.5ae191a99585bp-85', '0x1.7fda744314447p-112', 1),
+    (5, 0.05, '0x1.7b82ddcc950f6p+18', '0x1.413181ae63e97p-22', 1830),
+    (5, 0.5, '0x1.b3a2398d8ad0ep-1', '0x1.12a4489f91a83p-43', 94),
+    (5, 10.0, '0x1.dfcfd2084f9d6p-114', '0x1.4bd8357f19ca1p-140', 1),
+    (6, 0.05, '0x1.0b10f881730dcp+22', '0x1.bcae60f41f381p-19', 1779),
+    (6, 0.5, '0x1.31b15585549a0p-1', '0x1.858d7d9d9b0dep-44', 90),
+    (6, 10.0, '0x1.3e9174faa0386p-142', '0x1.0864204120e00p-168', 1),
+    (7, 0.05, '0x1.727e45c0ffc36p+25', '0x1.2ecccdb6ab23ap-15', 1736),
+    (7, 0.5, '0x1.a1e7baac6f6f8p-2', '0x1.f74d4380f90afp-45', 87),
+    (7, 10.0, '0x1.9b45b3efce42cp-171', '0x1.8e37a91c65a60p-197', 1),
+    (8, 0.05, '0x1.fa3be93d91274p+28', '0x1.98179c188d54ep-12', 1694),
+    (8, 0.5, '0x1.17a9500eb93f5p-2', '0x1.49c1f70b12714p-45', 85),
+    (8, 10.0, '0x1.040f1036f4863p-199', '0x1.1fc692a1f6bf7p-225', 1),
+    (30, 0.05, '0x1.65bc011649477p+102', '0x1.b7e4eff9fc51dp+61', 1311),
+    (53, 0.01, '0x1.10294bcc4a047p+304', '0x1.538b46216c9b8p+266', 13262),
+]
+
+
+@pytest.mark.parametrize(
+    "n, t, value, bound, terms", _PINNED_DIRECT, ids=[f"{n}-{t}" for n, t, *_ in _PINNED_DIRECT]
+)
+def test_direct_arithmetic_is_pinned(n, t, value, bound, terms):
+    got = trace_direct(n, t)
+    assert (got.value.hex(), got.error_bound.hex(), got.terms_used) == (value, bound, terms)
+    # the cap check counts every term: exactly terms_used of them fit
+    assert trace_direct(n, t, term_cap=terms).terms_used == terms
+    with pytest.raises(ConvergenceError):
+        trace_direct(n, t, term_cap=terms - 1)
+    # scaled from the first block, the sum takes the same terms and agrees
+    summer = _DirectSum(n, t, 1e-15, 1e-13, 10**7)
+    summer.scaled = True
+    scaled = summer.run()
+    assert scaled.terms_used == terms
+    assert abs(scaled.value - got.value) <= got.error_bound + scaled.error_bound
+
+
+@pytest.mark.parametrize("n, t", [(200, 0.05), (400, 0.3)])
+def test_direct_where_multiplicities_pass_the_float_range(n, t):
+    # the multiplicities pass 1e308 long before the terms do (the trace is
+    # about e^456 at n = 200), so plain float arithmetic cannot form them
+    summer = _DirectSum(n, t, 1e-15, 1e-13, 10**7)
+    got = summer.run()
+    assert summer.scaled
+    assert trace_direct(n, t) == got
+    oracle = _oracle_split if n == 200 else _oracle_plain_sum  # the first is slow at n = 400
+    ref = oracle(n, t, "q") + oracle(n, t, "w")
+    assert abs(mp.mpf(got.value) - ref) <= got.error_bound
+    assert got.error_bound <= 1e-11 * got.value
+    # the cap counts the terms of the plain and the scaled blocks together
+    assert trace_direct(n, t, term_cap=got.terms_used) == got
+    with pytest.raises(ConvergenceError):
+        trace_direct(n, t, term_cap=got.terms_used - 1)
+
+
+@pytest.mark.parametrize("n, t", [(2, 400.0), (53, 10.0)])
+def test_trace_below_float_range_is_a_value_error(n, t):
+    # the trace, about e^(-2t(n-1)), is below the smallest normal float;
+    # the sums would all read 0 with a 0 bound
+    t_max = (-math.log(sys.float_info.min) - math.log(64.0)) / (2 * (n - 1))
+    for fn in (trace_split_q, trace_split_w, trace_direct):
+        with pytest.raises(ValueError, match="below the float range") as info:
+            fn(n, t)
+        assert f"t <= about {t_max:.3g}" in str(info.value)
+    for fn in (trace_split_q, trace_split_w, trace_direct):
+        got = fn(n, 0.999 * t_max)
+        assert got.value >= sys.float_info.min
+        assert got.error_bound > 0.0
+
+
+@pytest.mark.parametrize("t", [0.3, 0.6])
+@pytest.mark.parametrize("n", [203, 259])
+def test_split_sums_past_the_float_form_of_the_tail(n, t):
+    # from n = 203 the Bernoulli corrections of split_w's tail need
+    # r^(2j-1) past 1e308 (and B_2j itself from n = 259); they are formed
+    # from exact rationals there.  At t = 0.6 the first correction is about
+    # 1e8 times the printed bound, so its sign and size are checked too.
+    for which, fn in (("q", trace_split_q), ("w", trace_split_w)):
+        got = fn(n, t)
+        ref = _oracle_plain_sum(n, t, which)
+        assert abs(mp.mpf(got.value) - ref) <= got.error_bound, (which, got)
+        assert got.error_bound <= 1e-11 * got.value, (which, got)
+
+
+def test_split_tail_stops_at_the_node_cap():
+    # split_w's tail integral at (124, 0.01) takes exactly 11 616 nodes
+    ref = trace_split_w(124, 0.01)
+    assert trace_split_w(124, 0.01, node_cap=11_616) == ref
+    with pytest.raises(ConvergenceError, match="node cap 11615 exceeded"):
+        trace_split_w(124, 0.01, node_cap=11_615)
+    # at n = 126 the tail bisects to its narrowest panels; the default node
+    # cap stops it after 200 000 nodes, where the 10**7 term cap took minutes
+    with pytest.raises(ConvergenceError, match=f"node cap {DEFAULT_NODE_CAP} exceeded"):
+        trace_split_w(126, 0.01)
