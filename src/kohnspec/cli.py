@@ -275,7 +275,7 @@ def _parse_span(raw: str) -> list[float]:
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 
-def _stanton_row(n: int, q: complex, tol: float, node_cap: int, limit: float) -> dict:
+def _stanton_row(n: int, q: complex, tol: float, node_cap: int, limit: float | None) -> dict:
     point = continuation.StripPoint(n, q)
     g_val = (
         continuation.continued_coefficient(point, tol=tol, node_cap=node_cap)
@@ -311,7 +311,6 @@ def _stanton_row(n: int, q: complex, tol: float, node_cap: int, limit: float) ->
 
 def _cmd_stanton(args) -> int:
     node_cap = _node_cap()
-    limit = coefficients.series_zeta(args.n).value
     if args.grid:
         spans = args.grid.split(",")
         if len(spans) > 2:
@@ -324,6 +323,8 @@ def _cmd_stanton(args) -> int:
         if len(parts) > 2:
             raise ValueError("--q takes re or re,im")
         points = [complex(parts[0], parts[1] if len(parts) == 2 else 0.0)]
+    errors.check_n(args.n, "continuation")  # before c(n), which only the row at q = 0 needs
+    limit = coefficients.series_zeta(args.n).value if 0 in points else None
     rows = [_stanton_row(args.n, q, args.tol, node_cap, limit) for q in points]
     if len(rows) == 1 and rows[0]["f_re"] is None and rows[0]["g_re"] is None:
         print(

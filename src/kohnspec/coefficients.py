@@ -50,9 +50,6 @@ from .special_functions import (
 
 __all__ = [
     "DEFAULT_SERIES_TERMS",
-    "SERIES_DIRECT_MAX_N",
-    "INTERMEDIATE_MAX_N",
-    "INTEGRAL_MAX_N",
     "METHODS",
     "ZetaCombination",
     "CoefficientEstimate",
@@ -66,13 +63,6 @@ __all__ = [
 ]
 
 DEFAULT_SERIES_TERMS = EM_HEAD_TERMS  # exact head terms before series-direct's tail
-SERIES_DIRECT_MAX_N = 144  # from n = 145 series-direct's bound is a subnormal float
-# Beyond it integral-intermediate's node count grows erratically: about
-# 27 000 nodes at n = 123 against 8 000 at n = 121, and the cap from n = 131.
-INTERMEDIATE_MAX_N = 121
-# Beyond it integral's quadrature meets the node cap (n = 106..108, bisecting
-# near x ~ 407) and then (x / (1 - e^(-2x)))^n overflows on its own (n >= 109).
-INTEGRAL_MAX_N = 105
 _EXP_ARG_SAFE = 700.0  # e^y and 2 e^y are finite floats below this y
 
 METHODS: tuple[str, ...] = (
@@ -97,7 +87,7 @@ class ZetaCombination:
 
     def value(self) -> float:
         total = math.fsum(c * zeta_even(k).value for c, k in self.terms)
-        return float(self.scale) * total
+        return _times_fraction(self.scale, total)
 
     def __str__(self) -> str:
         body = " + ".join(f"{c}*zeta({k})" for c, k in self.terms)
@@ -126,9 +116,9 @@ def series_zeta(n: int) -> CoefficientEstimate:
 
     The error bound is 1e-14 * |value|, covering the float rounding of the
     zeta values, the exact-rational-to-float conversions, and the fsum; the
-    combination itself is exact.
+    combination itself is exact.  Every term is positive, so nothing cancels.
     """
-    check_n(n)
+    check_n(n, "series-zeta")
     poly = _eigenvalue_weight_poly(n)
     for j, coeff in enumerate(poly.coefficients):
         if coeff != 0 and (n - j) % 2:
@@ -161,8 +151,9 @@ def _times_fraction(factor: Fraction, x: float) -> float:
     """factor * x rounded to a float, formed as ldexp(mantissa * x, e) with factor = mantissa * 2^e.
 
     float(factor) alone leaves the normal range at large n (the integral
-    prefactors from n = 92 and 99), while the product does not.  Where float(factor)
-    is a normal float this is float(factor) * x to the bit.
+    prefactors from n = 92 and 99, series-zeta's scale from about n = 96), while
+    the product does not.  Where float(factor) is a normal float this is
+    float(factor) * x to the bit.
     """
     e = factor.numerator.bit_length() - factor.denominator.bit_length()
     return math.ldexp(float(factor / Fraction(2) ** e) * x, e)
@@ -257,15 +248,9 @@ def series_direct(
     tail (ResourceCapError at once if the head alone exceeds it,
     ConvergenceError if the tail would).  The bound adds the tail's bound
     (quadrature, R_m, aliasing and rounding) to the rounding of the head,
-    the fsum and the prefactor.  ValueError from n = SERIES_DIRECT_MAX_N + 1,
-    where the bound leaves the normal float range.
+    the fsum and the prefactor.
     """
-    check_n(n)
-    if n > SERIES_DIRECT_MAX_N:
-        raise ValueError(
-            f"series-direct supports n <= {SERIES_DIRECT_MAX_N}, got n = {n}: "
-            "beyond it the error bound is a subnormal float, and c(n) is from n = 151"
-        )
+    check_n(n, "series-direct")
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     if terms > term_cap:
@@ -329,15 +314,9 @@ def integral_coefficient(
     (x/sinh x)^n cosh((n-2)x) = 2^(n-1) (x/E)^n (e^(-2x) + e^(-2(n-1)x)) with
     E = 1 - e^(-2x) built from expm1; value 1 at x = 0, decay e^(-2x).  The
     pi powers of the volume and (2 pi)^n prefactors cancel exactly, leaving
-    the rational prefactor 2(n-1) / ((n-1)! n 2^n n!).  ValueError from
-    n = INTEGRAL_MAX_N + 1.
+    the rational prefactor 2(n-1) / ((n-1)! n 2^n n!).
     """
-    check_n(n)
-    if n > INTEGRAL_MAX_N:
-        raise ValueError(
-            f"integral supports n <= {INTEGRAL_MAX_N}, got n = {n}: beyond it the quadrature "
-            "meets the node cap and then its kernel leaves the float range"
-        )
+    check_n(n, "integral")
     scale = 2.0 ** (n - 1)
 
     def integrand(x: float) -> float:
@@ -366,7 +345,7 @@ def _intermediate_integrand(n: int, x: float) -> float:
     the float range while the product does not, x^(n-1) goes into the
     exponents: x^(n-1) expm1(g) is exp((n-1) log x + g) - x^(n-1) for
     g > 1, which cancels by at most a factor e/(e-1); g <= 1 happens there
-    only at x > 100 (n <= INTERMEDIATE_MAX_N), where expm1(g) is
+    only at x > 100 (n <= 121, the route's range), where expm1(g) is
     (n-1) e^(-2x) to double precision.
     """
     m = n - 1
@@ -389,15 +368,9 @@ def integral_intermediate(
     """Half-line integral of x^(n-1) times the three-term bracket.
 
     The integrand tends to 2^(2-n) at 0 and decays like x^(n-1) e^(-2x);
-    prefactor 1/(n! (n-1)!).  ValueError from n = INTERMEDIATE_MAX_N + 1.
+    prefactor 1/(n! (n-1)!).
     """
-    check_n(n)
-    if n > INTERMEDIATE_MAX_N:
-        raise ValueError(
-            f"integral-intermediate supports n <= {INTERMEDIATE_MAX_N}, got n = {n}: "
-            "beyond it the quadrature's node count grows erratically toward the node cap"
-        )
-
+    check_n(n, "integral-intermediate")
     quad = integrate_decaying(
         lambda x: _intermediate_integrand(n, x), 2.0, tol=tol, poly_degree=n - 1, node_cap=node_cap
     )

@@ -23,7 +23,8 @@ origin: continued_coefficient(0) equals the Weyl coefficient c(n).
 All integrands are rewritten through expm1/log1p so that both the tau -> 0
 limits and the large-tau cancellations are exact in floating point; complex
 binomials go through the Lanczos log-gamma.  n = 2 is rejected: m = 1 leaves
-no strip between the first poles and the continuation degenerates.
+no strip between the first poles and the continuation degenerates; so is
+n beyond errors.MAX_N["continuation"].
 
 Near the q = 0 pole the direct-integral evaluator loses its decay margin, so
 stanton_coefficient refuses |q| < NEAR_POLE_RADIUS; continued_coefficient is
@@ -37,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_NODE_CAP
+from .errors import DEFAULT_NODE_CAP, check_n
 from .special_functions import folded_kernel, integrate_decaying, log1mexp2, log_gamma
 
 __all__ = [
@@ -55,7 +56,7 @@ NEAR_POLE_RADIUS = 0.05
 
 @dataclass(frozen=True)
 class StripPoint:
-    """A form degree q (complex) for the sphere S^(2n-1), n >= 3."""
+    """A form degree q (complex) for the sphere S^(2n-1), 3 <= n <= MAX_N["continuation"]."""
 
     n: int
     q: complex
@@ -65,6 +66,7 @@ class StripPoint:
             raise ValueError(
                 f"continuation requires integer n >= 3, got n = {self.n}"
             )
+        check_n(self.n, "continuation")
         object.__setattr__(self, "q", complex(self.q))
 
     @property
@@ -94,6 +96,20 @@ def _complex_binom(m: int, q: complex) -> complex:
     )
 
 
+def _integrate(point: StripPoint, integrand, decay: float, tol: float, node_cap: int):
+    """integrate_decaying over [0, inf), where a float-range failure is a ValueError naming the point.
+
+    Near an edge of the strip the decay rate is small and the quadrature
+    reaches far enough out that a factor of the integrand overflows on its own.
+    """
+    try:
+        return integrate_decaying(integrand, decay, tol=tol, poly_degree=point.m, node_cap=node_cap)
+    except OverflowError as err:
+        raise ValueError(
+            f"the continuation integrand at n = {point.n}, q = {point.q} leaves the float range"
+        ) from err
+
+
 def stanton_coefficient(
     point: StripPoint, *, tol: float = 1e-10, node_cap: int = DEFAULT_NODE_CAP
 ) -> complex:
@@ -120,8 +136,7 @@ def stanton_coefficient(
             * (cmath.exp(-two_q * tau) + cmath.exp(-two_mq * tau))
         )
 
-    decay = 2.0 * min(q.real, m - q.real)
-    quad = integrate_decaying(integrand, decay, tol=tol, poly_degree=m, node_cap=node_cap)
+    quad = _integrate(point, integrand, 2.0 * min(q.real, m - q.real), tol, node_cap)
     return _complex_binom(m, q) * _volume_prefactor(n) * quad.value
 
 
@@ -146,12 +161,16 @@ def continued_coefficient(
 
     def integrand(tau: float) -> complex:
         log_e = log1mexp2(tau)
-        regular = tau**m * math.expm1(-m * log_e) * cmath.exp(-two_q * tau)
+        g = -m * log_e
+        try:
+            bracket = tau**m * math.expm1(g)
+        except OverflowError:  # e^g alone leaves the float range near tau = 0 at large n
+            bracket = math.exp(m * math.log(tau) + g) - tau**m
+        regular = bracket * cmath.exp(-two_q * tau)
         remainder = math.exp(m * (math.log(tau) - log_e)) * cmath.exp(-two_mq * tau)
         return scale * (regular + remainder)
 
-    decay = 2.0 * min(q.real + 1.0, m - q.real)
-    quad = integrate_decaying(integrand, decay, tol=tol, poly_degree=m, node_cap=node_cap)
+    quad = _integrate(point, integrand, 2.0 * min(q.real + 1.0, m - q.real), tol, node_cap)
     return 2.0 * _complex_binom(m, q) * _volume_prefactor(n) * quad.value
 
 

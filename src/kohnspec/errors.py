@@ -1,21 +1,38 @@
-"""Exception types, resource-cap defaults and the n-range check shared across the package.
+"""Exception types, resource-cap defaults and the supported range of n, shared across the package.
 
 Both errors mean "the computation was cut off", not "the answer is wrong":
 callers that see them should raise a cap, loosen a tolerance, or shrink the
 request.  Each cap has its one default here, which the CLI's environment
-variables KOHNSPEC_{LINE,TERM,NODE}_CAP override.
+variables KOHNSPEC_{LINE,TERM,NODE}_CAP override.  MAX_N holds every fixed
+largest n, and check_n enforces it.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "DEFAULT_LINE_CAP", "DEFAULT_TERM_CAP", "DEFAULT_NODE_CAP",
-    "ResourceCapError", "ConvergenceError", "check_n",
+    "MAX_N", "ResourceCapError", "ConvergenceError", "check_n",
 ]
 
 DEFAULT_LINE_CAP = 100_000_000  # spectral lines (enumerate_modes) or blocks (count)
 DEFAULT_TERM_CAP = 10_000_000  # series terms and heat-trace term evaluations
 DEFAULT_NODE_CAP = 200_000  # quadrature nodes per integral
+
+# The largest n each route answers within its bound, with the reason it stops
+# there.  Every route takes n >= 2; one not named here has no fixed largest n.
+MAX_N: dict[str, tuple[int, str]] = {
+    "series-zeta": (145, "from n = 146 its error bound is a subnormal float"),
+    "series-direct": (144, "from n = 145 its error bound is a subnormal float"),
+    "integral": (
+        105,
+        "beyond it the quadrature meets the node cap and then its kernel leaves the float range",
+    ),
+    "integral-intermediate": (
+        121,
+        "beyond it the quadrature's node count grows erratically toward the node cap",
+    ),
+    "continuation": (82, "from n = 83 the pole term near re q = n - 1 is a subnormal float"),
+}
 
 
 class ResourceCapError(RuntimeError):
@@ -26,7 +43,10 @@ class ConvergenceError(RuntimeError):
     """An iterative approximation failed to reach its tolerance within its budget."""
 
 
-def check_n(n: int) -> None:
-    """Raise ValueError unless n >= 2, the range every route supports."""
+def check_n(n: int, route: str | None = None) -> None:
+    """Raise ValueError unless n >= 2 and, for a route named in MAX_N, n <= its entry."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    if route is not None and n > MAX_N[route][0]:
+        largest, reason = MAX_N[route]
+        raise ValueError(f"{route} supports n <= {largest}, got n = {n}: {reason}")

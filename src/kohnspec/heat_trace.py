@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 MIN_T = 1e-6
+_REL_TOL = 1e-13  # every sum also stops once its tail is below this share of the partial sum
 
 # Largest x with exp(-x) > 0 in floating point.
 _EXP_ARG_MAX = -math.log(math.ulp(0.0))
@@ -83,15 +84,12 @@ class HeatTraceSample:
     terms_used: int
 
 
-def _validate(n: int, t: float, min_t: float) -> None:
+def _validate(n: int, t: float) -> None:
     check_n(n)
     if not (isinstance(t, (int, float)) and math.isfinite(t)):
         raise ValueError(f"t must be finite, got {t}")
-    if t < min_t:
-        raise ValueError(
-            f"t = {t} is below the heat-trace floor {min_t}; only the min_t "
-            "argument of the kohnspec.heat_trace functions lowers the floor"
-        )
+    if t < MIN_T:
+        raise ValueError(f"t = {t} is below the heat-trace floor {MIN_T}")
     # The q = 1 term of split_q, (n-1) e^(-2t(n-1)) / (1 - e^(-2t))^n, sets
     # the scale of the trace: as t -> 0 the trace is Gamma(n+1) c(n) 2^n / (n-1)
     # times it, at most 3.3 (n = 2) and 1 + 1e-9 from n = 30 on.
@@ -112,16 +110,6 @@ def _validate(n: int, t: float, min_t: float) -> None:
         )
 
 
-def _comb_float(a: int, b: int) -> float:
-    """math.comb as a float, via lgamma when the exact integer overflows."""
-    try:
-        return float(math.comb(a, b))
-    except OverflowError:
-        return math.exp(
-            math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
-        )
-
-
 def _binom_exp(z, k: int, x):
     """binom(z, k) * exp(-x) for integer k >= 0, real or complex z and x.
 
@@ -129,10 +117,12 @@ def _binom_exp(z, k: int, x):
     polynomial is multiplied into exp(-x) factor by factor, so no partial
     product overflows where the result does not (at t = 1e-6 and n ~ 50,
     binom(z, n-2) alone passes 1e308 on the tail's range while the term does
-    not).
+    not).  Integer z only reaches n + 63 (the head and the tail's first
+    term), and _validate admits some t only for n <= 1460, where
+    binom(n + 63, 65) is below 1e116.
     """
     if isinstance(z, int):
-        return _comb_float(z, k) * math.exp(-x)
+        return float(math.comb(z, k)) * math.exp(-x)
     acc = cmath.exp(-x) if isinstance(x, complex) else math.exp(-x)
     for i in range(k):
         acc = acc * (z - i) / (i + 1)
@@ -194,7 +184,6 @@ def _split_sum(
     ratio: Callable[[int], float],
     rate: float,
     abs_tol: float,
-    rel_tol: float,
     term_cap: int,
     node_cap: int,
 ) -> HeatTraceSample:
@@ -204,7 +193,7 @@ def _split_sum(
     k; rate is the exponential decay rate of the term in k.  While summing
     the head, once ratio(k) < 1 the tail after term k is at most
     term * rho / (1 - rho); the sum stops there when that is below
-    max(abs_tol, rel_tol * partial).  Otherwise euler_maclaurin_tail adds
+    max(abs_tol, _REL_TOL * partial).  Otherwise euler_maclaurin_tail adds
     the terms from start + EM_HEAD_TERMS on.
     """
     head = []
@@ -220,13 +209,13 @@ def _split_sum(
         rho = ratio(k)
         if rho < 1.0:
             tail = value * rho / (1.0 - rho)
-            if tail <= max(abs_tol, rel_tol * partial):
+            if tail <= max(abs_tol, _REL_TOL * partial):
                 total = math.fsum(head)
                 rounding = (_eval_rel(n, rate * k) + U) * total
                 return HeatTraceSample(n, t, total, tail + rounding, len(head))
 
     a = start + EM_HEAD_TERMS
-    tol = 0.25 * max(abs_tol, rel_tol * partial)
+    tol = 0.25 * max(abs_tol, _REL_TOL * partial)
 
     def integral(evals_left: int):
         quad = integrate_decaying(
@@ -268,10 +257,8 @@ def trace_split_q(
     t: float,
     *,
     abs_tol: float = 1e-15,
-    rel_tol: float = 1e-13,
     term_cap: int = DEFAULT_TERM_CAP,
     node_cap: int = DEFAULT_NODE_CAP,
-    min_t: float = MIN_T,
 ) -> HeatTraceSample:
     """The q-indexed single sum of the split heat trace.
 
@@ -281,7 +268,7 @@ def trace_split_q(
     term_cap term evaluations, or more than node_cap of them in the tail
     integral, would be needed.
     """
-    _validate(n, t, min_t)
+    _validate(n, t)
     decay = math.exp(-2.0 * t * (n - 1))
     return _split_sum(
         "split_q",
@@ -292,7 +279,6 @@ def trace_split_q(
         lambda q: ((n + q - 1) / (q + 1)) * decay,
         2.0 * t * (n - 1),
         abs_tol,
-        rel_tol,
         term_cap,
         node_cap,
     )
@@ -303,17 +289,15 @@ def trace_split_w(
     t: float,
     *,
     abs_tol: float = 1e-15,
-    rel_tol: float = 1e-13,
     term_cap: int = DEFAULT_TERM_CAP,
     node_cap: int = DEFAULT_NODE_CAP,
-    min_t: float = MIN_T,
 ) -> HeatTraceSample:
     """The w-indexed single sum of the split heat trace (w = p + n - 1).
 
     Same summation as trace_split_q with ratio bound
     rho(w) = (w/(w-n+2)) * exp(-2t) and decay rate 2t.
     """
-    _validate(n, t, min_t)
+    _validate(n, t)
     decay = math.exp(-2.0 * t)
     return _split_sum(
         "split_w",
@@ -324,7 +308,6 @@ def trace_split_w(
         lambda w: (w / (w - n + 2)) * decay,
         2.0 * t,
         abs_tol,
-        rel_tol,
         term_cap,
         node_cap,
     )
@@ -335,9 +318,7 @@ def trace_direct(
     t: float,
     *,
     abs_tol: float = 1e-15,
-    rel_tol: float = 1e-13,
     term_cap: int = DEFAULT_TERM_CAP,
-    min_t: float = MIN_T,
 ) -> HeatTraceSample:
     """The raw double sum over (p, q), exact multiplicities, as a cross-check.
 
@@ -359,9 +340,9 @@ def trace_direct(
     every later one are then formed scaled by powers of two (see _DirectSum).
     The cost grows like 1/t^2.
     """
-    _validate(n, t, min_t)
+    _validate(n, t)
     try:
-        return _DirectSum(n, t, abs_tol, rel_tol, term_cap).run()
+        return _DirectSum(n, t, abs_tol, term_cap).run()
     except OverflowError as err:
         raise ValueError(
             f"the direct heat sum at n = {n}, t = {t} leaves the float range"
@@ -406,9 +387,9 @@ class _DirectSum:
     _EXP_ARG_MAX.
     """
 
-    def __init__(self, n: int, t: float, abs_tol: float, rel_tol: float, term_cap: int):
+    def __init__(self, n: int, t: float, abs_tol: float, term_cap: int):
         self.n, self.t = n, t
-        self.abs_tol, self.rel_tol, self.term_cap = abs_tol, rel_tol, term_cap
+        self.abs_tol, self.term_cap = abs_tol, term_cap
         self.scaled = False
         self.exact = multichoose_table(n, 64)
         self.floats = list(map(_float_or_inf, self.exact))
@@ -421,7 +402,7 @@ class _DirectSum:
         self.ratios += [(n + p) / (p + 1) for p in range(len(self.ratios), size)]
 
     def run(self) -> HeatTraceSample:
-        n, t, abs_tol, rel_tol = self.n, self.t, self.abs_tol, self.rel_tol
+        n, t, abs_tol, rel_tol = self.n, self.t, self.abs_tol, _REL_TOL
         partial = 0.0
         inner_slack = 0.0
         reach = 0.0
@@ -479,7 +460,7 @@ class _DirectSum:
         """Add the terms p = 0, 1, ... at this q to partial, in order, until the
         inner tail is certified; (partial, terms, inner tail, weight reach)."""
         n, exact, floats, ratios = self.n, self.exact, self.floats, self.ratios
-        abs_tol, rel_tol = self.abs_tol, self.rel_tol
+        abs_tol, rel_tol = self.abs_tol, _REL_TOL  # locals: read once per term
         x = math.exp(-2.0 * self.t * q)
         a_q, a_prev, b_q = exact[q], exact[q - 1], floats[q]
         share = 2.0 * q * (q + 1)
@@ -509,7 +490,7 @@ class _DirectSum:
     def scaled_block(self, q: int, partial: float, terms: int) -> tuple[float, int, float, float]:
         """block, with every term and inner majorant formed by _scaled."""
         n, exact, ratios = self.n, self.exact, self.ratios
-        abs_tol, rel_tol = self.abs_tol, self.rel_tol
+        abs_tol, rel_tol = self.abs_tol, _REL_TOL  # locals: read once per term
         x = math.exp(-2.0 * self.t * q)
         a_q, a_prev = exact[q], exact[q - 1]
         share = 2.0 * q * (q + 1)
@@ -546,12 +527,10 @@ def scaled_trace(
     t: float,
     *,
     abs_tol: float = 1e-15,
-    rel_tol: float = 1e-13,
     term_cap: int = DEFAULT_TERM_CAP,
-    min_t: float = MIN_T,
 ) -> float:
     """t**n * G(t) via the two split sums; tends to Gamma(n+1) * c(n) as t -> 0."""
-    options = dict(abs_tol=abs_tol, rel_tol=rel_tol, term_cap=term_cap, min_t=min_t)
+    options = dict(abs_tol=abs_tol, term_cap=term_cap)
     total = trace_split_q(n, t, **options).value + trace_split_w(n, t, **options).value
     return scale_by_t_power(n, t, total)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -38,8 +37,6 @@ __all__ = [
     "EM_HEAD_TERMS",
     "euler_maclaurin_tail",
 ]
-
-ZETA_EVEN_MAX = 64
 
 U = 2.0**-53  # unit roundoff of a float
 EM_HEAD_TERMS = 64  # terms a caller sums exactly before the Euler-Maclaurin tail
@@ -83,12 +80,9 @@ def zeta_even(k: int) -> PiMultiple:
 
     Closed form: zeta(k) = (-1)**(k/2 + 1) * B_k * (2 pi)**k / (2 * k!),
     so the rational part is (-1)**(k/2 + 1) * B_k * 2**(k-1) / k!.
-    Capped at k = 64; beyond that zeta(k) is 1 to within 5e-20 anyway.
     """
     if k < 2 or k % 2:
         raise ValueError(f"zeta_even needs even k >= 2, got {k}")
-    if k > ZETA_EVEN_MAX:
-        raise ValueError(f"zeta_even capped at k = {ZETA_EVEN_MAX}, got {k}")
     sign = -1 if (k // 2 + 1) % 2 else 1
     rational = sign * bernoulli(k) * Fraction(2 ** (k - 1), math.factorial(k))
     return PiMultiple(rational, k)
@@ -356,20 +350,6 @@ def integrate_decaying(
     return QuadratureResult(value, panel_error + tail_bound, nodes_used, T)
 
 
-def _float_factors_fit(m: int, a: int) -> bool:
-    """Whether B_2m, (a/8)^(2m-1), (2/a)^2m and (a/2)^(1-2m) are all normal floats.
-
-    |B_2j| grows from j = 3 on and, for a > 8, each power moves monotonically
-    in j, so j = m stands for every correction.
-    """
-    try:
-        float(bernoulli(2 * m))
-        (0.125 * a) ** (2 * m - 1)
-    except OverflowError:
-        return False
-    return min((2.0 / a) ** (2 * m), (0.5 * a) ** (1 - 2 * m)) >= sys.float_info.min
-
-
 def euler_maclaurin_tail(
     term: Callable[[float | complex], float | complex],
     a: int,
@@ -413,33 +393,24 @@ def euler_maclaurin_tail(
     f_a = term(a)
     r = 0.125 * a
     radius = 0.5 * a
-    # B_2m, r^(2m-1), (2/a)^2m and R^(1-2m), R = a/2, are the extreme factors
-    # of the corrections and bounds below.  While they are normal floats the
-    # float form is used; past that (n >= about 165 for the heat sums) each
-    # product of them is formed from exact rationals and rounded once.
-    exact = not _float_factors_fit(m, a)
-    if exact:
-        bernoullis = [bernoulli(2 * j) for j in range(1, m + 1)]
-        scales = [float(b / (2 * j * Fraction(a, 8) ** (2 * j - 1))) for j, b in enumerate(bernoullis, 1)]
-    else:
-        bernoullis = [float(bernoulli(2 * j)) for j in range(1, m + 1)]
+    # Each Bernoulli number meets powers of a that leave the float range on
+    # their own at large a or m (n >= about 165 for the heat sums), so every
+    # such product is formed from exact rationals and rounded once.
+    bernoullis = [bernoulli(2 * j) for j in range(1, m + 1)]
+    # B_2j / (2j r^(2j-1)): the weight of the coefficient f^(2j-1)(a) r^(2j-1) / (2j-1)!
+    scales = [float(b / (2 * j * Fraction(a, 8) ** (2 * j - 1))) for j, b in enumerate(bernoullis, 1)]
 
     # Taylor coefficients f^(k)(a) r^k / k! by the trapezoid rule on |z - a| = r.
     samples = [term(a + r * cmath.exp(2j * math.pi * i / points)) for i in range(points)]
     parts = [0.5 * f_a]
-    deriv_scale = 0.0  # sum_j |B_2j| / (2j r^(2j-1)): scales coefficient errors
-    for j, b in enumerate(bernoullis, start=1):
+    for j, scale in enumerate(scales, start=1):
         k = 2 * j - 1
         coeff = math.fsum(
             (f * cmath.exp(-2j * math.pi * (k * i % points) / points)).real
             for i, f in enumerate(samples)
         ) / points
-        if exact:
-            parts.append(-scales[j - 1] * coeff)
-            deriv_scale += abs(scales[j - 1])
-        else:
-            parts.append(-b / (2 * j) * coeff / r**k)
-            deriv_scale += abs(b) / (2 * j * r**k)
+        parts.append(-scale * coeff)
+    deriv_scale = sum(map(abs, scales))  # scales the coefficients' errors
 
     quad, quad_rounding = integral(eval_cap - 1 - points)
     parts.append(quad.value)
@@ -449,21 +420,12 @@ def euler_maclaurin_tail(
     # Aliasing: coefficient k is off by at most M R^-k s / (1 - s) with
     # s = (r/R)^points and M = max |f| on the disk of radius R = a/2.
     shrink = (r / radius) ** points
-    if exact:
-        remainder = (
-            float(abs(bernoullis[-1]) * Fraction(2, a) ** (2 * m))
-            * disk_max
-            * a
-            / (2 * m - 1 - growth)
-        )
-        alias_sum = float(
-            sum(abs(b) / (2 * j) * Fraction(2, a) ** (2 * j - 1) for j, b in enumerate(bernoullis, 1))
-        )
-    else:
-        remainder = (
-            abs(bernoullis[-1]) * disk_max * a * (2.0 / a) ** (2 * m) / (2 * m - 1 - growth)
-        )
-        alias_sum = sum(abs(b) / (2 * j) * radius ** (1 - 2 * j) for j, b in enumerate(bernoullis, 1))
+    remainder = (
+        float(abs(bernoullis[-1]) * Fraction(2, a) ** (2 * m)) * disk_max * a / (2 * m - 1 - growth)
+    )
+    alias_sum = float(
+        sum(abs(b) / (2 * j) * Fraction(2, a) ** (2 * j - 1) for j, b in enumerate(bernoullis, 1))
+    )
     aliasing = disk_max * shrink / (1.0 - shrink) * alias_sum
     rounding = (
         eval_rel(1) * 0.5 * f_a

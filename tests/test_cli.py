@@ -11,6 +11,7 @@ import pytest
 
 from kohnspec import cli
 from kohnspec.coefficients import METHODS, series_zeta
+from kohnspec.errors import MAX_N
 
 
 def run(capsys, *argv):
@@ -137,10 +138,9 @@ def test_heat_below_floor_names_floor_not_a_flag(capsys):
     code, _, err = run(capsys, "heat", "--n", "2", "--t", "5e-7")
     assert code == 1
     assert "1e-06" in err
-    assert "min_t" in err
-    # the CLI has no option to lower the floor, so the message must not suggest one
+    # nothing lowers the floor, so the message must not suggest a flag or an argument
     assert "--" not in err
-    assert "pass min_t explicitly" not in err
+    assert "min_t" not in err
 
 
 @pytest.mark.parametrize("n, t", [("2", "400"), ("53", "10")])
@@ -444,3 +444,59 @@ def test_import_leaves_numpy_unloaded():
 )
 def test_subcommands_leave_numpy_unloaded(argv):
     assert not _numpy_loaded_after(f"from kohnspec import cli\nassert cli.main({argv!r}) == 0")
+
+
+# ------------------------------------------------------------ range of n
+
+_RAW_FLOAT_MESSAGES = ("math range error", "out of range", "too large to convert")
+
+
+def _answers_or_names_its_range(capsys, *argv):
+    """Exit 0, or exit 1 naming the route's largest n; never a raw float-range message."""
+    code, out, err = run(capsys, *argv)
+    assert not any(raw in err for raw in _RAW_FLOAT_MESSAGES), (argv, err)
+    if code == 0:
+        return out
+    assert code == 1, (argv, code, err)
+    assert "supports n <= " in err, (argv, err)
+    return None
+
+
+def test_coeff_all_past_the_old_zeta_cap(capsys):
+    code, out, err = run(capsys, "coeff", "--n", "70", "--method", "all")
+    assert code == 0, err
+    assert "reconciliation: ok" in out
+
+
+def test_converge_and_stanton_name_their_range(capsys):
+    largest = MAX_N["series-zeta"][0]
+    assert _answers_or_names_its_range(capsys, "converge", "--n", str(largest), "--lambdas", "1e3")
+    code, _, err = run(capsys, "converge", "--n", str(largest + 1), "--lambdas", "1e3")
+    assert code == 1
+    assert f"series-zeta supports n <= {largest}" in err
+    largest = MAX_N["continuation"][0]
+    assert _answers_or_names_its_range(capsys, "stanton", "--n", str(largest), "--q", "0")
+    code, _, err = run(capsys, "stanton", "--n", str(largest + 1), "--q", "1")
+    assert code == 1
+    assert f"continuation supports n <= {largest}" in err
+
+
+def _json_rows(out):
+    return [] if out is None else json.loads(out)["rows"]
+
+
+def test_n_sweep_answers_or_names_the_range(capsys):
+    # each table entry, one past it, and a stride to n = 400; no answer is a silent 0
+    entries = {largest for largest, _ in MAX_N.values()}
+    ns = sorted({*range(2, 401, 37), *entries, *(n + 1 for n in entries)})
+    for n in map(str, ns):
+        out = _answers_or_names_its_range(capsys, "coeff", "--n", n, "--method", "all", "--format", "json")
+        assert out is None or json.loads(out)["params"]["reconcile_ok"], n
+        for row in _json_rows(out):
+            assert row["kind"] == "difference" or (row["value"] > 0 and row["error_bound"] > 0), (n, row)
+        out = _answers_or_names_its_range(capsys, "converge", "--n", n, "--lambdas", "1e3", "--format", "json")
+        assert out is None or json.loads(out)["params"]["limit"] > 0, n
+        if n != "2":
+            grid = ("--grid", "0:2:3,0:1:2", "--format", "json")
+            for row in _json_rows(_answers_or_names_its_range(capsys, "stanton", "--n", n, *grid)):
+                assert row["pole_re"] is None or abs(complex(row["pole_re"], row["pole_im"])) > 0, (n, row)

@@ -8,9 +8,7 @@ import pytest
 
 from kohnspec.coefficients import (
     DEFAULT_SERIES_TERMS,
-    INTERMEDIATE_MAX_N,
     METHODS,
-    SERIES_DIRECT_MAX_N,
     _intermediate_integrand,
     estimate,
     integral_coefficient,
@@ -19,7 +17,10 @@ from kohnspec.coefficients import (
     series_direct,
     series_zeta,
 )
-from kohnspec.errors import ConvergenceError, ResourceCapError
+from kohnspec.errors import MAX_N, ConvergenceError, ResourceCapError
+
+SERIES_DIRECT_MAX_N = MAX_N["series-direct"][0]
+INTERMEDIATE_MAX_N = MAX_N["integral-intermediate"][0]
 
 
 def test_exact_form_n2():
@@ -201,7 +202,8 @@ def test_integral_routes_against_the_oracle(method):
 
 
 @pytest.mark.parametrize(
-    "method, last_answered", [("integral", 105), ("integral-intermediate", INTERMEDIATE_MAX_N)]
+    "method, last_answered",
+    [("integral", MAX_N["integral"][0]), ("integral-intermediate", INTERMEDIATE_MAX_N)],
 )
 @pytest.mark.parametrize("n", [*range(85, 111), INTERMEDIATE_MAX_N, INTERMEDIATE_MAX_N + 1])
 def test_integral_routes_where_the_prefactor_leaves_the_float_range(method, last_answered, n):
@@ -220,3 +222,28 @@ def test_integral_routes_where_the_prefactor_leaves_the_float_range(method, last
     ref = _weyl_reference(n)
     assert abs(est.value - ref) <= est.error_bound
     assert est.error_bound <= 1e-13 * est.value
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_each_route_answers_at_its_table_entry_and_names_it_beyond(method):
+    largest = MAX_N[method][0]
+    est = estimate(method, largest)
+    assert abs(est.value - _weyl_reference(largest)) <= est.error_bound
+    assert est.error_bound >= sys.float_info.min
+    with pytest.raises(ValueError, match=f"^{method} supports n <= {largest}, got n = {largest + 1}:"):
+        estimate(method, largest + 1)
+
+
+def test_series_zeta_past_the_old_zeta_cap():
+    # every term of the zeta combination is positive, so nothing cancels;
+    # the scale is multiplied in as mantissa times 2^e
+    largest = MAX_N["series-zeta"][0]
+    for n in [*range(60, largest, 3), largest]:
+        est = series_zeta(n)
+        ref = _weyl_reference(n)
+        assert abs(est.value - ref) <= est.error_bound, n
+        assert est.error_bound >= sys.float_info.min, n
+    # beyond: a subnormal bound (146), a 0.0 bound (152), an int too large for a float (300)
+    for n in (largest + 1, 152, 300):
+        with pytest.raises(ValueError, match=f"n <= {largest}"):
+            series_zeta(n)

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath as mp
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from kohnspec.continuation import (
     pole_term,
     stanton_coefficient,
 )
-from kohnspec.errors import ConvergenceError
+from kohnspec.errors import MAX_N, ConvergenceError
 from kohnspec.special_functions import integrate_decaying
 
 # Anchors frozen from an independent high-precision evaluation of the same
@@ -217,3 +219,38 @@ def strip_points(draw):
 def test_strip_predicates_match_the_evaluators(point):
     assert point.in_stanton_strip == _domain_accepts(stanton_coefficient, point)
     assert point.in_continued_strip == _domain_accepts(continued_coefficient, point)
+
+
+def _pole_reference(n: int, q: complex) -> mp.mpc:
+    """binom(n-1, q) q^(-n) / ((n-1)! n 2^n) at 50 digits."""
+    with mp.workdps(50):
+        return mp.binomial(n - 1, mp.mpc(q)) * mp.mpc(q) ** (-n) / (mp.factorial(n - 1) * n * mp.mpf(2) ** n)
+
+
+def test_continuation_at_its_table_entry_and_beyond():
+    largest = MAX_N["continuation"][0]
+    # at q = 0 e^g of the continued integrand overflows near tau = 0 from
+    # n = 82; the integrand then forms tau^m e^g in one exponent
+    g0 = continued_coefficient(StripPoint(largest, 0))
+    want = series_zeta(largest).value
+    assert abs(g0 - want) <= 1e-13 * want
+    # the pole term is smallest as re q nears n - 1, and stays a normal float
+    for q in (0.5, 2.0, 3 + 1j, largest - 1.5, largest - 1.05):
+        pole = pole_term(StripPoint(largest, q))
+        ref = _pole_reference(largest, q)
+        assert abs(pole) >= sys.float_info.min, q
+        assert abs(pole - ref) <= 1e-12 * abs(ref), q
+    for q in (2.0, 3 + 1j):
+        point = StripPoint(largest, q)
+        f = stanton_coefficient(point)
+        assert continuation_residual(point) <= 1e-12 * abs(f), q
+    with pytest.raises(ValueError, match=f"^continuation supports n <= {largest}, got n = {largest + 1}:"):
+        StripPoint(largest + 1, 1.0)
+
+
+@pytest.mark.parametrize("n, q", [(20, -0.95), (40, -0.75)])
+def test_float_range_failure_near_the_strip_edge_is_named(n, q):
+    # the decay rate 2 (re q + 1) is small, the quadrature reaches out to
+    # where e^(-2q tau) alone overflows
+    with pytest.raises(ValueError, match=f"at n = {n}, q = .* leaves the float range"):
+        continued_coefficient(StripPoint(n, q))

@@ -86,10 +86,10 @@ def test_time_floor():
         trace_split_q(2, 0.0)
     with pytest.raises(ValueError):
         trace_direct(2, -1.0)
-    # overriding the floor lets the call proceed far enough to hit the
-    # term cap instead, proving the floor (not the summation) rejected it
-    with pytest.raises(ConvergenceError):
-        trace_split_q(2, 5e-7, min_t=1e-7, term_cap=10)
+    # the floor, not the summation, rejects it: even a cap the sum would
+    # exceed at once gives the floor's message
+    with pytest.raises(ValueError, match="below the heat-trace floor 1e-06"):
+        trace_split_q(2, 5e-7, term_cap=10)
 
 
 def test_term_cap():
@@ -312,7 +312,7 @@ def test_direct_arithmetic_is_pinned(n, t, value, bound, terms):
     with pytest.raises(ConvergenceError):
         trace_direct(n, t, term_cap=terms - 1)
     # scaled from the first block, the sum takes the same terms and agrees
-    summer = _DirectSum(n, t, 1e-15, 1e-13, 10**7)
+    summer = _DirectSum(n, t, 1e-15, 10**7)
     summer.scaled = True
     scaled = summer.run()
     assert scaled.terms_used == terms
@@ -323,7 +323,7 @@ def test_direct_arithmetic_is_pinned(n, t, value, bound, terms):
 def test_direct_where_multiplicities_pass_the_float_range(n, t):
     # the multiplicities pass 1e308 long before the terms do (the trace is
     # about e^456 at n = 200), so plain float arithmetic cannot form them
-    summer = _DirectSum(n, t, 1e-15, 1e-13, 10**7)
+    summer = _DirectSum(n, t, 1e-15, 10**7)
     got = summer.run()
     assert summer.scaled
     assert trace_direct(n, t) == got

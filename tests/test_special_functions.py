@@ -60,7 +60,15 @@ def test_zeta_even_float_value(k):
     assert abs(zeta_even(k).value - _zeta_reference(k)) <= 1e-12
 
 
-@pytest.mark.parametrize("k", [1, 3, 0, -2, 66])
+def test_zeta_even_past_the_old_cap_of_64():
+    # series-zeta at n <= 145 meets zeta(k) for even k <= 144; pi^k is a
+    # power of the rounded pi, about k * 4e-17 relative
+    with mp.workdps(50):
+        for k in range(2, 146, 2):
+            assert abs(zeta_even(k).value - mp.zeta(k)) <= 1e-14 * mp.zeta(k), k
+
+
+@pytest.mark.parametrize("k", [1, 3, 0, -2])
 def test_zeta_even_rejects_bad_arguments(k):
     with pytest.raises(ValueError):
         zeta_even(k)
