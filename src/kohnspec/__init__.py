@@ -21,7 +21,7 @@ from .coefficients import (
     series_direct,
     series_zeta,
 )
-from .combinatorics import RationalPoly, binom, binom_as_poly, dim_hpq, sceil, split_terms
+from .combinatorics import binom, dim_hpq
 from .continuation import (
     NEAR_POLE_RADIUS,
     StripPoint,
@@ -63,10 +63,6 @@ __all__ = [
     "ResourceCapError",
     "binom",
     "dim_hpq",
-    "split_terms",
-    "sceil",
-    "RationalPoly",
-    "binom_as_poly",
     "PiMultiple",
     "bernoulli",
     "zeta_even",

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -136,14 +137,22 @@ def _records(rows: list[dict]) -> tuple[list[str], list[tuple]]:
     return list(rows[0]), [tuple(row.values()) for row in rows]
 
 
+def _finite(value: float, flag: str) -> float:
+    """value, or ValueError naming it: a list is checked whole before any work starts."""
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {value}")
+    return value
+
+
 def _parse_float_list(raw: str, flag: str) -> list[float]:
     items = [piece.strip() for piece in raw.split(",") if piece.strip()]
     if not items:
         raise ValueError(f"{flag} needs at least one value, got {raw!r}")
     try:
-        return [float(piece) for piece in items]
+        values = [float(piece) for piece in items]
     except ValueError:
         raise ValueError(f"{flag} must be a comma-separated list of numbers") from None
+    return [_finite(value, flag) for value in values]
 
 
 # ----------------------------------------------------------------- handlers
@@ -267,7 +276,8 @@ def _parse_span(raw: str) -> list[float]:
     parts = raw.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid span must be start:stop:steps, got {raw!r}")
-    start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    start, stop = (_finite(float(part), "--grid") for part in parts[:2])
+    steps = int(parts[2])
     if steps < 1:
         raise ValueError(f"grid needs at least one step, got {steps}")
     if steps == 1:
@@ -324,6 +334,7 @@ def _cmd_stanton(args) -> int:
             raise ValueError("--q takes re or re,im")
         points = [complex(parts[0], parts[1] if len(parts) == 2 else 0.0)]
     errors.check_n(args.n, "continuation")  # before c(n), which only the row at q = 0 needs
+    errors.check_tol(args.tol)  # also where no point lies in a strip that integrates
     limit = coefficients.series_zeta(args.n).value if 0 in points else None
     rows = [_stanton_row(args.n, q, args.tol, node_cap, limit) for q in points]
     if len(rows) == 1 and rows[0]["f_re"] is None and rows[0]["g_re"] is None:
@@ -382,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact head terms for series-direct, before its certified tail",
     )
     coeff.add_argument(
-        "--tol", type=float, default=1e-10, help="quadrature tolerance for the integral routes"
+        "--tol", type=float, default=1e-10,
+        help="quadrature tolerance for the integral routes, positive and finite",
     )
     _add_common(coeff)
     coeff.set_defaults(handler=_cmd_coeff)
@@ -407,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also evaluate the direct double sum and check the split against it",
     )
     heat.add_argument(
-        "--tol", type=float, default=None, help="absolute tail tolerance (default 1e-15)"
+        "--tol", type=float, default=None,
+        help="absolute tail tolerance, nonnegative and finite (default 1e-15)",
     )
     _add_common(heat)
     heat.set_defaults(handler=_cmd_heat)
@@ -431,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         help="rectangle sweep re0:re1:steps[,im0:im1:steps]; rows ordered re-major",
     )
-    stanton.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+    stanton.add_argument(
+        "--tol", type=float, default=1e-10, help="quadrature tolerance, positive and finite"
+    )
     _add_common(stanton)
     stanton.set_defaults(handler=_cmd_stanton)
 

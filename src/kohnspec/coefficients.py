@@ -5,9 +5,11 @@ deliberately not allowed to share intermediate results; their mutual
 agreement (reconcile) is the package's main correctness witness.
 
 * series-zeta (reference): c(n) = (1/(2**n n!)) * sum_{q>=1} P(q)/q**n with
-  P(q) = binom(q+n-2, n-2) + binom(q-1, n-2).  P is expanded exactly as a
-  polynomial, turning the sum into an exact rational combination of even
-  zeta values; only the final assembly is floating point.
+  P(q) = binom(q+n-2, n-2) + binom(q-1, n-2).  With r = n - 2,
+  r! P(q) = R(q) + (-1)**r R(-q), where R(q) = (q+1)(q+2)...(q+r) has integer
+  coefficients from one recurrence; the sum becomes an exact rational
+  combination of even zeta values, and only the final assembly is floating
+  point.
 * series-direct: the same series summed numerically: an exact head of
   integer binomials and a certified Euler-Maclaurin tail.
 * integral: c(n) = vol(S^(2n-1)) (n-1) / (n (2 pi)^n n!) *
@@ -15,9 +17,9 @@ agreement (reconcile) is the package's main correctness witness.
 * integral-intermediate: c(n) = (1/(n! (n-1)!)) * int_0^inf x^(n-1) *
   (1/(1-e^(-2x))^(n-1) - 1 + 1/(e^(2x)-1)^(n-1)) dx.
 
-The parity of P (P(-q) = (-1)^n P(q)) means only even zeta arguments ever
-appear in the reference route; series_zeta enforces that as an internal
-invariant.
+In R(q) + (-1)**r R(-q) the coefficient of q**j doubles where r - j is even
+and cancels where it is odd, so only even zeta arguments n - j appear in the
+reference route: the odd ones cancel by construction.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from itertools import accumulate, chain, repeat, tee
 from operator import add, truediv
 from typing import Iterator
 
-from .combinatorics import binom_as_poly
 from .errors import (
     DEFAULT_NODE_CAP,
     DEFAULT_TERM_CAP,
     ConvergenceError,
     ResourceCapError,
     check_n,
+    check_tol,
 )
 from .special_functions import (
     EM_HEAD_TERMS,
@@ -106,34 +108,27 @@ class CoefficientEstimate:
     exact_form: ZetaCombination | None = None
 
 
-def _eigenvalue_weight_poly(n: int):
-    """P(q) = binom(q+n-2, n-2) + binom(q-1, n-2) as an exact polynomial."""
-    return binom_as_poly(n - 2, n - 2) + binom_as_poly(-1, n - 2)
-
-
 def series_zeta(n: int) -> CoefficientEstimate:
     """Reference route: exact zeta combination, floating only at assembly.
+
+    P(q) = sum_j (2 e_j / r!) q**j over the j with r - j even, where e_j are
+    the coefficients of R(q) = (q+1)...(q+r), r = n - 2; each q**j gives
+    zeta(n - j).  The coefficients are cleared to integers by the lcm of
+    their denominators, which goes into scale with 1/(2**n n!).
 
     The error bound is 1e-14 * |value|, covering the float rounding of the
     zeta values, the exact-rational-to-float conversions, and the fsum; the
     combination itself is exact.  Every term is positive, so nothing cancels.
     """
     check_n(n, "series-zeta")
-    poly = _eigenvalue_weight_poly(n)
-    for j, coeff in enumerate(poly.coefficients):
-        if coeff != 0 and (n - j) % 2:
-            raise RuntimeError(
-                f"parity violation: q**{j} survives in P for n={n}; "
-                "only even zeta arguments may appear"
-            )
-    common = 1
-    for coeff in poly.coefficients:
-        common = math.lcm(common, coeff.denominator)
-    terms = tuple(
-        (int(coeff * common), n - j)
-        for j in range(poly.degree, -1, -1)
-        if (coeff := poly.coefficients[j]) != 0
-    )
+    r = n - 2
+    rising = [1]  # coefficients of (q+1)...(q+i), lowest degree first
+    for i in range(1, r + 1):
+        rising = [i * a + b for a, b in zip([*rising, 0], [0, *rising])]
+    r_fact = math.factorial(r)
+    kept = [(2 * rising[j], n - j) for j in range(r, -1, -2)]
+    common = math.lcm(*(r_fact // math.gcd(c, r_fact) for c, _ in kept))
+    terms = tuple((c * common // r_fact, k) for c, k in kept)
     scale = Fraction(1, 2**n * math.factorial(n) * common)
     form = ZetaCombination(scale, terms)
     value = form.value()
@@ -397,8 +392,10 @@ def estimate(
     """c(n) by the route named method (one of METHODS), passing it the options it takes.
 
     The evaluator is looked up by its module-global name at call time, so a
-    replaced module attribute also sees calls made through here.
+    replaced module attribute also sees calls made through here.  tol must
+    be positive and finite whichever route is named.
     """
+    check_tol(tol)
     if method == "series-zeta":
         return series_zeta(n)
     if method == "series-direct":

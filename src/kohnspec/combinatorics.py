@@ -9,7 +9,6 @@ to absorb edge cases (p = 0 rows, q = 1 columns) without special-casing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import check_n
@@ -20,8 +19,6 @@ __all__ = [
     "multichoose_table",
     "split_terms",
     "sceil",
-    "RationalPoly",
-    "binom_as_poly",
 ]
 
 
@@ -104,63 +101,3 @@ def sceil(x, alpha):
     if isinstance(x, (int, Fraction)) and isinstance(alpha, (int, Fraction)):
         return Fraction(alpha) * math.ceil(Fraction(x) / Fraction(alpha))
     return alpha * math.ceil(x / alpha)
-
-
-@dataclass(frozen=True)
-class RationalPoly:
-    """Dense univariate polynomial with exact Fraction coefficients.
-
-    coefficients[j] multiplies x**j.  Normalized: no trailing zero
-    coefficients; the zero polynomial is the empty tuple (degree -1).
-    """
-
-    coefficients: tuple[Fraction, ...]
-
-    @staticmethod
-    def from_coefficients(coeffs) -> "RationalPoly":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return RationalPoly(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        longer, shorter = self.coefficients, other.coefficients
-        if len(shorter) > len(longer):
-            longer, shorter = shorter, longer
-        summed = list(longer)
-        for j, c in enumerate(shorter):
-            summed[j] += c
-        return RationalPoly.from_coefficients(summed)
-
-
-def binom_as_poly(offset: int, degree: int) -> RationalPoly:
-    """binom(x + offset, degree) expanded as an exact polynomial in x.
-
-    Product form: prod_{i=0}^{degree-1} (x + offset - i) / degree!.  For
-    integer x with x + offset >= 0 this agrees with binom(); for negative
-    tops the polynomial continues analytically (upper negation) while the
-    convention returns 0, which is exactly the distinction the eigenvalue
-    series exploits.
-    """
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
-    coeffs = [Fraction(1)]
-    for i in range(degree):
-        shift = offset - i
-        grown = [Fraction(0)] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            grown[j] += c * shift
-            grown[j + 1] += c
-        coeffs = grown
-    d_fact = math.factorial(degree)
-    return RationalPoly.from_coefficients(Fraction(c, d_fact) for c in coeffs)

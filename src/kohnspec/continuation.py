@@ -68,6 +68,8 @@ class StripPoint:
             )
         check_n(self.n, "continuation")
         object.__setattr__(self, "q", complex(self.q))
+        if not cmath.isfinite(self.q):
+            raise ValueError(f"q must be finite, got q = {self.q}")
 
     @property
     def m(self) -> int:
@@ -179,13 +181,18 @@ def pole_term(point: StripPoint) -> complex:
 
     pole_term(q) = binom(m, q) * vol(S^(2n-1)) / (2 n (2 pi)^n) * q^(-n);
     the pi powers cancel to the rational constant 1 / ((n-1)! n 2^n).
-    Undefined at q = 0.
+    Undefined at q = 0; a ValueError names q where q^(-n) leaves the float range.
     """
     n, q, m = point.n, point.q, point.m
     if q == 0:
         raise ValueError("pole_term has its pole at q = 0")
     constant = float(Fraction(1, math.factorial(n - 1) * n * 2**n))
-    return _complex_binom(m, q) * constant * q ** (-n)
+    try:
+        return _complex_binom(m, q) * constant * q ** (-n)
+    except (ZeroDivisionError, OverflowError) as err:  # q^n underflows to 0, or q^(-n) overflows
+        raise ValueError(
+            f"the pole term at n = {n}, q = {q} leaves the float range"
+        ) from err
 
 
 def continuation_residual(

@@ -4,14 +4,17 @@ Both errors mean "the computation was cut off", not "the answer is wrong":
 callers that see them should raise a cap, loosen a tolerance, or shrink the
 request.  Each cap has its one default here, which the CLI's environment
 variables KOHNSPEC_{LINE,TERM,NODE}_CAP override.  MAX_N holds every fixed
-largest n, and check_n enforces it.
+largest n, and check_n enforces it; check_tol is the one tolerance check,
+and count_text prints a count in a cap message.
 """
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "DEFAULT_LINE_CAP", "DEFAULT_TERM_CAP", "DEFAULT_NODE_CAP",
-    "MAX_N", "ResourceCapError", "ConvergenceError", "check_n",
+    "MAX_N", "ResourceCapError", "ConvergenceError", "check_n", "check_tol", "count_text",
 ]
 
 DEFAULT_LINE_CAP = 100_000_000  # spectral lines (enumerate_modes) or blocks (count)
@@ -50,3 +53,15 @@ def check_n(n: int, route: str | None = None) -> None:
     if route is not None and n > MAX_N[route][0]:
         largest, reason = MAX_N[route]
         raise ValueError(f"{route} supports n <= {largest}, got n = {n}: {reason}")
+
+
+def check_tol(tol: float, name: str = "tol", *, zero_ok: bool = False) -> None:
+    """Raise ValueError unless tol is finite and positive (or zero, with zero_ok)."""
+    if not (math.isfinite(tol) and (tol >= 0.0 if zero_ok else tol > 0.0)):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be {sign} and finite, got {tol}")
+
+
+def count_text(k: int) -> str:
+    """k in digits, or as "about" its 3 leading digits above 1e15, for messages."""
+    return str(k) if k <= 10**15 else f"about {float(k):.3g}"

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .combinatorics import multichoose_table
-from .errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, ConvergenceError, check_n
+from .errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, ConvergenceError, check_n, check_tol
 from .special_functions import EM_HEAD_TERMS, U, euler_maclaurin_tail, integrate_decaying
 
 __all__ = [
@@ -84,8 +84,9 @@ class HeatTraceSample:
     terms_used: int
 
 
-def _validate(n: int, t: float) -> None:
+def _validate(n: int, t: float, abs_tol: float) -> None:
     check_n(n)
+    check_tol(abs_tol, "abs_tol", zero_ok=True)
     if not (isinstance(t, (int, float)) and math.isfinite(t)):
         raise ValueError(f"t must be finite, got {t}")
     if t < MIN_T:
@@ -268,7 +269,7 @@ def trace_split_q(
     term_cap term evaluations, or more than node_cap of them in the tail
     integral, would be needed.
     """
-    _validate(n, t)
+    _validate(n, t, abs_tol)
     decay = math.exp(-2.0 * t * (n - 1))
     return _split_sum(
         "split_q",
@@ -297,7 +298,7 @@ def trace_split_w(
     Same summation as trace_split_q with ratio bound
     rho(w) = (w/(w-n+2)) * exp(-2t) and decay rate 2t.
     """
-    _validate(n, t)
+    _validate(n, t, abs_tol)
     decay = math.exp(-2.0 * t)
     return _split_sum(
         "split_w",
@@ -340,7 +341,7 @@ def trace_direct(
     every later one are then formed scaled by powers of two (see _DirectSum).
     The cost grows like 1/t^2.
     """
-    _validate(n, t)
+    _validate(n, t, abs_tol)
     try:
         return _DirectSum(n, t, abs_tol, term_cap).run()
     except OverflowError as err:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import DEFAULT_NODE_CAP, ConvergenceError
+from .errors import DEFAULT_NODE_CAP, ConvergenceError, check_tol
 
 __all__ = [
     "PiMultiple",
@@ -268,8 +268,7 @@ def integrate_decaying(
     """
     if decay_rate <= 0.0:
         raise ValueError(f"decay_rate must be positive, got {decay_rate}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     if poly_degree < 0:
         raise ValueError(f"poly_degree must be nonnegative, got {poly_degree}")
     d = float(decay_rate)

@@ -36,7 +36,7 @@ from operator import sub
 from typing import NamedTuple
 
 from .combinatorics import multichoose_table
-from .errors import DEFAULT_LINE_CAP, ResourceCapError, check_n
+from .errors import DEFAULT_LINE_CAP, ResourceCapError, check_n, count_text
 
 __all__ = [
     "SpectralLine",
@@ -94,7 +94,7 @@ def enumerate_modes(
     at_least = max(L - m + 1, q_max)
     if at_least > line_cap:
         raise ResourceCapError(
-            f"at least {at_least} spectral lines up to lambda = {lam}; cap is {line_cap}"
+            f"at least {count_text(at_least)} spectral lines up to lambda = {lam}; cap is {line_cap}"
         )
     binoms = multichoose_table(n, at_least + 1)  # binom(n + k - 1, k)
     shifted = [0, *binoms]  # shifted[k] = binoms[k - 1], with binoms[-1] = 0
@@ -146,7 +146,7 @@ def count(n: int, lam: float, *, line_cap: int = DEFAULT_LINE_CAP) -> int:
     blocks = _block_count(L, m)
     if blocks > line_cap:
         raise ResourceCapError(
-            f"{blocks} hyperbola blocks up to lambda = {lam}; cap is {line_cap}"
+            f"{count_text(blocks)} hyperbola blocks up to lambda = {lam}; cap is {line_cap}"
         )
 
     # F(x) = binom(n + x, n) and F(x - 1) = F(x) * x / (n + x), exactly.

@@ -500,3 +500,52 @@ def test_n_sweep_answers_or_names_the_range(capsys):
             grid = ("--grid", "0:2:3,0:1:2", "--format", "json")
             for row in _json_rows(_answers_or_names_its_range(capsys, "stanton", "--n", n, *grid)):
                 assert row["pole_re"] is None or abs(complex(row["pole_re"], row["pole_im"])) > 0, (n, row)
+
+
+# ------------------------------------------------- non-finite and negative input
+
+
+@pytest.mark.parametrize(
+    "command, named",
+    [
+        ("coeff --n 4 --tol nan", "got nan"),
+        ("coeff --n 4 --tol inf --method integral", "got inf"),
+        ("coeff --n 4 --tol -1 --method all", "got -1.0"),
+        ("stanton --n 3 --q 1 --tol nan", "got nan"),
+        ("stanton --n 3 --grid=-5:-4:2 --tol nan", "got nan"),
+        ("heat --n 3 --t 0.1 --tol nan", "got nan"),
+        ("heat --n 3 --t 0.1 --tol -1", "got -1.0"),
+        ("heat --n 3 --t 0.1 --tol inf", "got inf"),
+        ("heat --n 3 --t 0.1,nan", "--t must be finite, got nan"),
+        ("converge --n 2 --lambdas 100,inf", "--lambdas must be finite, got inf"),
+        ("stanton --n 3 --q 0.5,nan", "--q must be finite, got nan"),
+        ("stanton --n 3 --grid=nan:1:3", "--grid must be finite, got nan"),
+        ("stanton --n 3 --grid=0:1:3,0:inf:2", "--grid must be finite, got inf"),
+    ],
+)
+def test_non_finite_or_negative_input_exits_1_naming_it(capsys, command, named):
+    # these used to exit 3 after grinding to a cap, or exit 0 with empty or loose rows
+    code, out, err = run(capsys, *command.split())
+    assert code == 1
+    assert out == ""
+    assert named in err
+
+
+def test_heat_takes_a_zero_tol(capsys):
+    code, _, err = run(capsys, "heat", "--n", "3", "--t", "0.1", "--tol", "0")
+    assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "command, about",
+    [
+        ("count --n 2 --lambda 1e300", "about 1.41e+150 hyperbola blocks"),
+        ("count --n 2 --lambda 1e300 --modes", "at least about 5e+299 spectral lines"),
+    ],
+)
+def test_cap_message_rounds_a_huge_count(capsys, command, about):
+    # above 1e15 the count prints as 3 digits, not 150 to 300
+    code, _, err = run(capsys, *command.split())
+    assert code == 3
+    assert about in err
+    assert len(err) < 120

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -39,6 +40,39 @@ def test_exact_form_n4_and_n5():
     f5 = series_zeta(5).exact_form
     assert f5.scale == Fraction(1, 11520)
     assert f5.terms == ((1, 2), (11, 4))
+
+
+# float.hex(series_zeta(n).value) and sha256(str(exact_form)), taken from the
+# Fraction-polynomial expansion that the integer recurrence replaced
+EXACT_FORM_PINS = {
+    2: ("0x1.a51a6625307d2p-2", "76b5a4f6e1b962b75c7c85a833e2334e3cd9293385027349f4e4c3416949c799"),
+    3: ("0x1.18bc4418cafe1p-4", "a68f0d77d4aada585950e486b5d648a64e2dc431e7bd7074dbbc1dfe66d110f0"),
+    10: ("0x1.4ea2eca834a82p-29", "b939046137f3a222af050344ad441e6d497285d374869657a9c3264f785de0b2"),
+    50: ("0x1.53561504665cap-259", "ce487923dc7bebccb89dfac20f77865276582110c17e9407593ab4949d927f5c"),
+    66: ("0x1.f228a80611384p-369", "2ec5fef4ad9b9bf285931679c13d83e5013860053fa923a9d58fc627220c62ff"),
+    100: ("0x1.d20ea6fd439fep-619", "b90f8b5220f8ae3f8544d1d6866fc7f0ab8945a9214aabd6e80e696491829e4d"),
+    145: ("0x1.47f499c87839fp-975", "c540190aaaffae8f787f70d72bea0f992ff441541404fbb4011e02847ad24311"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(EXACT_FORM_PINS))
+def test_exact_form_pinned_values(n):
+    est = series_zeta(n)
+    value_hex, form_digest = EXACT_FORM_PINS[n]
+    assert float.hex(est.value) == value_hex
+    assert hashlib.sha256(str(est.exact_form).encode()).hexdigest() == form_digest
+
+
+def test_exact_form_is_the_weight_polynomial_at_every_n():
+    # 2^n n! scale sum_i c_i q^(n - k_i) = binom(q+n-2, n-2) + binom(q-1, n-2)
+    for n in range(2, MAX_N["series-zeta"][0] + 1):
+        form = series_zeta(n).exact_form
+        assert all(k % 2 == 0 for _, k in form.terms), n
+        for q in range(1, 5):
+            poly = 2**n * math.factorial(n) * form.scale * sum(
+                c * Fraction(q) ** (n - k) for c, k in form.terms
+            )
+            assert poly == math.comb(q + n - 2, n - 2) + math.comb(q - 1, n - 2), (n, q)
 
 
 def test_series_zeta_closed_forms():

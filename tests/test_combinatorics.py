@@ -4,9 +4,7 @@ from fractions import Fraction
 import pytest
 
 from kohnspec.combinatorics import (
-    RationalPoly,
     binom,
-    binom_as_poly,
     dim_hpq,
     multichoose_table,
     sceil,
@@ -150,43 +148,3 @@ def test_sceil_rejects_nonpositive_alpha():
         sceil(1, 0)
     with pytest.raises(ValueError):
         sceil(1, -2)
-
-
-def test_binom_as_poly_small_cases():
-    x = binom_as_poly(0, 1)
-    assert x(5) == 5
-    assert x(Fraction(1, 2)) == Fraction(1, 2)
-    p = binom_as_poly(1, 2)  # (x^2 + x) / 2
-    assert p(3) == 6
-    assert p(Fraction(1, 2)) == Fraction(3, 8)
-    const = binom_as_poly(-1, 0)
-    assert const.degree == 0
-    assert const(123) == 1
-
-
-def test_binom_as_poly_agrees_with_binom_on_integers():
-    # twenty consecutive integer points inside the nonnegative regime
-    for offset in (-3, -1, 0, 2, 5):
-        for degree in (0, 1, 2, 4, 6):
-            poly = binom_as_poly(offset, degree)
-            start = max(0, -offset)
-            for k in range(start, start + 20):
-                assert poly(k) == binom(k + offset, degree)
-
-
-def test_rational_poly_strips_trailing_zeros():
-    p = RationalPoly.from_coefficients([Fraction(1), Fraction(2), Fraction(0)])
-    assert p.coefficients == (Fraction(1), Fraction(2))
-    assert p.degree == 1
-    zero = RationalPoly.from_coefficients([Fraction(0), Fraction(0)])
-    assert zero.coefficients == ()
-    assert zero.degree == -1
-    assert zero(17) == 0
-
-
-def test_rational_poly_addition_cancels():
-    p = RationalPoly.from_coefficients([Fraction(1), Fraction(1)])
-    q = RationalPoly.from_coefficients([Fraction(1), Fraction(-1)])
-    total = p + q
-    assert total.coefficients == (Fraction(2),)
-    assert total(10) == 2

@@ -44,6 +44,19 @@ def test_strip_point_validation():
     assert pt.m == 2
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf, complex(0.5, math.nan), complex(1.0, -math.inf)])
+def test_strip_point_rejects_a_q_that_is_not_finite(q):
+    with pytest.raises(ValueError, match="q must be finite, got q = "):
+        StripPoint(3, q)
+
+
+@pytest.mark.parametrize("q", [1e-177, 1e-104])
+def test_pole_term_names_q_where_its_power_leaves_the_float_range(q):
+    # q^3 underflows to 0 (a ZeroDivisionError) or q^-3 overflows (an OverflowError)
+    with pytest.raises(ValueError, match="pole term at n = 3, q = .* leaves the float range"):
+        pole_term(StripPoint(3, q))
+
+
 def test_stanton_closed_form_anchor():
     got = stanton_coefficient(StripPoint(3, 1.0))
     assert abs(got - math.pi**2 / 72) <= 1e-9 * (math.pi**2 / 72)

@@ -92,6 +92,18 @@ def test_time_floor():
         trace_split_q(2, 5e-7, term_cap=10)
 
 
+@pytest.mark.parametrize("abs_tol", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("heat_sum", [trace_split_q, trace_split_w, trace_direct, scaled_trace])
+def test_heat_sums_reject_an_abs_tol_that_is_negative_or_not_finite(heat_sum, abs_tol):
+    with pytest.raises(ValueError, match=f"abs_tol must be nonnegative and finite, got {abs_tol}"):
+        heat_sum(3, 0.1, abs_tol=abs_tol)
+
+
+def test_heat_sums_take_a_zero_abs_tol():
+    # the relative tolerance alone then stops the sums
+    assert trace_split_q(3, 0.1, abs_tol=0.0).value == pytest.approx(trace_split_q(3, 0.1).value)
+
+
 def test_term_cap():
     with pytest.raises(ConvergenceError):
         trace_split_q(2, 1e-5, term_cap=50)

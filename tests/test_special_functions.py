@@ -184,6 +184,13 @@ def test_integrate_decaying_validates_arguments():
         integrate_decaying(lambda x: 0.0, 1.0, poly_degree=-1)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_integrate_decaying_rejects_a_tol_that_is_not_positive_and_finite(tol):
+    # NaN compares false with everything, so `tol <= 0` alone let it through
+    with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol}"):
+        integrate_decaying(lambda x: math.exp(-x), 1.0, tol=tol, poly_degree=0)
+
+
 @pytest.mark.parametrize(
     "T, s, d",
     [
