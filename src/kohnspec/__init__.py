@@ -27,7 +27,6 @@ from .continuation import (
     StripPoint,
     continuation_residual,
     continued_coefficient,
-    dominating_integral,
     pole_term,
     stanton_coefficient,
 )
@@ -94,5 +93,4 @@ __all__ = [
     "continued_coefficient",
     "pole_term",
     "continuation_residual",
-    "dominating_integral",
 ]

@@ -273,11 +273,12 @@ def _cmd_converge(args) -> int:
 
 
 def _parse_span(raw: str) -> list[float]:
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid span must be start:stop:steps, got {raw!r}")
-    start, stop = (_finite(float(part), "--grid") for part in parts[:2])
-    steps = int(parts[2])
+    try:
+        start, stop, steps = raw.split(":")
+        start, stop, steps = float(start), float(stop), int(steps)
+    except ValueError:
+        raise ValueError(f"--grid span must be start:stop:steps, got {raw!r}") from None
+    start, stop = _finite(start, "--grid"), _finite(stop, "--grid")
     if steps < 1:
         raise ValueError(f"grid needs at least one step, got {steps}")
     if steps == 1:
@@ -453,8 +454,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """argv with each value that starts with "-" attached to its flag: --q -0.5,0.5 as --q=-0.5,0.5.
+
+    argparse takes such a value (-0.5,0.5, -1:0:3, -1e-3) for an option; -h is its only short one.
+    """
+    out: list[str] = []
+    for token in argv:
+        dash_value = token.startswith("-") and not token.startswith("--") and token != "-h"
+        if dash_value and out and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_dash_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -44,9 +44,9 @@ from .special_functions import (
     U,
     QuadratureResult,
     euler_maclaurin_tail,
-    folded_kernel,
+    folded_excess,
+    folded_power,
     integrate_decaying,
-    log1mexp2,
     zeta_even,
 )
 
@@ -65,7 +65,6 @@ __all__ = [
 ]
 
 DEFAULT_SERIES_TERMS = EM_HEAD_TERMS  # exact head terms before series-direct's tail
-_EXP_ARG_SAFE = 700.0  # e^y and 2 e^y are finite floats below this y
 
 METHODS: tuple[str, ...] = (
     "series-zeta",
@@ -171,7 +170,10 @@ def _integrand_rel(n: int) -> float:
     The n-th (or (n-1)-th) power of a quotient of rounded values costs 2n U;
     a further n U covers the rounding of the node itself, which moves the
     integrand by |x f'/f| U, about sqrt(n) U where the integrand carries its
-    mass; 16 U covers the remaining exponentials, sums and products.
+    mass; 16 U covers the remaining exponentials, sums and products.  The
+    kernels' one-power path rounds its base four times (4n U and more) but
+    runs only where rate x >= 700 or (x/E)^n passes the float range, which
+    within the routes' ranges of n is on terms below 1e-100 of the integral.
     """
     return (3 * n + 16) * U
 
@@ -306,16 +308,16 @@ def integral_coefficient(
 ) -> CoefficientEstimate:
     """Full-line integral route, folded to [0, inf) in a cancellation-free form.
 
-    (x/sinh x)^n cosh((n-2)x) = 2^(n-1) (x/E)^n (e^(-2x) + e^(-2(n-1)x)) with
-    E = 1 - e^(-2x) built from expm1; value 1 at x = 0, decay e^(-2x).  The
-    pi powers of the volume and (2 pi)^n prefactors cancel exactly, leaving
-    the rational prefactor 2(n-1) / ((n-1)! n 2^n n!).
+    (x/sinh x)^n cosh((n-2)x) = 2^(n-1) (x/E)^n e^(-2x) (1 + e^(-2(n-2)x))
+    with E = 1 - e^(-2x); value 1 at x = 0, decay e^(-2x).  The pi powers of
+    the volume and (2 pi)^n prefactors cancel exactly, leaving the rational
+    prefactor 2(n-1) / ((n-1)! n 2^n n!).
     """
     check_n(n, "integral")
     scale = 2.0 ** (n - 1)
 
     def integrand(x: float) -> float:
-        return scale * folded_kernel(x, n) * (math.exp(-2.0 * x) + math.exp(-2.0 * (n - 1) * x))
+        return scale * folded_power(x, n, 2.0) * (1.0 + math.exp(-2.0 * (n - 2) * x))
 
     quad = integrate_decaying(integrand, 2.0, tol=tol, poly_degree=n, node_cap=node_cap)
     prefactor = 2 * Fraction(2 * (n - 1), math.factorial(n - 1) * n * 2**n * math.factorial(n))
@@ -332,29 +334,11 @@ def integral_coefficient(
 def _intermediate_integrand(n: int, x: float) -> float:
     """x^(n-1) (1/(1-e^(-2x))^(n-1) - 1 + 1/(e^(2x)-1)^(n-1)), exact at all scales.
 
-    With lE = log(1 - e^(-2x)) the bracket's three terms regroup as
-    expm1(g) + e^h with g = -(n-1) lE and h = -(n-1)(2x + lE); expm1/log1p
-    keep both the x -> 0 blowup ~ (2x)^(1-n) and the x -> inf decay
-    ~ (n-1) e^(-2x) exact.  Where e^g (near 0, from n = 101 at the
-    quadrature's smallest nodes) or x^(n-1) (far out, from n = 122) leaves
-    the float range while the product does not, x^(n-1) goes into the
-    exponents: x^(n-1) expm1(g) is exp((n-1) log x + g) - x^(n-1) for
-    g > 1, which cancels by at most a factor e/(e-1); g <= 1 happens there
-    only at x > 100 (n <= 121, the route's range), where expm1(g) is
-    (n-1) e^(-2x) to double precision.
+    With m = n - 1 and E = 1 - e^(-2x), the first two terms are
+    x^m (E^(-m) - 1) and the third is (x/E)^m e^(-2mx): the x -> 0 blowup
+    ~ (2x)^(1-n) and the x -> inf decay ~ (n-1) x^m e^(-2x) both stay exact.
     """
-    m = n - 1
-    log_e = log1mexp2(x)
-    g = -m * log_e
-    h = -m * (2.0 * x + log_e)
-    log_x = math.log(x)
-    if g < _EXP_ARG_SAFE and m * log_x < _EXP_ARG_SAFE:
-        return x**m * (math.expm1(g) + math.exp(h))
-    if g > 1.0:
-        first = math.exp(m * log_x + g) - x**m
-    else:
-        first = math.exp(m * log_x + math.log(m) - 2.0 * x)
-    return first + math.exp(m * log_x + h)
+    return folded_excess(x, n - 1, 0.0) + folded_power(x, n - 1, 2.0 * (n - 1))
 
 
 def integral_intermediate(

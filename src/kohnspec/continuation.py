@@ -20,11 +20,11 @@ and the difference of the two is the explicit meromorphic term
 whose q -> 0 pole carries the transition to the continued value at the
 origin: continued_coefficient(0) equals the Weyl coefficient c(n).
 
-All integrands are rewritten through expm1/log1p so that both the tau -> 0
-limits and the large-tau cancellations are exact in floating point; complex
-binomials go through the Lanczos log-gamma.  n = 2 is rejected: m = 1 leaves
-no strip between the first poles and the continuation degenerates; so is
-n beyond errors.MAX_N["continuation"].
+The integrands are formed from special_functions.folded_power/folded_excess,
+exact at tau -> 0 and at large tau and overflowing only where their values
+do; complex binomials go through the Lanczos log-gamma.  n = 2 is rejected:
+m = 1 leaves no strip between the first poles and the continuation
+degenerates; so is n beyond errors.MAX_N["continuation"].
 
 Near the q = 0 pole the direct-integral evaluator loses its decay margin, so
 stanton_coefficient refuses |q| < NEAR_POLE_RADIUS; continued_coefficient is
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DEFAULT_NODE_CAP, check_n
-from .special_functions import folded_kernel, integrate_decaying, log1mexp2, log_gamma
+from .special_functions import folded_excess, folded_power, integrate_decaying, log_gamma
 
 __all__ = [
     "NEAR_POLE_RADIUS",
@@ -48,7 +48,6 @@ __all__ = [
     "continued_coefficient",
     "pole_term",
     "continuation_residual",
-    "dominating_integral",
 ]
 
 NEAR_POLE_RADIUS = 0.05
@@ -101,8 +100,8 @@ def _complex_binom(m: int, q: complex) -> complex:
 def _integrate(point: StripPoint, integrand, decay: float, tol: float, node_cap: int):
     """integrate_decaying over [0, inf), where a float-range failure is a ValueError naming the point.
 
-    Near an edge of the strip the decay rate is small and the quadrature
-    reaches far enough out that a factor of the integrand overflows on its own.
+    The kernels overflow only where their values do: near an edge of the
+    strip, at large n, the integrand itself passes the float range.
     """
     try:
         return integrate_decaying(integrand, decay, tol=tol, poly_degree=point.m, node_cap=node_cap)
@@ -110,6 +109,26 @@ def _integrate(point: StripPoint, integrand, decay: float, tol: float, node_cap:
         raise ValueError(
             f"the continuation integrand at n = {point.n}, q = {point.q} leaves the float range"
         ) from err
+
+
+def _folded_integrand(first, m: int, q: complex, scale: float):
+    """tau -> scale (first(tau, m, 2 re q) e^(-2i im q tau) + (tau/E)^m e^(-2 (m-q) tau)).
+
+    first is folded_power or folded_excess.  A complex q enters as a real rate
+    times a unit phase: with a and b the two real terms and theta = 2 im q tau,
+    the sum is (a + b) cos theta + i (b - a) sin theta.
+    """
+    omega = 2.0 * q.imag
+    rate = 2.0 * q.real
+    other_rate = 2.0 * (m - q.real)
+
+    def integrand(tau: float) -> complex:
+        a = first(tau, m, rate)
+        b = folded_power(tau, m, other_rate)
+        theta = omega * tau
+        return complex(scale * (a + b) * math.cos(theta), scale * (b - a) * math.sin(theta))
+
+    return integrand
 
 
 def stanton_coefficient(
@@ -127,17 +146,7 @@ def stanton_coefficient(
             f"stanton_coefficient needs 0 < re q < {m} and |q| >= {NEAR_POLE_RADIUS}, "
             f"got q = {q}; near the pole evaluate continued_coefficient instead"
         )
-    scale = 2.0**m
-    two_q = 2.0 * q
-    two_mq = 2.0 * (m - q)
-
-    def integrand(tau: float) -> complex:
-        return (
-            scale
-            * folded_kernel(tau, m)
-            * (cmath.exp(-two_q * tau) + cmath.exp(-two_mq * tau))
-        )
-
+    integrand = _folded_integrand(folded_power, m, q, 2.0**m)
     quad = _integrate(point, integrand, 2.0 * min(q.real, m - q.real), tol, node_cap)
     return _complex_binom(m, q) * _volume_prefactor(n) * quad.value
 
@@ -147,7 +156,7 @@ def continued_coefficient(
 ) -> complex:
     """Continued coefficient on the strip -1 < re q < n - 1; analytic at q = 0.
 
-    Stable integrand: 2^(m-1) [tau^m expm1(-m log E) e^(-2 q tau)
+    Stable integrand: 2^(m-1) [tau^m (E^(-m) - 1) e^(-2 q tau)
     + (tau/E)^m e^(-2 (m-q) tau)]; limit 1 at tau = 0, decay rate
     2 min(re q + 1, m - re q).  At q = 0 this is exactly the
     integral-intermediate form of the Weyl coefficient.
@@ -157,21 +166,7 @@ def continued_coefficient(
         raise ValueError(
             f"continued_coefficient needs -1 < re q < {m}, got q = {q}"
         )
-    scale = 2.0 ** (m - 1)
-    two_q = 2.0 * q
-    two_mq = 2.0 * (m - q)
-
-    def integrand(tau: float) -> complex:
-        log_e = log1mexp2(tau)
-        g = -m * log_e
-        try:
-            bracket = tau**m * math.expm1(g)
-        except OverflowError:  # e^g alone leaves the float range near tau = 0 at large n
-            bracket = math.exp(m * math.log(tau) + g) - tau**m
-        regular = bracket * cmath.exp(-two_q * tau)
-        remainder = math.exp(m * (math.log(tau) - log_e)) * cmath.exp(-two_mq * tau)
-        return scale * (regular + remainder)
-
+    integrand = _folded_integrand(folded_excess, m, q, 2.0 ** (m - 1))
     quad = _integrate(point, integrand, 2.0 * min(q.real + 1.0, m - q.real), tol, node_cap)
     return 2.0 * _complex_binom(m, q) * _volume_prefactor(n) * quad.value
 
@@ -207,25 +202,3 @@ def continuation_residual(
     continued = continued_coefficient(point, tol=tol, node_cap=node_cap)
     return abs(direct - continued - pole_term(point))
 
-
-def dominating_integral(
-    beta: float, m: int, *, tol: float = 1e-10, node_cap: int = DEFAULT_NODE_CAP
-) -> float:
-    """int_0^inf e^(-2 beta tau) (tau/(1 - e^(-2 tau)))^m dtau, beta > 0.
-
-    The convergence witness for the continued integrand: finite, positive,
-    decreasing in beta.  Integrand tends to 2^(-m) at 0 and behaves like
-    tau^m e^(-2 beta tau) at infinity.
-    """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-
-    def integrand(tau: float) -> float:
-        return math.exp(-2.0 * beta * tau) * folded_kernel(tau, m)
-
-    quad = integrate_decaying(
-        integrand, 2.0 * beta, tol=tol, poly_degree=m, node_cap=node_cap
-    )
-    return quad.value

@@ -26,14 +26,8 @@ DEFAULT_NODE_CAP = 200_000  # quadrature nodes per integral
 MAX_N: dict[str, tuple[int, str]] = {
     "series-zeta": (145, "from n = 146 its error bound is a subnormal float"),
     "series-direct": (144, "from n = 145 its error bound is a subnormal float"),
-    "integral": (
-        105,
-        "beyond it the quadrature meets the node cap and then its kernel leaves the float range",
-    ),
-    "integral-intermediate": (
-        121,
-        "beyond it the quadrature's node count grows erratically toward the node cap",
-    ),
+    "integral": (105, "beyond it the node count grows erratically toward the node cap"),
+    "integral-intermediate": (121, "beyond it the node count grows erratically toward the node cap"),
     "continuation": (82, "from n = 83 the pole term near re q = n - 1 is a subnormal float"),
 }
 

@@ -4,7 +4,8 @@ Covers exactly what the spectral computations need and nothing more:
 
 * even zeta values as exact rational multiples of pi powers (Bernoulli route),
 * a complex log-gamma good to ~1e-14 (Lanczos, fixed coefficient table),
-* the stable kernels log(1 - e^(-2x)) and (x/(1 - e^(-2x)))^m of the integrals,
+* log(1 - e^(-2x)) and the half-line integrands' kernels (x/E)^m e^(-rate x)
+  and x^m (E^(-m) - 1) e^(-rate x), E = 1 - e^(-2x), overflow-free in range,
 * integrate_decaying: adaptive Gauss-Legendre panels on [0, T] plus a
   certified analytic bound for the [T, inf) tail of integrands with a known
   exponential decay rate,
@@ -31,7 +32,8 @@ __all__ = [
     "zeta_even",
     "log_gamma",
     "log1mexp2",
-    "folded_kernel",
+    "folded_power",
+    "folded_excess",
     "QuadratureResult",
     "integrate_decaying",
     "EM_HEAD_TERMS",
@@ -99,9 +101,38 @@ def log1mexp2(x: float) -> float:
     return math.log1p(-math.exp(-2.0 * x))
 
 
-def folded_kernel(x: float, m: int) -> float:
-    """(x / (1 - e^(-2x)))^m for x > 0, with the denominator from expm1; tends to 2^(-m) at 0."""
-    return (x / -math.expm1(-2.0 * x)) ** m
+_LOG_SAFE = 700.0  # e^-y is a normal float for y below this
+
+
+def folded_power(x: float, m: int, rate: float) -> float:
+    """(x/E)^m e^(-rate x) for x > 0, m >= 1 and rate >= 0, with E = 1 - e^(-2x) from expm1.
+
+    The product of the two factors where both are normal floats, else one
+    m-th power of the bounded base (x/E) e^(-rate x/m); so OverflowError only
+    where the value itself passes the float range.
+    """
+    base = x / -math.expm1(-2.0 * x)
+    if rate * x < _LOG_SAFE:
+        try:
+            return base**m * math.exp(-rate * x)
+        except OverflowError:  # base**m alone passes the float range
+            pass
+    return (base * math.exp(-rate * x / m)) ** m
+
+
+def folded_excess(x: float, m: int, rate: float) -> float:
+    """x^m (E^(-m) - 1) e^(-rate x) for x > 0, m >= 1 and rate >= -2, with E = 1 - e^(-2x).
+
+    folded_power(x, m, rate + 2) times h = (1 - E^m)/e^(-2x) = sum_{k<m} E^k,
+    which lies in [1, m] and is m to double precision from x = 25 on.  h comes
+    from expm1(m log E), so neither E^(-m) nor its cancellation against 1 is
+    formed; OverflowError only where the value passes the float range.
+    """
+    h = m if x >= 25.0 else -math.expm1(m * log1mexp2(x)) * math.exp(2.0 * x)
+    value = folded_power(x, m, rate + 2.0) * h
+    if value == math.inf:  # the power fits, the value does not
+        raise OverflowError("math range error")
+    return value
 
 
 # Lanczos approximation, g = 7, nine terms.  The standard double-precision

@@ -12,7 +12,6 @@ from kohnspec.continuation import (
     StripPoint,
     continuation_residual,
     continued_coefficient,
-    dominating_integral,
     pole_term,
     stanton_coefficient,
 )
@@ -176,37 +175,6 @@ def test_fold_matches_split_pair(q):
     assert abs(folded - split_sum) <= 1e-8 * abs(folded)
 
 
-def test_dominating_integral_anchors():
-    assert dominating_integral(2.0, 3) == pytest.approx(
-        0.083039468191618528, rel=1e-9
-    )
-    assert dominating_integral(50.0, 1) == pytest.approx(
-        0.0050503333066742815, rel=1e-9
-    )
-
-
-def test_dominating_integral_positive_decreasing():
-    values = [dominating_integral(beta, 2) for beta in (1.0, 2.0, 4.0)]
-    assert all(v > 0 for v in values)
-    assert values[0] > values[1] > values[2]
-
-
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_dominating_integral_large_beta_scaling(m):
-    # for large beta the mass sits near 0 where the integrand tends to
-    # 2^(-m), so the integral behaves like 2^(-(m+1)) / beta
-    beta = 50.0
-    predicted = 2.0 ** -(m + 1) / beta
-    assert dominating_integral(beta, m) == pytest.approx(predicted, rel=0.05)
-
-
-def test_dominating_integral_validates():
-    with pytest.raises(ValueError):
-        dominating_integral(0.0, 2)
-    with pytest.raises(ValueError):
-        dominating_integral(1.0, 0)
-
-
 def _domain_accepts(evaluator, point: StripPoint) -> bool:
     """True unless the evaluator refuses the point; node_cap=1 stops it right after the check."""
     try:
@@ -261,9 +229,47 @@ def test_continuation_at_its_table_entry_and_beyond():
         StripPoint(largest + 1, 1.0)
 
 
-@pytest.mark.parametrize("n, q", [(20, -0.95), (40, -0.75)])
-def test_float_range_failure_near_the_strip_edge_is_named(n, q):
-    # the decay rate 2 (re q + 1) is small, the quadrature reaches out to
-    # where e^(-2q tau) alone overflows
-    with pytest.raises(ValueError, match=f"at n = {n}, q = .* leaves the float range"):
-        continued_coefficient(StripPoint(n, q))
+def _folded_series(n: int, q: float, first: int) -> mp.mpf:
+    """sum_{k >= first} binom(m+k-1, k) / (2 (q+k))^(m+1) at 50 digits, m = n - 1.
+
+    With E^(-m) = sum_k binom(m+k-1, k) e^(-2k tau), int_0^inf tau^m E^(-m)
+    e^(-2 q tau) dtau is m! times this sum from k = 0; the k = 0 term is the
+    one that E^(-m) - 1 drops.
+    """
+    m = n - 1
+    with mp.workdps(50):
+        return mp.nsum(lambda k: mp.binomial(m + k - 1, k) / (2 * (q + k)) ** (m + 1), [first, mp.inf])
+
+
+def _edge_reference(evaluator, n: int, q: float) -> mp.mpf:
+    """stanton_coefficient or continued_coefficient at a real q, from the series above.
+
+    The continued integral carries half the weight 2^m and its prefactor
+    twice, and drops the k = 0 term of the e^(-2 q tau) side.
+    """
+    m = n - 1
+    with mp.workdps(50):
+        prefactor = mp.binomial(m, q) * 2 / (mp.factorial(m) * mp.mpf(2) ** n * mp.factorial(n))
+        first = 0 if evaluator is stanton_coefficient else 1
+        folded = 2**m * (_folded_series(n, q, first) + _folded_series(n, m - q, 0))
+        return prefactor * mp.factorial(m) * folded
+
+
+@pytest.mark.parametrize(
+    "evaluator, n, q",
+    [(continued_coefficient, 20, -0.95), (continued_coefficient, 40, -0.75), (stanton_coefficient, 78, 0.05)],
+)
+def test_the_strip_edge_answers(evaluator, n, q):
+    # the decay rate is small there and the quadrature reaches out to tau of
+    # several hundred, where e^(-2q tau) or (tau/E)^m alone passes the float
+    # range while the integrand does not
+    value = evaluator(StripPoint(n, q))
+    want = _edge_reference(evaluator, n, q)
+    assert value.imag == 0.0
+    assert abs(value.real - want) <= 1e-12 * want
+
+
+def test_float_range_failure_where_the_integrand_passes_it_is_named():
+    # at n = 82, q = -0.999 the integrand peaks near e^778
+    with pytest.raises(ValueError, match=r"at n = 82, q = .* leaves the float range"):
+        continued_coefficient(StripPoint(82, -0.999))

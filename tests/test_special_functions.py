@@ -12,8 +12,10 @@ from kohnspec.special_functions import (
     PiMultiple,
     QuadratureResult,
     _log_tail_weight,
+    U,
     bernoulli,
-    folded_kernel,
+    folded_excess,
+    folded_power,
     integrate_decaying,
     log1mexp2,
     log_gamma,
@@ -217,7 +219,46 @@ def test_stable_kernels_against_mpmath(x):
         e = -mp.expm1(-2 * mp.mpf(x))
         assert float(mp.log(e)) == pytest.approx(log1mexp2(x), rel=4e-16, abs=0.0)
         for m in (1, 5, 40):
-            assert float((x / e) ** m) == pytest.approx(folded_kernel(x, m), rel=1e-14, abs=0.0)
+            assert float((x / e) ** m) == pytest.approx(folded_power(x, m, 0.0), rel=1e-14, abs=0.0)
+
+
+_KERNEL_X = [10.0 ** (k / 2) for k in range(-20, 8)]  # 1e-10 .. 3162, log-spaced
+
+
+def test_folded_kernels_against_mpmath():
+    # Both kernels for m = 1..145, a few rates and log-spaced x, wherever their
+    # values lie within e^(+-700): the plain product and the one-power path
+    # alike within (4m + 2 (|rate| + 2) x + 16) U, which counts the m-th power
+    # of a base rounded four times and the rounding of the exponent -rate x.
+    # Past e^710 (beyond the largest float) each raises OverflowError instead.
+    # The reference builds the powers by exact-enough products at 320 digits
+    # and E^(-m) - 1 by expm1 and log1p, which stay accurate as E -> 1.
+    kernels = [(folded_power, rate) for rate in (0.0, 0.1, 2.0, 20.0)]
+    kernels += [(folded_excess, rate) for rate in (-1.9, 0.0, 0.1, 2.0)]
+    checked = 0
+    with mp.workdps(320):
+        low, high, past = mp.exp(-700), mp.exp(700), mp.exp(710)
+        for x in _KERNEL_X:
+            xm = mp.mpf(x)
+            log_e = mp.log1p(-mp.exp(-2 * xm))
+            base = xm / mp.exp(log_e)
+            decays = [mp.exp(-rate * xm) for _, rate in kernels]
+            base_m = x_m = mp.mpf(1)
+            for m in range(1, 146):
+                base_m *= base
+                x_m *= xm
+                excess = mp.expm1(-m * log_e)
+                for (kernel, rate), decay in zip(kernels, decays):
+                    want = (base_m if kernel is folded_power else x_m * excess) * decay
+                    if want > past:
+                        with pytest.raises(OverflowError):
+                            kernel(x, m, rate)
+                    elif low < want < high:
+                        bound = (4 * m + 2 * (abs(rate) + 2.0) * x + 16) * U
+                        got = kernel(x, m, rate)
+                        assert abs(got - want) <= bound * want, (kernel.__name__, x, m, rate)
+                        checked += 1
+    assert checked > 20000
 
 
 def _gauss_legendre_positive_half(order: int) -> list[tuple[mp.mpf, mp.mpf]]:
