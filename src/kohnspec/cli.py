@@ -219,12 +219,11 @@ def _cmd_heat(args) -> int:
     ts = _parse_float_list(args.t, "--t")
     cap = _term_cap()
     caps = dict(term_cap=cap, node_cap=_node_cap())
-    abs_tol = args.tol if args.tol is not None else 1e-15
     rows = []
     all_within = True
     for t in ts:
-        part_q = heat_trace.trace_split_q(args.n, t, abs_tol=abs_tol, **caps)
-        part_w = heat_trace.trace_split_w(args.n, t, abs_tol=abs_tol, **caps)
+        part_q = heat_trace.trace_split_q(args.n, t, abs_tol=args.tol, **caps)
+        part_w = heat_trace.trace_split_w(args.n, t, abs_tol=args.tol, **caps)
         row = {
             "n": args.n,
             "t": t,
@@ -235,7 +234,7 @@ def _cmd_heat(args) -> int:
             "scaled_trace": heat_trace.scale_by_t_power(args.n, t, part_q.value + part_w.value),
         }
         if args.verify:
-            direct = heat_trace.trace_direct(args.n, t, abs_tol=abs_tol, term_cap=cap)
+            direct = heat_trace.trace_direct(args.n, t, abs_tol=args.tol, term_cap=cap)
             split_total = part_q.value + part_w.value
             diff = abs(direct.value - split_total)
             budget = direct.error_bound + part_q.error_bound + part_w.error_bound
@@ -394,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact head terms for series-direct, before its certified tail",
     )
     coeff.add_argument(
-        "--tol", type=float, default=1e-10,
+        "--tol", type=float, default=errors.DEFAULT_TOL,
         help="quadrature tolerance for the integral routes, positive and finite",
     )
     _add_common(coeff)
@@ -420,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also evaluate the direct double sum and check the split against it",
     )
     heat.add_argument(
-        "--tol", type=float, default=None,
-        help="absolute tail tolerance, nonnegative and finite (default 1e-15)",
+        "--tol", type=float, default=errors.DEFAULT_ABS_TOL,
+        help="absolute tail tolerance, nonnegative and finite (default %(default)g)",
     )
     _add_common(heat)
     heat.set_defaults(handler=_cmd_heat)
@@ -446,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="rectangle sweep re0:re1:steps[,im0:im1:steps]; rows ordered re-major",
     )
     stanton.add_argument(
-        "--tol", type=float, default=1e-10, help="quadrature tolerance, positive and finite"
+        "--tol", type=float, default=errors.DEFAULT_TOL,
+        help="quadrature tolerance, positive and finite",
     )
     _add_common(stanton)
     stanton.set_defaults(handler=_cmd_stanton)

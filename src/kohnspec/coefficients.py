@@ -34,6 +34,7 @@ from typing import Iterator
 from .errors import (
     DEFAULT_NODE_CAP,
     DEFAULT_TERM_CAP,
+    DEFAULT_TOL,
     ConvergenceError,
     ResourceCapError,
     check_n,
@@ -304,7 +305,7 @@ def series_direct(
 
 
 def integral_coefficient(
-    n: int, *, tol: float = 1e-10, node_cap: int = DEFAULT_NODE_CAP
+    n: int, *, tol: float = DEFAULT_TOL, node_cap: int = DEFAULT_NODE_CAP
 ) -> CoefficientEstimate:
     """Full-line integral route, folded to [0, inf) in a cancellation-free form.
 
@@ -342,7 +343,7 @@ def _intermediate_integrand(n: int, x: float) -> float:
 
 
 def integral_intermediate(
-    n: int, *, tol: float = 1e-10, node_cap: int = DEFAULT_NODE_CAP
+    n: int, *, tol: float = DEFAULT_TOL, node_cap: int = DEFAULT_NODE_CAP
 ) -> CoefficientEstimate:
     """Half-line integral of x^(n-1) times the three-term bracket.
 
@@ -369,7 +370,7 @@ def estimate(
     n: int,
     *,
     terms: int = DEFAULT_SERIES_TERMS,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     term_cap: int = DEFAULT_TERM_CAP,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> CoefficientEstimate:
@@ -405,7 +406,7 @@ def reconcile(
     n: int,
     *,
     terms: int = DEFAULT_SERIES_TERMS,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     term_cap: int = DEFAULT_TERM_CAP,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> ReconcileReport:

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_NODE_CAP, check_n
+from .errors import DEFAULT_NODE_CAP, DEFAULT_TOL, check_n
 from .special_functions import folded_excess, folded_power, integrate_decaying, log_gamma
 
 __all__ = [
@@ -132,7 +132,7 @@ def _folded_integrand(first, m: int, q: complex, scale: float):
 
 
 def stanton_coefficient(
-    point: StripPoint, *, tol: float = 1e-10, node_cap: int = DEFAULT_NODE_CAP
+    point: StripPoint, *, tol: float = DEFAULT_TOL, node_cap: int = DEFAULT_NODE_CAP
 ) -> complex:
     """Form-degree coefficient on the strip 0 < re q < n - 1.
 
@@ -152,7 +152,7 @@ def stanton_coefficient(
 
 
 def continued_coefficient(
-    point: StripPoint, *, tol: float = 1e-10, node_cap: int = DEFAULT_NODE_CAP
+    point: StripPoint, *, tol: float = DEFAULT_TOL, node_cap: int = DEFAULT_NODE_CAP
 ) -> complex:
     """Continued coefficient on the strip -1 < re q < n - 1; analytic at q = 0.
 
@@ -191,7 +191,7 @@ def pole_term(point: StripPoint) -> complex:
 
 
 def continuation_residual(
-    point: StripPoint, *, tol: float = 1e-10, node_cap: int = DEFAULT_NODE_CAP
+    point: StripPoint, *, tol: float = DEFAULT_TOL, node_cap: int = DEFAULT_NODE_CAP
 ) -> float:
     """|stanton_coefficient - continued_coefficient - pole_term|, ideally ~0.
 

@@ -2,10 +2,10 @@
 
 Both errors mean "the computation was cut off", not "the answer is wrong":
 callers that see them should raise a cap, loosen a tolerance, or shrink the
-request.  Each cap has its one default here, which the CLI's environment
-variables KOHNSPEC_{LINE,TERM,NODE}_CAP override.  MAX_N holds every fixed
-largest n, and check_n enforces it; check_tol is the one tolerance check,
-and count_text prints a count in a cap message.
+request.  Each cap and each tolerance has its one default here; the CLI's
+environment variables KOHNSPEC_{LINE,TERM,NODE}_CAP override the caps.
+MAX_N holds every fixed largest n, and check_n enforces it; check_tol is
+the one tolerance check, and count_text prints a count in a cap message.
 """
 
 from __future__ import annotations
@@ -13,21 +13,23 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "DEFAULT_LINE_CAP", "DEFAULT_TERM_CAP", "DEFAULT_NODE_CAP",
+    "DEFAULT_LINE_CAP", "DEFAULT_TERM_CAP", "DEFAULT_NODE_CAP", "DEFAULT_TOL", "DEFAULT_ABS_TOL",
     "MAX_N", "ResourceCapError", "ConvergenceError", "check_n", "check_tol", "count_text",
 ]
 
 DEFAULT_LINE_CAP = 100_000_000  # spectral lines (enumerate_modes) or blocks (count)
 DEFAULT_TERM_CAP = 10_000_000  # series terms and heat-trace term evaluations
 DEFAULT_NODE_CAP = 200_000  # quadrature nodes per integral
+DEFAULT_TOL = 1e-10  # absolute quadrature tolerance: integral routes and continuation
+DEFAULT_ABS_TOL = 1e-15  # absolute tail tolerance of the heat-trace sums
 
 # The largest n each route answers within its bound, with the reason it stops
 # there.  Every route takes n >= 2; one not named here has no fixed largest n.
 MAX_N: dict[str, tuple[int, str]] = {
     "series-zeta": (145, "from n = 146 its error bound is a subnormal float"),
     "series-direct": (144, "from n = 145 its error bound is a subnormal float"),
-    "integral": (105, "beyond it the node count grows erratically toward the node cap"),
-    "integral-intermediate": (121, "beyond it the node count grows erratically toward the node cap"),
+    "integral": (145, "from n = 146 its error bound is a subnormal float"),
+    "integral-intermediate": (145, "from n = 146 its error bound is a subnormal float"),
     "continuation": (82, "from n = 83 the pole term near re q = n - 1 is a subnormal float"),
 }
 

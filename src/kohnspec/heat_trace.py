@@ -45,7 +45,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .combinatorics import multichoose_table
-from .errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, ConvergenceError, check_n, check_tol
+from .errors import (
+    DEFAULT_ABS_TOL, DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, ConvergenceError, check_n, check_tol,
+)
 from .special_functions import EM_HEAD_TERMS, U, euler_maclaurin_tail, integrate_decaying
 
 __all__ = [
@@ -257,7 +259,7 @@ def trace_split_q(
     n: int,
     t: float,
     *,
-    abs_tol: float = 1e-15,
+    abs_tol: float = DEFAULT_ABS_TOL,
     term_cap: int = DEFAULT_TERM_CAP,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> HeatTraceSample:
@@ -289,7 +291,7 @@ def trace_split_w(
     n: int,
     t: float,
     *,
-    abs_tol: float = 1e-15,
+    abs_tol: float = DEFAULT_ABS_TOL,
     term_cap: int = DEFAULT_TERM_CAP,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> HeatTraceSample:
@@ -318,7 +320,7 @@ def trace_direct(
     n: int,
     t: float,
     *,
-    abs_tol: float = 1e-15,
+    abs_tol: float = DEFAULT_ABS_TOL,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> HeatTraceSample:
     """The raw double sum over (p, q), exact multiplicities, as a cross-check.
@@ -527,7 +529,7 @@ def scaled_trace(
     n: int,
     t: float,
     *,
-    abs_tol: float = 1e-15,
+    abs_tol: float = DEFAULT_ABS_TOL,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> float:
     """t**n * G(t) via the two split sums; tends to Gamma(n+1) * c(n) as t -> 0."""

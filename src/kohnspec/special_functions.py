@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import DEFAULT_NODE_CAP, ConvergenceError, check_tol
+from .errors import DEFAULT_NODE_CAP, DEFAULT_TOL, ConvergenceError, check_tol
 
 __all__ = [
     "PiMultiple",
@@ -44,6 +44,7 @@ U = 2.0**-53  # unit roundoff of a float
 EM_HEAD_TERMS = 64  # terms a caller sums exactly before the Euler-Maclaurin tail
 EM_ORDER = 6  # Bernoulli corrections; raised where the R_m bound needs more
 CONTOUR_POINTS = 64  # trapezoid nodes for the derivatives at a
+_PANEL_REL = 1e-14  # the relative agreement a GL16/GL32 panel pair can reach
 
 
 @dataclass(frozen=True)
@@ -279,7 +280,7 @@ def integrate_decaying(
     integrand: Callable[[float], float | complex],
     decay_rate: float,
     *,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     poly_degree: int = 12,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> QuadratureResult:
@@ -292,10 +293,15 @@ def integrate_decaying(
     whenever the envelope assumption holds.
 
     The [0, T] part uses adaptive bisection with paired 16/32-point
-    Gauss-Legendre panels; a panel is accepted when the pair agrees within
-    its width-proportional share of tol/2.  Complex-valued integrands are
-    supported transparently.  Raises ConvergenceError when node_cap would be
-    exceeded or no certifiable truncation point exists.
+    Gauss-Legendre panels.  A panel [a, b] is accepted when the pair agrees
+    within the width share (b - a)/T of max(tol, _PANEL_REL |sum|)/2, the
+    sum taken over the accepted panels and this one, or within _PANEL_REL
+    of the panel's own value: the share follows the size of the integral
+    once that passes tol, and no panel is asked for digits its rounding
+    does not hold.  Complex-valued integrands are supported transparently.
+    Raises ConvergenceError when node_cap would be exceeded or no
+    certifiable truncation point exists, OverflowError when the sum is not
+    a finite float.
     """
     if decay_rate <= 0.0:
         raise ValueError(f"decay_rate must be positive, got {decay_rate}")
@@ -350,7 +356,6 @@ def integrate_decaying(
     stack.reverse()
     value: float | complex = 0.0
     panel_error = 0.0
-    min_width = 1e-13 * T
     while stack:
         a, b = stack.pop()
         if nodes_used + 48 > node_cap:
@@ -359,13 +364,9 @@ def integrate_decaying(
         fine = _panel(integrand, a, b, _GL32)
         nodes_used += 48
         diff = abs(fine - coarse)
-        # The relative floor stops bisection cascades on large-magnitude
-        # panels where both rules already agree to machine precision and
-        # halving the width cannot improve the per-width budget.
         if (
-            diff <= 0.5 * tol * (b - a) / T
-            or diff <= 1e-14 * abs(fine)
-            or (b - a) <= min_width
+            diff <= 0.5 * max(tol, _PANEL_REL * abs(value + fine)) * (b - a) / T
+            or diff <= _PANEL_REL * abs(fine)
         ):
             value = value + fine
             # |truth - fine| can match |fine - coarse| when a panel is
@@ -377,6 +378,8 @@ def integrate_decaying(
             stack.append((mid, b))
             stack.append((a, mid))
 
+    if not cmath.isfinite(value):
+        raise OverflowError(f"the integral's sum is not finite: {value}")
     return QuadratureResult(value, panel_error + tail_bound, nodes_used, T)
 
 

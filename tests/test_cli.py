@@ -376,9 +376,9 @@ def test_coeff_single_method_rows_match_the_all_rows(capsys):
     [
         ("series-direct", 160, 144),
         ("series-direct", 174, 144),
-        ("intermediate", 122, 121),
-        ("integral", 106, 105),
-        ("integral", 109, 105),
+        ("intermediate", MAX_N["integral-intermediate"][0] + 1, MAX_N["integral-intermediate"][0]),
+        ("integral", MAX_N["integral"][0] + 1, MAX_N["integral"][0]),
+        ("integral", 174, MAX_N["integral"][0]),
     ],
 )
 def test_coeff_past_a_route_range_names_it(capsys, method, n, last):

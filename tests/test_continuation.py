@@ -257,19 +257,29 @@ def _edge_reference(evaluator, n: int, q: float) -> mp.mpf:
 
 @pytest.mark.parametrize(
     "evaluator, n, q",
-    [(continued_coefficient, 20, -0.95), (continued_coefficient, 40, -0.75), (stanton_coefficient, 78, 0.05)],
+    [
+        (continued_coefficient, 20, -0.95),
+        (continued_coefficient, 40, -0.75),
+        (stanton_coefficient, 78, 0.05),
+        *((continued_coefficient, 82, q) for q in (-0.99, -0.98, -0.95, -0.9, 0.05, 80.95)),
+        (stanton_coefficient, 82, 0.05),
+        (stanton_coefficient, 82, 80.95),
+    ],
 )
 def test_the_strip_edge_answers(evaluator, n, q):
     # the decay rate is small there and the quadrature reaches out to tau of
-    # several hundred, where e^(-2q tau) or (tau/E)^m alone passes the float
-    # range while the integrand does not
+    # several hundred (tens of thousands at n = 82, q = -0.99), where
+    # e^(-2q tau) or (tau/E)^m alone passes the float range while the
+    # integrand does not
     value = evaluator(StripPoint(n, q))
     want = _edge_reference(evaluator, n, q)
     assert value.imag == 0.0
     assert abs(value.real - want) <= 1e-12 * want
 
 
-def test_float_range_failure_where_the_integrand_passes_it_is_named():
-    # at n = 82, q = -0.999 the integrand peaks near e^778
+@pytest.mark.parametrize("q", [-0.999, -0.995])
+def test_float_range_failure_where_the_integrand_passes_it_is_named(q):
+    # at n = 82, q = -0.999 the integrand peaks near e^778; at q = -0.995 it
+    # stays finite but its integral passes the float range
     with pytest.raises(ValueError, match=r"at n = 82, q = .* leaves the float range"):
-        continued_coefficient(StripPoint(82, -0.999))
+        continued_coefficient(StripPoint(82, q))

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from kohnspec.combinatorics import dim_hpq
-from kohnspec.errors import DEFAULT_NODE_CAP, ConvergenceError
+from kohnspec.errors import ConvergenceError
 from kohnspec.heat_trace import (
     _DirectSum,
     _split_q_term,
@@ -254,7 +254,9 @@ def test_direct_bound_covers_rounding(n, t):
 # Values, bounds (both as float.hex) and evaluation counts of the split sums
 # before their Euler-Maclaurin tail moved into special_functions: large t
 # stops in the head, the rest run the tail, and at n = 40 the Bernoulli order
-# rises above EM_ORDER.
+# rises above EM_ORDER.  split_w at (40, 1e-4) has the bound and count of the
+# relative panel acceptance, whose tail integral needs fewer panels; its
+# value did not move.
 _PINNED_SPLIT_SUMS = [
     (trace_split_q, 2, 0.5, "0x1.2fc510cfdb188p+0", "0x1.7602304a273f0p-44", 30),
     (trace_split_w, 2, 0.5, "0x1.2fc510cfdb188p+0", "0x1.7602304a273f0p-44", 30),
@@ -265,7 +267,7 @@ _PINNED_SPLIT_SUMS = [
     (trace_split_q, 8, 0.001, "0x1.770d1c9ae3d62p+74", "0x1.2639555760547p+29", 737),
     (trace_split_w, 8, 0.001, "0x1.e90403431347ap+62", "0x1.2424af1901de3p+20", 953),
     (trace_split_q, 40, 0.0001, "0x1.ba28340e945e6p+496", "0x1.314a5a497e9bbp+453", 873),
-    (trace_split_w, 40, 0.0001, "0x1.292c20bf3cecap+479", "0x1.1a3e25e8813c6p+438", 2121),
+    (trace_split_w, 40, 0.0001, "0x1.292c20bf3cecap+479", "0x1.b76d4f1054c50p+437", 1257),
 ]
 
 
@@ -379,12 +381,18 @@ def test_split_sums_past_the_float_form_of_the_tail(n, t):
 
 
 def test_split_tail_stops_at_the_node_cap():
-    # split_w's tail integral at (124, 0.01) takes exactly 11 616 nodes
+    # split_w's tail integral at (124, 0.01) takes exactly 2 016 nodes
     ref = trace_split_w(124, 0.01)
-    assert trace_split_w(124, 0.01, node_cap=11_616) == ref
-    with pytest.raises(ConvergenceError, match="node cap 11615 exceeded"):
-        trace_split_w(124, 0.01, node_cap=11_615)
-    # at n = 126 the tail bisects to its narrowest panels; the default node
-    # cap stops it after 200 000 nodes, where the 10**7 term cap took minutes
-    with pytest.raises(ConvergenceError, match=f"node cap {DEFAULT_NODE_CAP} exceeded"):
-        trace_split_w(126, 0.01)
+    assert trace_split_w(124, 0.01, node_cap=2_016) == ref
+    with pytest.raises(ConvergenceError, match="node cap 2015 exceeded"):
+        trace_split_w(124, 0.01, node_cap=2_015)
+
+
+@pytest.mark.parametrize("n, t", [(126, 0.01), (128, 0.01), (250, 0.1), (280, 0.2), (330, 0.3)])
+def test_split_w_where_its_tail_integral_is_large(n, t):
+    # the tail integral is about 1e215 at (128, 0.01), far above the head's
+    # partial sum; its panels are accepted relative to it
+    got = trace_split_w(n, t)
+    ref = _oracle_plain_sum(n, t, "w")
+    assert abs(mp.mpf(got.value) - ref) <= got.error_bound
+    assert got.error_bound <= 1e-11 * got.value

@@ -172,6 +172,19 @@ def test_integrate_decaying_tolerance_halving_consistent():
     assert abs(loose.value - tight.value) <= loose.error_estimate + tight.error_estimate
 
 
+def test_integrate_decaying_width_share_follows_the_integral():
+    # far above tol the panels are held to 1e-14 of the integral, not to tol
+    r = integrate_decaying(lambda x: 1e300 * math.exp(-x), 1.0, poly_degree=0)
+    assert abs(r.value - 1e300) <= r.error_estimate <= 1e-14 * 1e300
+    assert r.nodes_used <= 1_000
+
+
+def test_integrate_decaying_names_a_sum_past_the_float_range():
+    # every node and panel is finite, the integral (1e309) is not
+    with pytest.raises(OverflowError, match="not finite"):
+        integrate_decaying(lambda x: 1e307 * math.exp(-0.01 * x), 0.01, poly_degree=0)
+
+
 def test_integrate_decaying_node_cap():
     with pytest.raises(ConvergenceError):
         integrate_decaying(lambda x: math.exp(-x), 1.0, poly_degree=0, node_cap=20)
