@@ -27,8 +27,8 @@ aliasing error in closed form.  The reported error bound is the sum of the
 stopped tail (or of the quadrature error, R_m and the aliasing bound) and
 a first-order bound on floating-point rounding.
 
-Every sum needs the trace inside the normal float range; _validate names
-the supported t on either side.
+Every sum needs the trace and the numbers that form it inside the normal
+floats: supported_t gives that interval of t for each n.
 
 Denominators 1 - exp(-2tq) are formed with expm1, also at complex
 arguments, so the small-t limit (t/(1 - e^(-at)))^n -> a^(-n) survives in
@@ -58,6 +58,7 @@ __all__ = [
     "trace_direct",
     "scaled_trace",
     "scale_by_t_power",
+    "supported_t",
 ]
 
 MIN_T = 1e-6
@@ -67,7 +68,7 @@ _REL_TOL = 1e-13  # every sum also stops once its tail is below this share of th
 _EXP_ARG_MAX = -math.log(math.ulp(0.0))
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)  # smallest normal float
-_RANGE_MARGIN = math.log(64.0)  # headroom of the trace and its bound over the first term
+_RANGE_MARGIN = math.log(64.0)  # headroom of every quantity _range_excess keeps in range
 
 
 @dataclass(frozen=True)
@@ -86,31 +87,73 @@ class HeatTraceSample:
     terms_used: int
 
 
-def _validate(n: int, t: float, abs_tol: float) -> None:
+def _range_excess(n: int, t: float) -> list[tuple[float, str, float]]:
+    """(excess, name, log) of each quantity the heat sums need as a normal float at (n, t).
+
+    With headroom _RANGE_MARGIN, the q = 1 term of split_q and both split tails'
+    disk majorants stay below the largest float; the denominator (1 - e^(-2t))^n,
+    the first weight and t^n times the q = 1 term above the smallest normal
+    one.  The trace lies between the first weight and 3.3 times the q = 1 term.
+    The excess, in logs, is <= 0 inside; the first four fall as t grows.
+    """
+    log_denom = n * math.log(-math.expm1(-2.0 * t))
+    log_first = math.log(n - 1) - 2.0 * t * (n - 1) - log_denom
+    top, bottom = _LOG_FLOAT_MAX - _RANGE_MARGIN, _LOG_FLOAT_MIN + _RANGE_MARGIN
+    log_q = _log_majorant(n, t, 2.0 * t * (n - 1), 1 + EM_HEAD_TERMS)
+    log_w = _log_majorant(n, t, 2.0 * t, n - 1 + EM_HEAD_TERMS)
+    log_scaled = n * math.log(t) + log_first
+    return [
+        (log_first - top, "the q = 1 term", log_first),
+        (log_q - top, "the split_q tail majorant", log_q),
+        (log_w - top, "the split_w tail majorant", log_w),
+        (bottom - log_denom, "the denominator (1 - e^(-2t))^n", log_denom),
+        (bottom + 2.0 * t * (n - 1), "the first weight e^(-2t(n-1))", -2.0 * t * (n - 1)),
+        (bottom - log_scaled, "t^n times the trace", log_scaled),
+    ]
+
+
+def supported_t(n: int) -> tuple[float, float] | None:
+    """The lowest and highest t at which the heat sums answer for n >= 2, or None.
+
+    Each end, found by bisection in log t, is MIN_T or where quantities of
+    _range_excess cross the edge of the float range.
+    """
     check_n(n)
+
+    def inside(t: float, end: slice) -> bool:
+        return max(_range_excess(n, t)[end])[0] <= 0.0
+
+    def edge(end: slice, good: float, bad: float) -> float:
+        for _ in range(60):
+            mid = math.sqrt(good * bad)
+            good, bad = (mid, bad) if inside(mid, end) else (good, mid)
+        return good
+
+    small_t, large_t = slice(4), slice(4, None)
+    if not inside(MIN_T, large_t):
+        return None
+    # twice the largest t at which the first weight is inside
+    high = edge(large_t, MIN_T, (_RANGE_MARGIN - _LOG_FLOAT_MIN) / (n - 1))
+    if not inside(high, small_t):
+        return None
+    return (MIN_T if inside(MIN_T, small_t) else edge(small_t, high, MIN_T)), high
+
+
+def _validate(n: int, t: float, abs_tol: float) -> None:
+    check_n(n, "heat")
     check_tol(abs_tol, "abs_tol", zero_ok=True)
     if not (isinstance(t, (int, float)) and math.isfinite(t)):
         raise ValueError(f"t must be finite, got {t}")
     if t < MIN_T:
-        raise ValueError(f"t = {t} is below the heat-trace floor {MIN_T}")
-    # The q = 1 term of split_q, (n-1) e^(-2t(n-1)) / (1 - e^(-2t))^n, sets
-    # the scale of the trace: as t -> 0 the trace is Gamma(n+1) c(n) 2^n / (n-1)
-    # times it, at most 3.3 (n = 2) and 1 + 1e-9 from n = 30 on.
-    log_first = math.log(n - 1) - 2.0 * t * (n - 1) - n * math.log(-math.expm1(-2.0 * t))
-    if log_first > _LOG_FLOAT_MAX - _RANGE_MARGIN:
-        t_min = 0.5 * math.exp((math.log(n - 1) + _RANGE_MARGIN - _LOG_FLOAT_MAX) / n)
-        raise ValueError(
-            f"the heat trace at n = {n}, t = {t} is about e^{log_first:.0f}, beyond "
-            f"the float range; at n = {n} the supported range is t >= about {t_min:.3g}"
-        )
-    # The trace is at least its first weight e^(-2t(n-1)); that weight must be
-    # a normal float with the same headroom, or every sum reads 0.
-    t_max = (-_LOG_FLOAT_MIN - _RANGE_MARGIN) / (2.0 * (n - 1))
-    if t > t_max:
-        raise ValueError(
-            f"the heat trace at n = {n}, t = {t} is about e^{log_first:.0f}, below "
-            f"the float range; at n = {n} the supported range is t <= about {t_max:.3g}"
-        )
+        reason = f"below the heat-trace floor {MIN_T}"
+    else:
+        excess, name, log = max(_range_excess(n, t))
+        if excess <= 0.0:
+            return
+        reason = f"{name} is about e^{log:.3g}, {'beyond' if log > 0 else 'below'} the float range"
+    low, high = supported_t(n)
+    supported = f"at n = {n} heat supports t >= about {low:.3g} and t <= about {high:.3g}"
+    raise ValueError(f"heat at n = {n}, t = {t}: {reason}; {supported}")
 
 
 def _binom_exp(z, k: int, x):
@@ -120,13 +163,19 @@ def _binom_exp(z, k: int, x):
     polynomial is multiplied into exp(-x) factor by factor, so no partial
     product overflows where the result does not (at t = 1e-6 and n ~ 50,
     binom(z, n-2) alone passes 1e308 on the tail's range while the term does
-    not).  Integer z only reaches n + 63 (the head and the tail's first
-    term), and _validate admits some t only for n <= 1460, where
-    binom(n + 63, 65) is below 1e116.
+    not).  A subnormal exp(-x) (split_w near the largest supported t) enters
+    as k + 1 equal factors, one per step; the partial products' logs are then
+    concave in the step, so none underflows unless the result does.
     """
+    exp = cmath.exp if isinstance(x, complex) else math.exp
+    if x.real > -_LOG_FLOAT_MIN:
+        acc = step = exp(-x / (k + 1))
+        for i in range(k):
+            acc = acc * (z - i) / (i + 1) * step
+        return acc
     if isinstance(z, int):
         return float(math.comb(z, k)) * math.exp(-x)
-    acc = cmath.exp(-x) if isinstance(x, complex) else math.exp(-x)
+    acc = exp(-x)
     for i in range(k):
         acc = acc * (z - i) / (i + 1)
     return acc
@@ -165,17 +214,16 @@ def _eval_rel(n: int, x: float) -> float:
     return (16 * n + 4 * x + 64) * U
 
 
-def _majorant(n: int, t: float, rate: float, re_min: float, abs_max: float) -> float:
-    """Upper bound of |f(z)| over Re z >= re_min > 0, |z| <= abs_max, for either split term.
+def _log_majorant(n: int, t: float, rate: float, a: int) -> float:
+    """Log of a bound of |f(z)| over Re z >= a/2, |z| <= 3a/2, for either split term.
 
     Both terms are P(z) e^(-rate z) / (1 - e^(-2tz))^n with
     P(z) = prod_{i=1}^{n-2} (z +- i) / (n-2)!, so |P(z)| <= binom(|z|+n-2, n-2);
     |e^(-rate z)| = e^(-rate Re z) and |1 - e^(-2tz)| >= 1 - e^(-2t Re z).
     """
-    return (
-        _binom_exp(float(abs_max) + n - 2, n - 2, rate * re_min)
-        / (-math.expm1(-2.0 * t * re_min)) ** n
-    )
+    z = 1.5 * a + n - 2
+    log_binom = math.lgamma(z + 1) - math.lgamma(n - 1) - math.lgamma(z - n + 3)
+    return log_binom - 0.5 * rate * a - n * math.log(-math.expm1(-t * a))
 
 
 def _split_sum(
@@ -238,7 +286,7 @@ def _split_sum(
         parts, tail_bound, evaluations = euler_maclaurin_tail(
             lambda z: term(n, t, z),
             a,
-            disk_max=_majorant(n, t, rate, 0.5 * a, 1.5 * a),
+            disk_max=math.exp(_log_majorant(n, t, rate, a)),
             growth=n - 2,
             integral=integral,
             eval_rel=lambda c: _eval_rel(n, c * rate * a),
@@ -337,19 +385,12 @@ def trace_direct(
     is built from one rounded exponential by a power and p multiplications,
     so its relative error is at most (n + 2p + 3 + x) * U with
     x = 2tq(n-1+p) < _EXP_ARG_MAX for every nonzero weight, and p < terms.
-
-    Where a multiplicity passes the float range (large n), float(multiplicity)
-    raises OverflowError, as the terms themselves are in range; that block and
-    every later one are then formed scaled by powers of two (see _DirectSum).
-    The cost grows like 1/t^2.
+    Where a multiplicity or a weight leaves the normal floats (large n), the
+    terms are scaled by powers of two (see _DirectSum).  The cost grows like
+    1/t^2.
     """
     _validate(n, t, abs_tol)
-    try:
-        return _DirectSum(n, t, abs_tol, term_cap).run()
-    except OverflowError as err:
-        raise ValueError(
-            f"the direct heat sum at n = {n}, t = {t} leaves the float range"
-        ) from err
+    return _DirectSum(n, t, abs_tol, term_cap).run()
 
 
 def _float_or_inf(k: int) -> float:
@@ -380,8 +421,9 @@ class _DirectSum:
     Blocks are formed in plain float arithmetic (block, outer_majorant).  An
     entry of the float table past the float range is inf; a term reading it
     has overflowed already, because its multiplicity is at least both of its
-    entries, so that block raises OverflowError.  From then on (scaled) the
-    block is redone, and every later one formed, by scaled_block and
+    entries, so that block raises OverflowError, as does one whose smallest
+    weight is below the normal floats.  From then on (scaled) the block is
+    redone, and every later one formed, by scaled_block and
     scaled_outer_majorant: the same terms, order, stop tests and cap check,
     each term and majorant formed by _scaled.  A scaled weight takes n - 1
     multiplications instead of a power and never underflows, so its relative
@@ -415,14 +457,13 @@ class _DirectSum:
         while True:
             if q + 1 >= len(self.exact):
                 self.grow()
-            block = self.scaled_block if self.scaled else self.block
-            try:
-                partial, terms, inner_tail, block_reach = block(q, partial, terms)
-            except OverflowError:
-                if self.scaled:
-                    raise
-                self.scaled = True
-                continue
+            if not self.scaled:
+                try:
+                    partial, terms, inner_tail, block_reach = self.block(q, partial, terms)
+                except OverflowError:
+                    self.scaled = True
+            if self.scaled:
+                partial, terms, inner_tail, block_reach = self.scaled_block(q, partial, terms)
             inner_slack += inner_tail
             reach = max(reach, block_reach)
             # Outer tail bound after block q; the ratio bound is evaluated at the
@@ -485,6 +526,8 @@ class _DirectSum:
                 inner_tail = floats[p] * b_q * weight * r_inner / (1.0 - r_inner)
                 limit = rel_tol * partial
                 if inner_tail <= (limit if limit > abs_tol else abs_tol) / share:
+                    if weight < sys.float_info.min:  # the smallest weight of the block
+                        raise OverflowError("a weight of the block is a subnormal float")
                     return partial, terms + p + 1, inner_tail, _EXP_ARG_MAX
             previous = current
             p += 1
@@ -541,10 +584,12 @@ def scaled_trace(
 def scale_by_t_power(n: int, t: float, total: float) -> float:
     """t**n * total, accurate also where t**n alone is a subnormal float.
 
-    A subnormal power keeps only a few significant digits, so there the
-    power is split in two and each half is multiplied into total in turn.
+    A subnormal power keeps only a few digits, so there its two halves enter
+    in turn.  ValueError where a nonzero product is not a normal float.
     """
-    power = float(t) ** n
-    if power >= sys.float_info.min:
-        return power * total
-    return (float(t) ** (n // 2) * total) * float(t) ** (n - n // 2)
+    head = n if float(t) ** n >= sys.float_info.min else n // 2
+    scaled = float(t) ** head * total * float(t) ** (n - head)
+    if total and not sys.float_info.min <= abs(scaled) <= sys.float_info.max:
+        log = n * math.log(t) + math.log(abs(total))
+        raise ValueError(f"t^n G(t) at n = {n}, t = {t} is about e^{log:.3g}, not a normal float")
+    return scaled

@@ -415,7 +415,8 @@ def euler_maclaurin_tail(
     The parts are f(a)/2, the m Bernoulli corrections and the integral; the
     bound adds the quadrature's error estimate, R_m, the aliasing bound and
     the rounding of every part.  ConvergenceError if more than eval_cap
-    evaluations of the term would be needed.
+    evaluations of the term would be needed, or if the bound is not finite
+    (a disk_max past the float range).
     """
     m = max(EM_ORDER, (growth + 3) // 2)  # 2m - 1 - growth >= 1 keeps the R_m majorant integrable
     points = max(CONTOUR_POINTS, 4 * m)
@@ -466,4 +467,6 @@ def euler_maclaurin_tail(
         + quad_rounding
     )
     bound = quad.error_estimate + remainder + aliasing + rounding
+    if not math.isfinite(bound):
+        raise ConvergenceError(f"the error bound is {bound} (disk_max {disk_max:.3g})")
     return parts, bound, 1 + points + quad.nodes_used

@@ -1,4 +1,7 @@
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,10 +11,14 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kohnspec import cli
+from kohnspec.combinatorics import dim_hpq
 from kohnspec.coefficients import METHODS, series_zeta
 from kohnspec.errors import MAX_N
+from kohnspec.heat_trace import supported_t
 
 
 def run(capsys, *argv):
@@ -183,6 +190,27 @@ def test_heat_large_n_small_t_answers_or_names_range(capsys, n):
         assert "float range" in err and "t >= about" in err
 
 
+@pytest.mark.parametrize(
+    "n, t",
+    [
+        (1000, "0.3"), (1200, "0.29"), (1400, "0.25"), (1400, "0.26"), (2, "1e300"),
+        (930, "0.35"), (1000, "0.345"), (800, "0.33"), (500, "0.3"), (500, "0.8"),
+    ],
+)
+def test_heat_outside_its_range_exits_1_naming_it(capsys, n, t):
+    # these ended in a ZeroDivisionError traceback, or printed a NaN bound,
+    # a negative split_w or a scaled trace of 0
+    code, out, err = run(capsys, "heat", "--n", str(n), "--t", t)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err and "nan" not in err and "inf" not in err
+    largest = MAX_N["heat"][0]
+    if n > largest:
+        assert f"heat supports n <= {largest}" in err
+    else:
+        low, high = supported_t(n)
+        assert f"heat supports t >= about {low:.3g} and t <= about {high:.3g}" in err
+
+
 def test_converge_rows(capsys):
     code, out, _ = run(
         capsys, "converge", "--n", "2", "--lambdas", "100,1000", "--format", "json"
@@ -335,6 +363,58 @@ def test_out_writes_the_bytes_stdout_gets(capsys, tmp_path, call, fmt):
     assert code == 0, err
     assert out == ""
     assert target.read_bytes() == printed.encode("utf-8")
+
+
+def _modes_oracle(n: int, lam: float) -> list[tuple[int, int, int, int]]:
+    """(p, q, eigenvalue, multiplicity) of every line up to lam, by dim_hpq, in print order."""
+    lines = [
+        (p, q, 2 * q * (p + n - 1), dim_hpq(n, p, q))
+        for q in range(1, int(lam) // (2 * (n - 1)) + 1)
+        for p in range(int(lam) // (2 * q) - (n - 1) + 1)
+    ]
+    return sorted(lines, key=lambda line: (line[2], line[1], line[0]))
+
+
+def _render_modes(fmt: str, n: int, lam: float, lines: list) -> str:
+    """count --modes output from json.dumps, the csv module and right-justified columns."""
+    columns = ["p", "q", "eigenvalue", "multiplicity"]
+    if fmt == "json":
+        params = {"n": n, "lambda": lam, "modes": True}
+        rows = [dict(zip(columns, line)) for line in lines]
+        payload = {"schema": 1, "command": "count", "params": params, "rows": rows}
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([columns, *lines])
+        return "# schema=1\n" + text.getvalue()
+    cells = [columns, *([str(v) for v in line] for line in lines)]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(columns))]
+    cells.insert(1, ["-" * w for w in widths])
+    return "".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n" for row in cells)
+
+
+@st.composite
+def _modes_call(draw) -> tuple[int, float]:
+    """n up to 120 and lambda below the first eigenvalue, on an eigenvalue or between two."""
+    n = draw(st.integers(2, 120))
+    first = 2 * (n - 1)
+    where = draw(st.sampled_from(["below", "on", "between"]))
+    if where == "below":
+        return n, draw(st.floats(0.0, first, exclude_max=True))
+    # p up to 250 makes multiplicities of hundreds of digits at large n
+    e = 2 * draw(st.integers(1, 3)) * (draw(st.integers(0, 250)) + n - 1)
+    return n, float(e if where == "on" else e + 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_modes_call(), st.sampled_from(["table", "csv", "json"]))
+def test_modes_output_matches_an_independent_renderer(call, fmt):
+    n, lam = call
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["count", "--n", str(n), "--lambda", repr(lam), "--modes", "--format", fmt])
+    assert code == 0
+    assert out.getvalue() == _render_modes(fmt, n, lam, _modes_oracle(n, lam))
 
 
 def test_failed_call_writes_no_out_file(capsys, tmp_path):

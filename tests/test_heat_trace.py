@@ -6,15 +6,19 @@ import mpmath as mp
 import pytest
 
 from kohnspec.combinatorics import dim_hpq
-from kohnspec.errors import ConvergenceError
+from kohnspec.errors import MAX_N, ConvergenceError
 from kohnspec.heat_trace import (
     _DirectSum,
     _split_q_term,
+    scale_by_t_power,
     scaled_trace,
+    supported_t,
     trace_direct,
     trace_split_q,
     trace_split_w,
 )
+
+HEAT_MAX_N = MAX_N["heat"][0]
 
 
 def test_split_q_large_t_dominated_by_first_term():
@@ -396,3 +400,60 @@ def test_split_w_where_its_tail_integral_is_large(n, t):
     ref = _oracle_plain_sum(n, t, "w")
     assert abs(mp.mpf(got.value) - ref) <= got.error_bound
     assert got.error_bound <= 1e-11 * got.value
+
+
+def test_max_n_is_the_largest_n_with_a_supported_t():
+    assert supported_t(HEAT_MAX_N) is not None
+    for n in (HEAT_MAX_N + 1, HEAT_MAX_N + 10, 1000, 1460):
+        assert supported_t(n) is None
+
+
+def _sweep_points():
+    """Each interval's ends +-1% and its geometric middle, over a grid of n to HEAT_MAX_N + 10."""
+    for n in (2, 3, 8, 30, 53, 60, 100, 145, 200, 300, 400, 440, 500, 560, HEAT_MAX_N):
+        low, high = supported_t(n)
+        for t in (0.99 * low, 1.01 * low, math.sqrt(low * high), 0.99 * high, 1.01 * high):
+            yield n, t
+    for n in (HEAT_MAX_N + 1, HEAT_MAX_N + 10):
+        yield n, 0.49
+
+
+@pytest.mark.parametrize("n, t", list(_sweep_points()), ids=lambda v: f"{v:.4g}")
+def test_heat_answers_inside_its_interval_and_names_it_outside(n, t):
+    span = supported_t(n) if n <= HEAT_MAX_N else None
+    if span is None or not span[0] <= t <= span[1]:
+        named = (
+            f"heat supports n <= {HEAT_MAX_N}" if span is None
+            else f"heat supports t >= about {span[0]:.3g} and t <= about {span[1]:.3g}"
+        )
+        for fn in (trace_split_q, trace_split_w, trace_direct):
+            with pytest.raises(ValueError, match=named):
+                fn(n, t)
+        return
+    parts = {"q": trace_split_q(n, t), "w": trace_split_w(n, t)}
+    for got in parts.values():
+        assert sys.float_info.min <= got.value < math.inf, got
+        assert 0.0 < got.error_bound < math.inf, got
+    scaled = scale_by_t_power(n, t, parts["q"].value + parts["w"].value)
+    assert sys.float_info.min <= scaled < math.inf
+    if (n + 50) / t > 1e4:  # about the number of split_w terms the plain oracle sums
+        return
+    refs = {which: _oracle_plain_sum(n, t, which) for which in parts}
+    for which, got in parts.items():
+        assert abs(mp.mpf(got.value) - refs[which]) <= got.error_bound, (which, got)
+    if n >= 200:
+        # the direct sum: its multiplicities pass 1e308 and, near the upper
+        # end, its weights fall below the normal floats; neither is an error
+        direct = trace_direct(n, t)
+        assert abs(mp.mpf(direct.value) - refs["q"] - refs["w"]) <= direct.error_bound
+
+
+def test_scale_by_t_power_names_a_product_outside_the_normal_floats():
+    # at (930, 0.3) t^n is about e^-1120 and the trace about e^182
+    with pytest.raises(ValueError, match=r"t\^n G\(t\) at n = 930, t = 0.3 is about e\^-938"):
+        scale_by_t_power(930, 0.3, math.exp(182.0))
+    # at (80, 1e-4) t^n alone is subnormal; the product of its two halves is not
+    total = 3.0e300
+    with mp.workdps(40):
+        want = mp.mpf(1e-4) ** 80 * total
+        assert abs(scale_by_t_power(80, 1e-4, total) - want) <= 1e-15 * want

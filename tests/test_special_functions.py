@@ -14,6 +14,7 @@ from kohnspec.special_functions import (
     _log_tail_weight,
     U,
     bernoulli,
+    euler_maclaurin_tail,
     folded_excess,
     folded_power,
     integrate_decaying,
@@ -302,3 +303,26 @@ def test_gauss_legendre_table_against_mpmath(rule):
         for (x, w), (x_ref, w_ref) in zip(rule[order // 2 :], reference):
             assert abs(x - x_ref) <= 2 * math.ulp(x)
             assert abs(w - w_ref) <= 1e-13 * w_ref
+
+
+def _em_tail_of_inverse_square(disk_max):
+    """euler_maclaurin_tail of 1/z^2 from a = 8, with its integral in closed form."""
+    return euler_maclaurin_tail(
+        lambda z: 1.0 / (z * z),
+        8,
+        disk_max=disk_max,
+        growth=-2,
+        integral=lambda node_cap: (QuadratureResult(1.0 / 8.0, 0.0, 0, 0.0), 0.0),
+        eval_rel=lambda c: 4 * U,
+        eval_cap=1000,
+    )
+
+
+def test_euler_maclaurin_tail_raises_where_its_bound_is_not_finite():
+    # |1/z^2| <= 4/a^2 on Re z >= a/2: a finite majorant gives the tail of zeta(2)
+    parts, bound, _ = _em_tail_of_inverse_square(4.0 / 64.0)
+    exact = math.pi**2 / 6 - math.fsum(1.0 / k**2 for k in range(1, 8))
+    assert abs(math.fsum(parts) - exact) <= bound < 1e-8
+    # a majorant past the float range makes the bound inf (or nan from 0 * inf); neither is returned
+    with pytest.raises(ConvergenceError, match="error bound is inf"):
+        _em_tail_of_inverse_square(math.inf)
