@@ -127,7 +127,10 @@ def _emit(
 ) -> None:
     text = _render(args.format, command, params, columns, rows, footer)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as err:
+            raise ValueError(f"cannot write --out {args.out}: {err.strerror or err}") from err
     else:
         sys.stdout.write(text)
 
@@ -222,8 +225,8 @@ def _cmd_heat(args) -> int:
     rows = []
     all_within = True
     for t in ts:
-        part_q = heat_trace.trace_split_q(args.n, t, abs_tol=args.tol, **caps)
-        part_w = heat_trace.trace_split_w(args.n, t, abs_tol=args.tol, **caps)
+        part_q = heat_trace.trace_split_q(args.n, t, **caps)
+        part_w = heat_trace.trace_split_w(args.n, t, **caps)
         row = {
             "n": args.n,
             "t": t,
@@ -234,7 +237,7 @@ def _cmd_heat(args) -> int:
             "scaled_trace": heat_trace.scale_by_t_power(args.n, t, part_q.value + part_w.value),
         }
         if args.verify:
-            direct = heat_trace.trace_direct(args.n, t, abs_tol=args.tol, term_cap=cap)
+            direct = heat_trace.trace_direct(args.n, t, term_cap=cap)
             split_total = part_q.value + part_w.value
             diff = abs(direct.value - split_total)
             budget = direct.error_bound + part_q.error_bound + part_w.error_bound
@@ -417,10 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     heat.add_argument(
         "--verify", action="store_true",
         help="also evaluate the direct double sum and check the split against it",
-    )
-    heat.add_argument(
-        "--tol", type=float, default=errors.DEFAULT_ABS_TOL,
-        help="absolute tail tolerance, nonnegative and finite (default %(default)g)",
     )
     _add_common(heat)
     heat.set_defaults(handler=_cmd_heat)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "DEFAULT_LINE_CAP", "DEFAULT_TERM_CAP", "DEFAULT_NODE_CAP", "DEFAULT_TOL", "DEFAULT_ABS_TOL",
+    "DEFAULT_LINE_CAP", "DEFAULT_TERM_CAP", "DEFAULT_NODE_CAP", "DEFAULT_TOL",
     "MAX_N", "ResourceCapError", "ConvergenceError", "check_n", "check_tol", "count_text",
 ]
 
@@ -21,7 +21,6 @@ DEFAULT_LINE_CAP = 100_000_000  # spectral lines (enumerate_modes) or blocks (co
 DEFAULT_TERM_CAP = 10_000_000  # series terms and heat-trace term evaluations
 DEFAULT_NODE_CAP = 200_000  # quadrature nodes per integral
 DEFAULT_TOL = 1e-10  # absolute quadrature tolerance: integral routes and continuation
-DEFAULT_ABS_TOL = 1e-15  # absolute tail tolerance of the heat-trace sums
 
 # The largest n each route answers within its bound, with the reason it stops
 # there.  Every route takes n >= 2; one not named here has no fixed largest n.
@@ -52,11 +51,10 @@ def check_n(n: int, route: str | None = None) -> None:
         raise ValueError(f"{route} supports n <= {largest}, got n = {n}: {reason}")
 
 
-def check_tol(tol: float, name: str = "tol", *, zero_ok: bool = False) -> None:
-    """Raise ValueError unless tol is finite and positive (or zero, with zero_ok)."""
-    if not (math.isfinite(tol) and (tol >= 0.0 if zero_ok else tol > 0.0)):
-        sign = "nonnegative" if zero_ok else "positive"
-        raise ValueError(f"{name} must be {sign} and finite, got {tol}")
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless tol is finite and positive."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 def count_text(k: int) -> str:

@@ -11,11 +11,15 @@ second).  The direct double sum is kept as an independent cross-check; it
 takes every multiplicity from one exact table A[k] = binom(n+k-1, k) as
 A[p] A[q] - A[p-1] A[q-1], and its number of terms grows like 1/t^2.
 
+Every sum here stops on one rule: its tail below _REL_TOL times its own
+partial sum, which, as a sum of positive terms, is a lower bound of the value.
+
 Both split sums go through one helper, _split_sum, at a cost independent of
 t.  It adds the first EM_HEAD_TERMS terms exactly (math.fsum).  If a geometric
-tail bound certifies the rest before then (large t), it stops there.
-Otherwise the tail from a = start + EM_HEAD_TERMS on is the Euler-Maclaurin
-sum (special_functions.euler_maclaurin_tail)
+tail bound certifies the rest before then (large t), it stops there; terms
+that at least halve per index are summed on until it does.  Otherwise the
+tail from a = start + EM_HEAD_TERMS on is the Euler-Maclaurin sum
+(special_functions.euler_maclaurin_tail)
 
     integral_a^inf f + f(a)/2 - sum_{j<=m} B_2j/(2j)! f^(2j-1)(a) + R_m,
 
@@ -45,9 +49,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .combinatorics import multichoose_table
-from .errors import (
-    DEFAULT_ABS_TOL, DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, ConvergenceError, check_n, check_tol,
-)
+from .errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, ConvergenceError, check_n
 from .special_functions import EM_HEAD_TERMS, U, euler_maclaurin_tail, integrate_decaying
 
 __all__ = [
@@ -62,7 +64,7 @@ __all__ = [
 ]
 
 MIN_T = 1e-6
-_REL_TOL = 1e-13  # every sum also stops once its tail is below this share of the partial sum
+_REL_TOL = 1e-13  # every sum stops once its tail is below this share of its partial sum
 
 # Largest x with exp(-x) > 0 in floating point.
 _EXP_ARG_MAX = -math.log(math.ulp(0.0))
@@ -139,9 +141,8 @@ def supported_t(n: int) -> tuple[float, float] | None:
     return (MIN_T if inside(MIN_T, small_t) else edge(small_t, high, MIN_T)), high
 
 
-def _validate(n: int, t: float, abs_tol: float) -> None:
+def _validate(n: int, t: float) -> None:
     check_n(n, "heat")
-    check_tol(abs_tol, "abs_tol", zero_ok=True)
     if not (isinstance(t, (int, float)) and math.isfinite(t)):
         raise ValueError(f"t must be finite, got {t}")
     if t < MIN_T:
@@ -234,7 +235,6 @@ def _split_sum(
     start: int,
     ratio: Callable[[int], float],
     rate: float,
-    abs_tol: float,
     term_cap: int,
     node_cap: int,
 ) -> HeatTraceSample:
@@ -244,12 +244,17 @@ def _split_sum(
     k; rate is the exponential decay rate of the term in k.  While summing
     the head, once ratio(k) < 1 the tail after term k is at most
     term * rho / (1 - rho); the sum stops there when that is below
-    max(abs_tol, _REL_TOL * partial).  Otherwise euler_maclaurin_tail adds
-    the terms from start + EM_HEAD_TERMS on.
+    _REL_TOL * partial.  Where the terms at least halve per index (rate >=
+    log 2), the head runs on to that stop (ratio(k) < 1 from about k = 2n),
+    as the tail's disk majorant would not certify it.  Otherwise
+    euler_maclaurin_tail adds the terms from start + EM_HEAD_TERMS on, its
+    integral to a quarter of the stop's share, with panels accepted down to
+    one term's rounding.
     """
     head = []
     partial = 0.0
-    for k in range(start, start + EM_HEAD_TERMS):
+    a = start + EM_HEAD_TERMS
+    for k in range(start, a if rate < math.log(2.0) else sys.maxsize):
         if len(head) >= term_cap:
             raise ConvergenceError(
                 f"{label} needed more than {term_cap} term evaluations at n={n}, t={t}"
@@ -260,13 +265,12 @@ def _split_sum(
         rho = ratio(k)
         if rho < 1.0:
             tail = value * rho / (1.0 - rho)
-            if tail <= max(abs_tol, _REL_TOL * partial):
+            if tail <= _REL_TOL * partial:
                 total = math.fsum(head)
                 rounding = (_eval_rel(n, rate * k) + U) * total
                 return HeatTraceSample(n, t, total, tail + rounding, len(head))
 
-    a = start + EM_HEAD_TERMS
-    tol = 0.25 * max(abs_tol, _REL_TOL * partial)
+    tol = 0.25 * _REL_TOL * partial
 
     def integral(evals_left: int):
         quad = integrate_decaying(
@@ -275,6 +279,7 @@ def _split_sum(
             tol=tol,
             poly_degree=n - 2,
             node_cap=min(evals_left, node_cap),
+            noise=_eval_rel(n, 2.0 * rate * a),
         )
         tip = _eval_rel(n, rate * (a + quad.truncation_point))
         return quad, (tip + quad.nodes_used * U) * abs(quad.value)
@@ -307,7 +312,6 @@ def trace_split_q(
     n: int,
     t: float,
     *,
-    abs_tol: float = DEFAULT_ABS_TOL,
     term_cap: int = DEFAULT_TERM_CAP,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> HeatTraceSample:
@@ -319,7 +323,7 @@ def trace_split_q(
     term_cap term evaluations, or more than node_cap of them in the tail
     integral, would be needed.
     """
-    _validate(n, t, abs_tol)
+    _validate(n, t)
     decay = math.exp(-2.0 * t * (n - 1))
     return _split_sum(
         "split_q",
@@ -329,7 +333,6 @@ def trace_split_q(
         1,
         lambda q: ((n + q - 1) / (q + 1)) * decay,
         2.0 * t * (n - 1),
-        abs_tol,
         term_cap,
         node_cap,
     )
@@ -339,7 +342,6 @@ def trace_split_w(
     n: int,
     t: float,
     *,
-    abs_tol: float = DEFAULT_ABS_TOL,
     term_cap: int = DEFAULT_TERM_CAP,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> HeatTraceSample:
@@ -348,7 +350,7 @@ def trace_split_w(
     Same summation as trace_split_q with ratio bound
     rho(w) = (w/(w-n+2)) * exp(-2t) and decay rate 2t.
     """
-    _validate(n, t, abs_tol)
+    _validate(n, t)
     decay = math.exp(-2.0 * t)
     return _split_sum(
         "split_w",
@@ -358,7 +360,6 @@ def trace_split_w(
         n - 1,
         lambda w: (w / (w - n + 2)) * decay,
         2.0 * t,
-        abs_tol,
         term_cap,
         node_cap,
     )
@@ -368,7 +369,6 @@ def trace_direct(
     n: int,
     t: float,
     *,
-    abs_tol: float = DEFAULT_ABS_TOL,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> HeatTraceSample:
     """The raw double sum over (p, q), exact multiplicities, as a cross-check.
@@ -379,7 +379,9 @@ def trace_direct(
     Inner p-tails are bounded through the product majorant
     dim_hpq <= A[p] * A[q]; outer q-tails through the majorant
     M(q) = A[q] * exp(-2tq(n-1)) / (1-exp(-2tq))^n obtained by summing that
-    product bound over all p.  The reported bound is the outer tail plus the
+    product bound over all p.  The sum stops once the outer tail is below
+    half of _REL_TOL * partial, each block once its inner tail is below a
+    1/(2q(q+1)) share of that.  The reported bound is the outer tail plus the
     accumulated inner tails plus rounding.  Recursive summation of positive
     terms adds at most (terms-1) * U * partial.  Each weight exp(-2tq)^(n-1+p)
     is built from one rounded exponential by a power and p multiplications,
@@ -389,8 +391,8 @@ def trace_direct(
     terms are scaled by powers of two (see _DirectSum).  The cost grows like
     1/t^2.
     """
-    _validate(n, t, abs_tol)
-    return _DirectSum(n, t, abs_tol, term_cap).run()
+    _validate(n, t)
+    return _DirectSum(n, t, term_cap).run()
 
 
 def _float_or_inf(k: int) -> float:
@@ -432,9 +434,8 @@ class _DirectSum:
     _EXP_ARG_MAX.
     """
 
-    def __init__(self, n: int, t: float, abs_tol: float, term_cap: int):
-        self.n, self.t = n, t
-        self.abs_tol, self.term_cap = abs_tol, term_cap
+    def __init__(self, n: int, t: float, term_cap: int):
+        self.n, self.t, self.term_cap = n, t, term_cap
         self.scaled = False
         self.exact = multichoose_table(n, 64)
         self.floats = list(map(_float_or_inf, self.exact))
@@ -447,7 +448,7 @@ class _DirectSum:
         self.ratios += [(n + p) / (p + 1) for p in range(len(self.ratios), size)]
 
     def run(self) -> HeatTraceSample:
-        n, t, abs_tol, rel_tol = self.n, self.t, self.abs_tol, _REL_TOL
+        n, t = self.n, self.t
         partial = 0.0
         inner_slack = 0.0
         reach = 0.0
@@ -472,7 +473,7 @@ class _DirectSum:
             if r_outer < 1.0:
                 majorant = self.scaled_outer_majorant if self.scaled else self.outer_majorant
                 outer_tail = majorant(q + 1) / (1.0 - r_outer)
-                if outer_tail <= max(abs_tol, rel_tol * partial) / 2.0:
+                if outer_tail <= _REL_TOL * partial / 2.0:
                     rounding = (3 * terms + n + reach + 2) * U * partial
                     return HeatTraceSample(
                         n, t, partial, outer_tail + inner_slack + rounding, terms
@@ -504,7 +505,7 @@ class _DirectSum:
         """Add the terms p = 0, 1, ... at this q to partial, in order, until the
         inner tail is certified; (partial, terms, inner tail, weight reach)."""
         n, exact, floats, ratios = self.n, self.exact, self.floats, self.ratios
-        abs_tol, rel_tol = self.abs_tol, _REL_TOL  # locals: read once per term
+        rel_tol = _REL_TOL  # a local: read once per term
         x = math.exp(-2.0 * self.t * q)
         a_q, a_prev, b_q = exact[q], exact[q - 1], floats[q]
         share = 2.0 * q * (q + 1)
@@ -524,8 +525,7 @@ class _DirectSum:
             r_inner = ratios[p] * x
             if r_inner < 1.0:
                 inner_tail = floats[p] * b_q * weight * r_inner / (1.0 - r_inner)
-                limit = rel_tol * partial
-                if inner_tail <= (limit if limit > abs_tol else abs_tol) / share:
+                if inner_tail <= rel_tol * partial / share:
                     if weight < sys.float_info.min:  # the smallest weight of the block
                         raise OverflowError("a weight of the block is a subnormal float")
                     return partial, terms + p + 1, inner_tail, _EXP_ARG_MAX
@@ -536,7 +536,6 @@ class _DirectSum:
     def scaled_block(self, q: int, partial: float, terms: int) -> tuple[float, int, float, float]:
         """block, with every term and inner majorant formed by _scaled."""
         n, exact, ratios = self.n, self.exact, self.ratios
-        abs_tol, rel_tol = self.abs_tol, _REL_TOL  # locals: read once per term
         x = math.exp(-2.0 * self.t * q)
         a_q, a_prev = exact[q], exact[q - 1]
         share = 2.0 * q * (q + 1)
@@ -559,7 +558,7 @@ class _DirectSum:
             r_inner = ratios[p] * x
             if r_inner < 1.0:
                 inner_tail = _scaled(top, mantissa, exponent) * r_inner / (1.0 - r_inner)
-                if inner_tail <= max(abs_tol, rel_tol * partial) / share:
+                if inner_tail <= _REL_TOL * partial / share:
                     return partial, terms + p + 1, inner_tail, n + 2.0 * self.t * q * (n - 1 + p)
             previous = current
             p += 1
@@ -572,13 +571,12 @@ def scaled_trace(
     n: int,
     t: float,
     *,
-    abs_tol: float = DEFAULT_ABS_TOL,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> float:
     """t**n * G(t) via the two split sums; tends to Gamma(n+1) * c(n) as t -> 0."""
-    options = dict(abs_tol=abs_tol, term_cap=term_cap)
-    total = trace_split_q(n, t, **options).value + trace_split_w(n, t, **options).value
-    return scale_by_t_power(n, t, total)
+    part_q = trace_split_q(n, t, term_cap=term_cap)
+    part_w = trace_split_w(n, t, term_cap=term_cap)
+    return scale_by_t_power(n, t, part_q.value + part_w.value)
 
 
 def scale_by_t_power(n: int, t: float, total: float) -> float:

@@ -308,6 +308,16 @@ def test_out_writes_file(capsys, tmp_path):
     assert payload["rows"][0]["count"] == 42
 
 
+@pytest.mark.parametrize(
+    "where, reason", [("missing/dir/x.txt", "No such file or directory"), (".", "Is a directory")]
+)
+def test_out_that_cannot_be_written_exits_1_naming_it(capsys, tmp_path, where, reason):
+    target = tmp_path / where
+    code, out, err = run(capsys, "coeff", "--n", "4", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write --out {target}: {reason}\n"
+
+
 # sha256 of stdout as the per-cell renderer printed it before the column-wise
 # one: integer cells (--modes), None cells (stanton outside a strip), string
 # cells and a footer (coeff --method all), bool cells (heat --verify).  The
@@ -596,9 +606,6 @@ def test_n_sweep_answers_or_names_the_range(capsys):
         ("coeff --n 4 --tol -1 --method all", "got -1.0"),
         ("stanton --n 3 --q 1 --tol nan", "got nan"),
         ("stanton --n 3 --grid=-5:-4:2 --tol nan", "got nan"),
-        ("heat --n 3 --t 0.1 --tol nan", "got nan"),
-        ("heat --n 3 --t 0.1 --tol -1", "got -1.0"),
-        ("heat --n 3 --t 0.1 --tol inf", "got inf"),
         ("heat --n 3 --t 0.1,nan", "--t must be finite, got nan"),
         ("converge --n 2 --lambdas 100,inf", "--lambdas must be finite, got inf"),
         ("stanton --n 3 --q 0.5,nan", "--q must be finite, got nan"),
@@ -627,9 +634,12 @@ def test_a_value_starting_with_a_dash_parses_as_its_flag_form(capsys, flag, valu
     assert (code, out, err) == run(capsys, "stanton", "--n", "3", f"{flag}={value}", "--format", "csv")
 
 
-def test_heat_takes_a_zero_tol(capsys):
-    code, _, err = run(capsys, "heat", "--n", "3", "--t", "0.1", "--tol", "0")
-    assert code == 0, err
+def test_heat_has_no_tol_flag(capsys):
+    # every heat sum stops relative to its own partial sum; no tolerance is settable
+    code, out, err = run(capsys, "heat", "--n", "3", "--t", "0.1", "--tol", "1e-15")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --tol" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -55,8 +55,6 @@ def _argv(draw) -> list[str]:
     elif command == "heat":
         argv += ["--t", draw(_number_list(0.02, 3.0))]
         if draw(st.booleans()):
-            argv += ["--tol", draw(_number(0.0, 1e-6))]
-        if draw(st.booleans()):
             argv.append("--verify")
     elif command == "converge":
         argv += ["--lambdas", draw(_number_list(0.0, 1e6))]

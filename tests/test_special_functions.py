@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from kohnspec import coefficients, continuation
 from kohnspec.errors import ConvergenceError
 from kohnspec.special_functions import (
     _GL16,
@@ -198,6 +199,74 @@ def test_integrate_decaying_validates_arguments():
         integrate_decaying(lambda x: 0.0, 1.0, tol=0.0)
     with pytest.raises(ValueError):
         integrate_decaying(lambda x: 0.0, 1.0, poly_degree=-1)
+
+
+def test_integrate_decaying_accepts_panels_down_to_the_callers_noise():
+    # each evaluation carries relative noise 1e-12, far above tol at this
+    # scale and above _PANEL_REL: the pairs never agree within 1e-14, so the
+    # panels bisect to the node cap, unless the caller states its noise
+    def noisy(x):
+        return 1e300 * math.exp(-x) * (1.0 + 1e-12 * math.sin(1e9 * x))
+
+    with pytest.raises(ConvergenceError, match="node cap"):
+        integrate_decaying(noisy, 1.0, poly_degree=0, node_cap=20_000)
+    r = integrate_decaying(noisy, 1.0, poly_degree=0, node_cap=20_000, noise=4e-12)
+    assert abs(r.value - 1e300) <= r.error_estimate <= 1e-11 * 1e300
+
+
+# Value, bound (float.hex) and node count of every other caller of the engine,
+# taken before the caller's noise entered the panel test: the integral routes
+# and the continuation pass none, so they keep the floor _PANEL_REL.
+_PINNED_CALLERS = [
+    ("integral_coefficient", 20, "0x1.2020530cacd55p-77", "0x1.1b9498ea2123ap-123", 480),
+    ("integral_intermediate", 20, "0x1.2020530cacd52p-77", "0x1.19c8c3343185fp-123", 432),
+    ("integral_coefficient", 70, "0x1.932c907058e1dp-397", "0x1.e21669d69bd64p-442", 1160),
+    ("integral_intermediate", 70, "0x1.932c907058e19p-397", "0x1.d894b2e9e8241p-442", 1008),
+    ("integral_coefficient", 145, "0x1.47f499c8783c3p-975", "0x1.6d8983ad6e69ep-1019", 3416),
+    ("integral_intermediate", 145, "0x1.47f499c8783c0p-975", "0x1.76955b801de70p-1019", 3704),
+]
+
+
+@pytest.mark.parametrize(
+    "route, n, value, bound, nodes", _PINNED_CALLERS, ids=[f"{r}-{n}" for r, n, *_ in _PINNED_CALLERS]
+)
+def test_integral_routes_are_pinned(route, n, value, bound, nodes):
+    got = getattr(coefficients, route)(n)
+    assert (got.value.hex(), got.error_bound.hex(), got.work) == (value, bound, nodes)
+
+
+# The continuation's value (real and imaginary parts) and its integral's
+# error estimate and node count, from the same commit as _PINNED_CALLERS.
+_PINNED_CONTINUATION = [
+    ("stanton_coefficient", 10, 1.3 + 0.7j,
+     "-0x1.2f29993125316p-34", "0x1.f788ae7678360p-35", "0x1.5cea22da2b01ap-35", 384),
+    ("continued_coefficient", 10, 1.3 + 0.7j,
+     "-0x1.384037ffebfbep-40", "-0x1.f798cf0adcfa2p-38", "0x1.868ac5af8d4eep-42", 384),
+    ("stanton_coefficient", 40, 2 + 3j,
+     "0x1.95a3081cd4271p-262", "-0x1.961ef1078ae0ap-264", "0x1.ba51a8ec80f7dp+63", 3456),
+    ("continued_coefficient", 40, 2 + 3j,
+     "0x1.b5b1e8c7c7602p-268", "0x1.7e436c82de62ep-266", "0x1.3f0cfa34ef987p+45", 1720),
+]
+
+
+@pytest.mark.parametrize(
+    "route, n, q, re, im, bound, nodes",
+    _PINNED_CONTINUATION,
+    ids=[f"{r}-{n}-{q}" for r, n, q, *_ in _PINNED_CONTINUATION],
+)
+def test_continuation_is_pinned(monkeypatch, route, n, q, re, im, bound, nodes):
+    quads = []
+
+    def recorded(*args, **kwargs):
+        quads.append(integrate_decaying(*args, **kwargs))
+        return quads[-1]
+
+    monkeypatch.setattr(continuation, "integrate_decaying", recorded)
+    got = getattr(continuation, route)(continuation.StripPoint(n, q))
+    [quad] = quads
+    assert (got.real.hex(), got.imag.hex(), quad.error_estimate.hex(), quad.nodes_used) == (
+        re, im, bound, nodes
+    )
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
