@@ -12,7 +12,8 @@ takes every multiplicity from one exact table A[k] = binom(n+k-1, k) as
 A[p] A[q] - A[p-1] A[q-1], and its number of terms grows like 1/t^2.
 
 Every sum here stops on one rule: its tail below _REL_TOL times its own
-partial sum, which, as a sum of positive terms, is a lower bound of the value.
+partial sum, which, as a sum of positive terms, is a lower bound of the value
+(a split tail integral may take its largest term instead, a lower bound too).
 
 Both split sums go through one helper, _split_sum, at a cost independent of
 t.  It adds the first EM_HEAD_TERMS terms exactly (math.fsum).  If a geometric
@@ -233,24 +234,26 @@ def _split_sum(
     t: float,
     term: Callable,
     start: int,
-    ratio: Callable[[int], float],
+    shifts: tuple[int, int],
     rate: float,
     term_cap: int,
     node_cap: int,
 ) -> HeatTraceSample:
     """sum_{k >= start} term(n, t, k): exact head plus Euler-Maclaurin tail.
 
-    ratio(k) bounds term(k+1)/term(k) for every later index and decreases in
-    k; rate is the exponential decay rate of the term in k.  While summing
-    the head, once ratio(k) < 1 the tail after term k is at most
-    term * rho / (1 - rho); the sum stops there when that is below
-    _REL_TOL * partial.  Where the terms at least halve per index (rate >=
-    log 2), the head runs on to that stop (ratio(k) < 1 from about k = 2n),
-    as the tail's disk majorant would not certify it.  Otherwise
-    euler_maclaurin_tail adds the terms from start + EM_HEAD_TERMS on, its
-    integral to a quarter of the stop's share, with panels accepted down to
-    one term's rounding.
+    rate is the decay rate of the term in k; rho(k) = ((k + alpha)/(k + beta))
+    e^(-rate), with (alpha, beta) = shifts, decreases in k and bounds every
+    later term(k+1)/term(k).  Once rho(k) < 1 the tail after term k is at
+    most term * rho / (1 - rho), and the sum stops when that is below
+    _REL_TOL * partial.  Terms that at least halve per index (rate >= log 2)
+    are summed on to that stop, as the tail's disk majorant would not
+    certify it.  Otherwise euler_maclaurin_tail adds the terms from
+    a = start + EM_HEAD_TERMS on, its integral to a quarter of the stop's
+    share of partial or of the term at the first k >= a with rho(k) < 1,
+    about the largest, whichever is larger.
     """
+    alpha, beta = shifts
+    decay = math.exp(-rate)
     head = []
     partial = 0.0
     a = start + EM_HEAD_TERMS
@@ -262,7 +265,7 @@ def _split_sum(
         value = term(n, t, k)
         head.append(value)
         partial += value
-        rho = ratio(k)
+        rho = ((k + alpha) / (k + beta)) * decay
         if rho < 1.0:
             tail = value * rho / (1.0 - rho)
             if tail <= _REL_TOL * partial:
@@ -270,7 +273,10 @@ def _split_sum(
                 rounding = (_eval_rel(n, rate * k) + U) * total
                 return HeatTraceSample(n, t, total, tail + rounding, len(head))
 
-    tol = 0.25 * _REL_TOL * partial
+    # One more term is a lower bound of the sum too, far above the head at large
+    # n and mid t; at a real index it takes the overflow-free path.
+    peak = max(a, math.floor((alpha * decay - beta) / -math.expm1(-rate)) + 1)
+    tol = 0.25 * _REL_TOL * max(partial, term(n, t, float(peak)))
 
     def integral(evals_left: int):
         quad = integrate_decaying(
@@ -279,7 +285,6 @@ def _split_sum(
             tol=tol,
             poly_degree=n - 2,
             node_cap=min(evals_left, node_cap),
-            noise=_eval_rel(n, 2.0 * rate * a),
         )
         tip = _eval_rel(n, rate * (a + quad.truncation_point))
         return quad, (tip + quad.nodes_used * U) * abs(quad.value)
@@ -295,7 +300,7 @@ def _split_sum(
             growth=n - 2,
             integral=integral,
             eval_rel=lambda c: _eval_rel(n, c * rate * a),
-            eval_cap=term_cap - len(head),
+            eval_cap=term_cap - len(head) - 1,
         )
     except ConvergenceError as err:
         raise ConvergenceError(
@@ -303,9 +308,7 @@ def _split_sum(
         ) from err
     total = math.fsum([*head, *parts])
     rounding = _eval_rel(n, rate * a) * partial + U * total
-    return HeatTraceSample(
-        n, t, total, tail_bound + rounding, len(head) + evaluations
-    )
+    return HeatTraceSample(n, t, total, tail_bound + rounding, len(head) + 1 + evaluations)
 
 
 def trace_split_q(
@@ -324,14 +327,13 @@ def trace_split_q(
     integral, would be needed.
     """
     _validate(n, t)
-    decay = math.exp(-2.0 * t * (n - 1))
     return _split_sum(
         "split_q",
         n,
         t,
         _split_q_term,
         1,
-        lambda q: ((n + q - 1) / (q + 1)) * decay,
+        (n - 1, 1),
         2.0 * t * (n - 1),
         term_cap,
         node_cap,
@@ -351,14 +353,13 @@ def trace_split_w(
     rho(w) = (w/(w-n+2)) * exp(-2t) and decay rate 2t.
     """
     _validate(n, t)
-    decay = math.exp(-2.0 * t)
     return _split_sum(
         "split_w",
         n,
         t,
         _split_w_term,
         n - 1,
-        lambda w: (w / (w - n + 2)) * decay,
+        (0, 2 - n),
         2.0 * t,
         term_cap,
         node_cap,

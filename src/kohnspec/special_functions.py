@@ -283,7 +283,6 @@ def integrate_decaying(
     tol: float = DEFAULT_TOL,
     poly_degree: int = 12,
     node_cap: int = DEFAULT_NODE_CAP,
-    noise: float = 0.0,
 ) -> QuadratureResult:
     """Integrate f over [0, inf) for f with |f(x)| <= C * x**poly_degree * exp(-decay_rate * x).
 
@@ -294,14 +293,12 @@ def integrate_decaying(
     whenever the envelope assumption holds.
 
     The [0, T] part uses adaptive bisection with paired 16/32-point
-    Gauss-Legendre panels.  With rel the larger of _PANEL_REL and noise,
-    the caller's relative rounding of one integrand evaluation, a panel
-    [a, b] is accepted when the pair agrees within the width share (b - a)/T
-    of max(tol, rel |sum|)/2, the sum taken over the accepted panels and
-    this one, or within rel of the panel's own value: the share follows the
-    size of the integral once that passes tol, and no panel is asked for
-    digits its rounding does not hold.  Complex-valued integrands are
-    supported transparently.
+    Gauss-Legendre panels.  A panel [a, b] is accepted when the pair agrees
+    within the width share (b - a)/T of max(tol, _PANEL_REL |sum|)/2, the
+    sum taken over the accepted panels and this one, or within _PANEL_REL
+    of the panel's own value: the share follows the size of the integral
+    once that passes tol, and no panel is asked for digits its rounding
+    does not hold.  Complex-valued integrands are supported transparently.
     Raises ConvergenceError when node_cap would be exceeded or no
     certifiable truncation point exists, OverflowError when the sum is not
     a finite float.
@@ -313,7 +310,6 @@ def integrate_decaying(
         raise ValueError(f"poly_degree must be nonnegative, got {poly_degree}")
     d = float(decay_rate)
     s = int(poly_degree)
-    rel = max(_PANEL_REL, noise)
     nodes_used = 0
 
     def log_envelope_constant(T: float) -> float:
@@ -369,8 +365,8 @@ def integrate_decaying(
         nodes_used += 48
         diff = abs(fine - coarse)
         if (
-            diff <= 0.5 * max(tol, rel * abs(value + fine)) * (b - a) / T
-            or diff <= rel * abs(fine)
+            diff <= 0.5 * max(tol, _PANEL_REL * abs(value + fine)) * (b - a) / T
+            or diff <= _PANEL_REL * abs(fine)
         ):
             value = value + fine
             # |truth - fine| can match |fine - coarse| when a panel is
