@@ -21,6 +21,7 @@ or non-convergence.
 
 Caps can be overridden by environment variables KOHNSPEC_LINE_CAP,
 KOHNSPEC_TERM_CAP, KOHNSPEC_NODE_CAP; their defaults live in kohnspec.errors.
+No flag sets an accuracy: each route fixes its own tolerance.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def _cmd_coeff(args) -> int:
         exact_form = str(est.exact_form) if est.exact_form else None
         return ("estimate", est.n, est.method, est.value, est.error_bound, est.work, exact_form)
 
-    options = dict(terms=args.terms, tol=args.tol, term_cap=_term_cap(), node_cap=_node_cap())
+    options = dict(term_cap=_term_cap(), node_cap=_node_cap())
     if args.method == "all":
         report = coefficients.reconcile(args.n, **options)
         rows = [estimate_row(est) for est in report.estimates]
@@ -288,15 +289,15 @@ def _parse_span(raw: str) -> list[float]:
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
 
 
-def _stanton_row(n: int, q: complex, tol: float, node_cap: int, limit: float | None) -> dict:
+def _stanton_row(n: int, q: complex, node_cap: int, limit: float | None) -> dict:
     point = continuation.StripPoint(n, q)
     g_val = (
-        continuation.continued_coefficient(point, tol=tol, node_cap=node_cap)
+        continuation.continued_coefficient(point, node_cap=node_cap)
         if point.in_continued_strip
         else None
     )
     f_val = (
-        continuation.stanton_coefficient(point, tol=tol, node_cap=node_cap)
+        continuation.stanton_coefficient(point, node_cap=node_cap)
         if point.in_stanton_strip
         else None
     )
@@ -337,9 +338,8 @@ def _cmd_stanton(args) -> int:
             raise ValueError("--q takes re or re,im")
         points = [complex(parts[0], parts[1] if len(parts) == 2 else 0.0)]
     errors.check_n(args.n, "continuation")  # before c(n), which only the row at q = 0 needs
-    errors.check_tol(args.tol)  # also where no point lies in a strip that integrates
     limit = coefficients.series_zeta(args.n).value if 0 in points else None
-    rows = [_stanton_row(args.n, q, args.tol, node_cap, limit) for q in points]
+    rows = [_stanton_row(args.n, q, node_cap, limit) for q in points]
     if len(rows) == 1 and rows[0]["f_re"] is None and rows[0]["g_re"] is None:
         print(
             f"error: q = {points[0]} is outside both evaluator strips", file=sys.stderr
@@ -348,7 +348,8 @@ def _cmd_stanton(args) -> int:
     _emit(
         args,
         "stanton",
-        {"n": args.n, "tol": args.tol, "points": len(rows)},
+        # the quadrature tolerance integrate_decaying applies by default
+        {"n": args.n, "tol": 1e-10, "points": len(rows)},
         *_records(rows),
     )
     return 0
@@ -390,14 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="series-zeta",
         help="evaluation route (default: series-zeta; intermediate = integral-intermediate); "
         "all = run and reconcile every route",
-    )
-    coeff.add_argument(
-        "--terms", type=int, default=coefficients.DEFAULT_SERIES_TERMS,
-        help="exact head terms for series-direct, before its certified tail",
-    )
-    coeff.add_argument(
-        "--tol", type=float, default=errors.DEFAULT_TOL,
-        help="quadrature tolerance for the integral routes, positive and finite",
     )
     _add_common(coeff)
     coeff.set_defaults(handler=_cmd_coeff)
@@ -442,10 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     where.add_argument(
         "--grid",
         help="rectangle sweep re0:re1:steps[,im0:im1:steps]; rows ordered re-major",
-    )
-    stanton.add_argument(
-        "--tol", type=float, default=errors.DEFAULT_TOL,
-        help="quadrature tolerance, positive and finite",
     )
     _add_common(stanton)
     stanton.set_defaults(handler=_cmd_stanton)

@@ -27,19 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, chain, repeat, tee
 from operator import add, truediv
 from typing import Iterator
 
-from .errors import (
-    DEFAULT_NODE_CAP,
-    DEFAULT_TERM_CAP,
-    DEFAULT_TOL,
-    ConvergenceError,
-    ResourceCapError,
-    check_n,
-    check_tol,
-)
+from .errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, ConvergenceError, ResourceCapError, check_n
 from .special_functions import (
     EM_HEAD_TERMS,
     U,
@@ -52,7 +45,6 @@ from .special_functions import (
 )
 
 __all__ = [
-    "DEFAULT_SERIES_TERMS",
     "METHODS",
     "ZetaCombination",
     "CoefficientEstimate",
@@ -64,8 +56,6 @@ __all__ = [
     "estimate",
     "reconcile",
 ]
-
-DEFAULT_SERIES_TERMS = EM_HEAD_TERMS  # exact head terms before series-direct's tail
 
 METHODS: tuple[str, ...] = (
     "series-zeta",
@@ -227,32 +217,27 @@ def _series_term(n: int, z):
     return (rising + falling) * inv * inv
 
 
-def series_direct(
-    n: int,
-    terms: int = DEFAULT_SERIES_TERMS,
-    *,
-    term_cap: int = DEFAULT_TERM_CAP,
-) -> CoefficientEstimate:
+def series_direct(n: int, *, term_cap: int = DEFAULT_TERM_CAP) -> CoefficientEstimate:
     """The series (1/(2**n n!)) sum_q P(q)/q**n: an exact head and a certified tail.
 
-    The head is q = 1..terms, with P(q) as an exact integer from hockey-stick
-    prefix sums and one correctly rounded division by q**n per term.  The
-    tail from a = terms + 1 is special_functions.euler_maclaurin_tail on the
-    product-form term; its integral takes the substitution x = a e^s, under
-    which the q^-2 decay becomes e^-s.  Everything is added by one fsum.
-    Binomials never come from the polynomial expansion of series_zeta.
+    The head is q = 1..EM_HEAD_TERMS (64), with P(q) as an exact integer
+    from hockey-stick prefix sums and one correctly rounded division by q**n
+    per term.  The tail from a = EM_HEAD_TERMS + 1 is
+    special_functions.euler_maclaurin_tail on the product-form term; its
+    integral takes the substitution x = a e^s, under which the q^-2 decay
+    becomes e^-s.  Everything is added by one fsum.  Binomials never come
+    from the polynomial expansion of series_zeta.
 
-    work is terms; term_cap bounds the head plus every evaluation of the
-    tail (ResourceCapError at once if the head alone exceeds it,
-    ConvergenceError if the tail would).  The bound adds the tail's bound
-    (quadrature, R_m, aliasing and rounding) to the rounding of the head,
-    the fsum and the prefactor.
+    work is the head's length; term_cap bounds the head plus every
+    evaluation of the tail (ResourceCapError at once if the head alone
+    exceeds it, ConvergenceError if the tail would).  The bound adds the
+    tail's bound (quadrature, R_m, aliasing and rounding) to the rounding of
+    the head, the fsum and the prefactor.
     """
     check_n(n, "series-direct")
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
+    terms = EM_HEAD_TERMS
     if terms > term_cap:
-        raise ResourceCapError(f"terms = {terms} exceeds the cap {term_cap}")
+        raise ResourceCapError(f"series-direct's head of {terms} terms exceeds the cap {term_cap}")
     a = terms + 1
     # Both products carry n - 2 factors of a few roundings each, and on
     # Re z >= a/2 their sum never cancels to below half their moduli.
@@ -288,7 +273,7 @@ def series_direct(
         )
     except ConvergenceError as err:
         raise ConvergenceError(
-            f"series-direct tail at n={n}, terms={terms}, term_cap={term_cap}: {err}"
+            f"series-direct tail at n={n}, term_cap={term_cap}: {err}"
         ) from err
     total = math.fsum(chain(_head_quotients(n, terms), parts))
     # The quotients and the fsum round once each, as do the prefactor's
@@ -304,9 +289,34 @@ def series_direct(
     )
 
 
-def integral_coefficient(
-    n: int, *, tol: float = DEFAULT_TOL, node_cap: int = DEFAULT_NODE_CAP
+def _integral_route(
+    method: str, n: int, integrand, poly_degree: int, lower: float, prefactor: Fraction,
+    node_cap: int,
 ) -> CoefficientEstimate:
+    """prefactor times the integral over [0, inf) of an integrand decaying like e^(-2x).
+
+    lower bounds the integral from below, and the quadrature's absolute
+    tolerance is 1e-14 of it, the relative agreement a GL16/GL32 panel pair
+    can reach: so the tolerance follows the value at every n.  A
+    ConvergenceError names the route and n.
+    """
+    try:
+        quad = integrate_decaying(
+            integrand, 2.0, tol=1e-14 * lower, poly_degree=poly_degree, node_cap=node_cap
+        )
+    except ConvergenceError as err:
+        raise ConvergenceError(f"{method} at n={n}: {err}") from err
+    bound = quad.error_estimate + _quadrature_rounding(quad, _integrand_rel(n))
+    return CoefficientEstimate(
+        n=n,
+        method=method,
+        value=_times_fraction(prefactor, quad.value),
+        error_bound=_times_fraction(prefactor, bound),
+        work=quad.nodes_used,
+    )
+
+
+def integral_coefficient(n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> CoefficientEstimate:
     """Full-line integral route, folded to [0, inf) in a cancellation-free form.
 
     (x/sinh x)^n cosh((n-2)x) = 2^(n-1) (x/E)^n e^(-2x) (1 + e^(-2(n-2)x))
@@ -320,16 +330,11 @@ def integral_coefficient(
     def integrand(x: float) -> float:
         return scale * folded_power(x, n, 2.0) * (1.0 + math.exp(-2.0 * (n - 2) * x))
 
-    quad = integrate_decaying(integrand, 2.0, tol=tol, poly_degree=n, node_cap=node_cap)
+    # x/E > x and the last factor is at least 1, so the integral is at least
+    # that of 2^(n-1) x^n e^(-2x): n!/4.
+    lower = math.factorial(n) / 4
     prefactor = 2 * Fraction(2 * (n - 1), math.factorial(n - 1) * n * 2**n * math.factorial(n))
-    bound = quad.error_estimate + _quadrature_rounding(quad, _integrand_rel(n))
-    return CoefficientEstimate(
-        n=n,
-        method="integral",
-        value=_times_fraction(prefactor, quad.value),
-        error_bound=_times_fraction(prefactor, bound),
-        work=quad.nodes_used,
-    )
+    return _integral_route("integral", n, integrand, n, lower, prefactor, node_cap)
 
 
 def _intermediate_integrand(n: int, x: float) -> float:
@@ -342,53 +347,42 @@ def _intermediate_integrand(n: int, x: float) -> float:
     return folded_excess(x, n - 1, 0.0) + folded_power(x, n - 1, 2.0 * (n - 1))
 
 
-def integral_intermediate(
-    n: int, *, tol: float = DEFAULT_TOL, node_cap: int = DEFAULT_NODE_CAP
-) -> CoefficientEstimate:
+def integral_intermediate(n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> CoefficientEstimate:
     """Half-line integral of x^(n-1) times the three-term bracket.
 
     The integrand tends to 2^(2-n) at 0 and decays like x^(n-1) e^(-2x);
     prefactor 1/(n! (n-1)!).
     """
     check_n(n, "integral-intermediate")
-    quad = integrate_decaying(
-        lambda x: _intermediate_integrand(n, x), 2.0, tol=tol, poly_degree=n - 1, node_cap=node_cap
-    )
+    # E^(-m) - 1 >= m e^(-2x) with m = n - 1, so the integral is at least
+    # that of m x^m e^(-2x): m m!/2^(m+1).
+    lower = (n - 1) * math.factorial(n - 1) / 2**n
     prefactor = Fraction(1, math.factorial(n) * math.factorial(n - 1))
-    bound = quad.error_estimate + _quadrature_rounding(quad, _integrand_rel(n))
-    return CoefficientEstimate(
-        n=n,
-        method="integral-intermediate",
-        value=_times_fraction(prefactor, quad.value),
-        error_bound=_times_fraction(prefactor, bound),
-        work=quad.nodes_used,
-    )
+    integrand = partial(_intermediate_integrand, n)
+    return _integral_route("integral-intermediate", n, integrand, n - 1, lower, prefactor, node_cap)
 
 
 def estimate(
     method: str,
     n: int,
     *,
-    terms: int = DEFAULT_SERIES_TERMS,
-    tol: float = DEFAULT_TOL,
     term_cap: int = DEFAULT_TERM_CAP,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> CoefficientEstimate:
-    """c(n) by the route named method (one of METHODS), passing it the options it takes.
+    """c(n) by the route named method (one of METHODS), passing it the cap it takes.
 
+    Each route fixes its own accuracy; only the resource caps are settable.
     The evaluator is looked up by its module-global name at call time, so a
-    replaced module attribute also sees calls made through here.  tol must
-    be positive and finite whichever route is named.
+    replaced module attribute also sees calls made through here.
     """
-    check_tol(tol)
     if method == "series-zeta":
         return series_zeta(n)
     if method == "series-direct":
-        return series_direct(n, terms, term_cap=term_cap)
+        return series_direct(n, term_cap=term_cap)
     if method == "integral":
-        return integral_coefficient(n, tol=tol, node_cap=node_cap)
+        return integral_coefficient(n, node_cap=node_cap)
     if method == "integral-intermediate":
-        return integral_intermediate(n, tol=tol, node_cap=node_cap)
+        return integral_intermediate(n, node_cap=node_cap)
     raise ValueError(f"method must be one of {', '.join(METHODS)}, got {method!r}")
 
 
@@ -403,17 +397,11 @@ class ReconcileReport:
 
 
 def reconcile(
-    n: int,
-    *,
-    terms: int = DEFAULT_SERIES_TERMS,
-    tol: float = DEFAULT_TOL,
-    term_cap: int = DEFAULT_TERM_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
+    n: int, *, term_cap: int = DEFAULT_TERM_CAP, node_cap: int = DEFAULT_NODE_CAP
 ) -> ReconcileReport:
     """Run every route in METHODS order; test |v_a - v_b| <= bound_a + bound_b pairwise."""
     estimates = tuple(
-        estimate(method, n, terms=terms, tol=tol, term_cap=term_cap, node_cap=node_cap)
-        for method in METHODS
+        estimate(method, n, term_cap=term_cap, node_cap=node_cap) for method in METHODS
     )
     rows = []
     ok = True

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DEFAULT_NODE_CAP, DEFAULT_TOL, check_n
+from .errors import DEFAULT_NODE_CAP, ConvergenceError, check_n
 from .special_functions import folded_excess, folded_power, integrate_decaying, log_gamma
 
 __all__ = [
@@ -97,18 +97,20 @@ def _complex_binom(m: int, q: complex) -> complex:
     )
 
 
-def _integrate(point: StripPoint, integrand, decay: float, tol: float, node_cap: int):
-    """integrate_decaying over [0, inf), where a float-range failure is a ValueError naming the point.
+def _integrate(evaluator: str, point: StripPoint, integrand, decay: float, node_cap: int):
+    """integrate_decaying over [0, inf) at its default tol; a failure names the evaluator and point.
 
-    The kernels overflow only where their values do: near an edge of the
-    strip, at large n, the integrand itself passes the float range.
+    A float-range failure is a ValueError: the kernels overflow only where
+    their values do, so near an edge of the strip, at large n, the integrand
+    itself passes the float range.  A ConvergenceError stays one.
     """
+    where = f"n = {point.n}, q = {point.q}"
     try:
-        return integrate_decaying(integrand, decay, tol=tol, poly_degree=point.m, node_cap=node_cap)
+        return integrate_decaying(integrand, decay, poly_degree=point.m, node_cap=node_cap)
     except OverflowError as err:
-        raise ValueError(
-            f"the continuation integrand at n = {point.n}, q = {point.q} leaves the float range"
-        ) from err
+        raise ValueError(f"the {evaluator} integrand at {where} leaves the float range") from err
+    except ConvergenceError as err:
+        raise ConvergenceError(f"{evaluator} at {where}: {err}") from err
 
 
 def _folded_integrand(first, m: int, q: complex, scale: float):
@@ -131,9 +133,7 @@ def _folded_integrand(first, m: int, q: complex, scale: float):
     return integrand
 
 
-def stanton_coefficient(
-    point: StripPoint, *, tol: float = DEFAULT_TOL, node_cap: int = DEFAULT_NODE_CAP
-) -> complex:
+def stanton_coefficient(point: StripPoint, *, node_cap: int = DEFAULT_NODE_CAP) -> complex:
     """Form-degree coefficient on the strip 0 < re q < n - 1.
 
     Folded to the half line: the integrand becomes
@@ -147,13 +147,12 @@ def stanton_coefficient(
             f"got q = {q}; near the pole evaluate continued_coefficient instead"
         )
     integrand = _folded_integrand(folded_power, m, q, 2.0**m)
-    quad = _integrate(point, integrand, 2.0 * min(q.real, m - q.real), tol, node_cap)
+    decay = 2.0 * min(q.real, m - q.real)
+    quad = _integrate("stanton_coefficient", point, integrand, decay, node_cap)
     return _complex_binom(m, q) * _volume_prefactor(n) * quad.value
 
 
-def continued_coefficient(
-    point: StripPoint, *, tol: float = DEFAULT_TOL, node_cap: int = DEFAULT_NODE_CAP
-) -> complex:
+def continued_coefficient(point: StripPoint, *, node_cap: int = DEFAULT_NODE_CAP) -> complex:
     """Continued coefficient on the strip -1 < re q < n - 1; analytic at q = 0.
 
     Stable integrand: 2^(m-1) [tau^m (E^(-m) - 1) e^(-2 q tau)
@@ -167,7 +166,8 @@ def continued_coefficient(
             f"continued_coefficient needs -1 < re q < {m}, got q = {q}"
         )
     integrand = _folded_integrand(folded_excess, m, q, 2.0 ** (m - 1))
-    quad = _integrate(point, integrand, 2.0 * min(q.real + 1.0, m - q.real), tol, node_cap)
+    decay = 2.0 * min(q.real + 1.0, m - q.real)
+    quad = _integrate("continued_coefficient", point, integrand, decay, node_cap)
     return 2.0 * _complex_binom(m, q) * _volume_prefactor(n) * quad.value
 
 
@@ -190,15 +190,13 @@ def pole_term(point: StripPoint) -> complex:
         ) from err
 
 
-def continuation_residual(
-    point: StripPoint, *, tol: float = DEFAULT_TOL, node_cap: int = DEFAULT_NODE_CAP
-) -> float:
+def continuation_residual(point: StripPoint, *, node_cap: int = DEFAULT_NODE_CAP) -> float:
     """|stanton_coefficient - continued_coefficient - pole_term|, ideally ~0.
 
     Defined where stanton_coefficient is: 0 < re q < n - 1 away from the
     near-pole radius.
     """
-    direct = stanton_coefficient(point, tol=tol, node_cap=node_cap)
-    continued = continued_coefficient(point, tol=tol, node_cap=node_cap)
+    direct = stanton_coefficient(point, node_cap=node_cap)
+    continued = continued_coefficient(point, node_cap=node_cap)
     return abs(direct - continued - pole_term(point))
 

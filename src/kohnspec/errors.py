@@ -1,26 +1,23 @@
 """Exception types, resource-cap defaults and the supported range of n, shared across the package.
 
 Both errors mean "the computation was cut off", not "the answer is wrong":
-callers that see them should raise a cap, loosen a tolerance, or shrink the
-request.  Each cap and each tolerance has its one default here; the CLI's
-environment variables KOHNSPEC_{LINE,TERM,NODE}_CAP override the caps.
-MAX_N holds every fixed largest n, and check_n enforces it; check_tol is
-the one tolerance check, and count_text prints a count in a cap message.
+callers that see them should raise a cap or shrink the request.  Each cap
+has its one default here; the CLI's environment variables
+KOHNSPEC_{LINE,TERM,NODE}_CAP override them.  No tolerance is settable: each
+route fixes its own.  MAX_N holds every fixed largest n, and check_n
+enforces it; count_text prints a count in a cap message.
 """
 
 from __future__ import annotations
 
-import math
-
 __all__ = [
-    "DEFAULT_LINE_CAP", "DEFAULT_TERM_CAP", "DEFAULT_NODE_CAP", "DEFAULT_TOL",
-    "MAX_N", "ResourceCapError", "ConvergenceError", "check_n", "check_tol", "count_text",
+    "DEFAULT_LINE_CAP", "DEFAULT_TERM_CAP", "DEFAULT_NODE_CAP",
+    "MAX_N", "ResourceCapError", "ConvergenceError", "check_n", "count_text",
 ]
 
 DEFAULT_LINE_CAP = 100_000_000  # spectral lines (enumerate_modes) or blocks (count)
 DEFAULT_TERM_CAP = 10_000_000  # series terms and heat-trace term evaluations
 DEFAULT_NODE_CAP = 200_000  # quadrature nodes per integral
-DEFAULT_TOL = 1e-10  # absolute quadrature tolerance: integral routes and continuation
 
 # The largest n each route answers within its bound, with the reason it stops
 # there.  Every route takes n >= 2; one not named here has no fixed largest n.
@@ -49,12 +46,6 @@ def check_n(n: int, route: str | None = None) -> None:
     if route is not None and n > MAX_N[route][0]:
         largest, reason = MAX_N[route]
         raise ValueError(f"{route} supports n <= {largest}, got n = {n}: {reason}")
-
-
-def check_tol(tol: float) -> None:
-    """Raise ValueError unless tol is finite and positive."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 def count_text(k: int) -> str:

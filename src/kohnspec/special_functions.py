@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import DEFAULT_NODE_CAP, DEFAULT_TOL, ConvergenceError, check_tol
+from .errors import DEFAULT_NODE_CAP, ConvergenceError
 
 __all__ = [
     "PiMultiple",
@@ -280,7 +280,7 @@ def integrate_decaying(
     integrand: Callable[[float], float | complex],
     decay_rate: float,
     *,
-    tol: float = DEFAULT_TOL,
+    tol: float = 1e-10,
     poly_degree: int = 12,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> QuadratureResult:
@@ -298,14 +298,16 @@ def integrate_decaying(
     sum taken over the accepted panels and this one, or within _PANEL_REL
     of the panel's own value: the share follows the size of the integral
     once that passes tol, and no panel is asked for digits its rounding
-    does not hold.  Complex-valued integrands are supported transparently.
-    Raises ConvergenceError when node_cap would be exceeded or no
-    certifiable truncation point exists, OverflowError when the sum is not
-    a finite float.
+    does not hold.  tol is absolute; its default is the continuation's.
+    Complex-valued integrands are supported transparently.  Raises
+    ValueError unless tol is positive and finite, ConvergenceError when
+    node_cap would be exceeded or no certifiable truncation point exists,
+    OverflowError when the sum is not a finite float.
     """
     if decay_rate <= 0.0:
         raise ValueError(f"decay_rate must be positive, got {decay_rate}")
-    check_tol(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if poly_degree < 0:
         raise ValueError(f"poly_degree must be nonnegative, got {poly_degree}")
     d = float(decay_rate)

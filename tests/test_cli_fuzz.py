@@ -38,7 +38,6 @@ def _span(lo: float, hi: float):
 
 _N = st.integers(0, 12).map(str)
 _FORMAT = st.sampled_from(["table", "csv", "json"])
-_TOL = _number(1e-12, 1e-2)
 
 
 @st.composite
@@ -47,7 +46,6 @@ def _argv(draw) -> list[str]:
     argv = [command, "--n", draw(_N), "--format", draw(_FORMAT)]
     if command == "coeff":
         argv += ["--method", draw(st.sampled_from([*METHODS, "intermediate", "all"]))]
-        argv += ["--tol", draw(_TOL)]
     elif command == "count":
         argv += ["--lambda", draw(_number(0.0, 1e4))]
         if draw(st.booleans()):
@@ -64,7 +62,6 @@ def _argv(draw) -> list[str]:
         else:
             spans = draw(st.lists(_span(-1.5, 12.0), min_size=1, max_size=2))
             argv.append("--grid=" + ",".join(spans))
-        argv += ["--tol", draw(_TOL)]
     return argv
 
 

@@ -283,3 +283,10 @@ def test_float_range_failure_where_the_integrand_passes_it_is_named(q):
     # stays finite but its integral passes the float range
     with pytest.raises(ValueError, match=r"at n = 82, q = .* leaves the float range"):
         continued_coefficient(StripPoint(82, q))
+
+
+@pytest.mark.parametrize("evaluator", [stanton_coefficient, continued_coefficient])
+def test_node_cap_failure_names_the_evaluator_and_point(evaluator):
+    pattern = rf"^{evaluator.__name__} at n = 4, q = \(1\+1j\): node cap 100 exceeded at \["
+    with pytest.raises(ConvergenceError, match=pattern):
+        evaluator(StripPoint(4, 1 + 1j), node_cap=100)

@@ -204,12 +204,12 @@ def test_integrate_decaying_validates_arguments():
 # Value, bound (float.hex) and node count of the engine's callers outside
 # heat, pinned as regressions.
 _PINNED_CALLERS = [
-    ("integral_coefficient", 20, "0x1.2020530cacd55p-77", "0x1.1b9498ea2123ap-123", 480),
-    ("integral_intermediate", 20, "0x1.2020530cacd52p-77", "0x1.19c8c3343185fp-123", 432),
-    ("integral_coefficient", 70, "0x1.932c907058e1dp-397", "0x1.e21669d69bd64p-442", 1160),
-    ("integral_intermediate", 70, "0x1.932c907058e19p-397", "0x1.d894b2e9e8241p-442", 1008),
-    ("integral_coefficient", 145, "0x1.47f499c8783c3p-975", "0x1.6d8983ad6e69ep-1019", 3416),
-    ("integral_intermediate", 145, "0x1.47f499c8783c0p-975", "0x1.76955b801de70p-1019", 3704),
+    ("integral_coefficient", 20, "0x1.2020530cacd54p-77", "0x1.2f10d3e91bf99p-123", 416),
+    ("integral_intermediate", 20, "0x1.2020530cacd4bp-77", "0x1.3c9fff294e7f2p-123", 416),
+    ("integral_coefficient", 70, "0x1.932c907058e14p-397", "0x1.51a3b822a54e4p-441", 544),
+    ("integral_intermediate", 70, "0x1.932c907058e14p-397", "0x1.36fb1a34f4432p-441", 544),
+    ("integral_coefficient", 145, "0x1.47f499c8783c1p-975", "0x1.5e34b421b9030p-1019", 680),
+    ("integral_intermediate", 145, "0x1.47f499c8783c2p-975", "0x1.5dad2ad996236p-1019", 680),
 ]
 
 
@@ -360,24 +360,26 @@ def test_gauss_legendre_table_against_mpmath(rule):
             assert abs(w - w_ref) <= 1e-13 * w_ref
 
 
-def _em_tail_of_inverse_square(disk_max):
-    """euler_maclaurin_tail of 1/z^2 from a = 8, with its integral in closed form."""
+def _em_tail_of_inverse_square(a, disk_max):
+    """euler_maclaurin_tail of 1/z^2 from a, with its integral 1/a in closed form."""
     return euler_maclaurin_tail(
         lambda z: 1.0 / (z * z),
-        8,
+        a,
         disk_max=disk_max,
         growth=-2,
-        integral=lambda node_cap: (QuadratureResult(1.0 / 8.0, 0.0, 0, 0.0), 0.0),
+        integral=lambda node_cap: (QuadratureResult(1.0 / a, 0.0, 0, 0.0), U / a),
         eval_rel=lambda c: 4 * U,
         eval_cap=1000,
     )
 
 
-def test_euler_maclaurin_tail_raises_where_its_bound_is_not_finite():
-    # |1/z^2| <= 4/a^2 on Re z >= a/2: a finite majorant gives the tail of zeta(2)
-    parts, bound, _ = _em_tail_of_inverse_square(4.0 / 64.0)
-    exact = math.pi**2 / 6 - math.fsum(1.0 / k**2 for k in range(1, 8))
-    assert abs(math.fsum(parts) - exact) <= bound < 1e-8
+@pytest.mark.parametrize("a, largest_bound", [(3, 1e-3), (8, 1e-8), (1001, 1e-18)])
+def test_euler_maclaurin_tail_raises_where_its_bound_is_not_finite(a, largest_bound):
+    # |1/z^2| <= 4/a^2 on Re z >= a/2: a finite majorant gives the Hurwitz
+    # zeta(2, a), also from the shortest and a long head (a = 3 and 1001)
+    parts, bound, _ = _em_tail_of_inverse_square(a, 4.0 / a**2)
+    with mp.workdps(50):
+        assert abs(mp.fsum(map(mp.mpf, parts)) - mp.zeta(2, a)) <= bound < largest_bound
     # a majorant past the float range makes the bound inf (or nan from 0 * inf); neither is returned
     with pytest.raises(ConvergenceError, match="error bound is inf"):
-        _em_tail_of_inverse_square(math.inf)
+        _em_tail_of_inverse_square(a, math.inf)
