@@ -348,8 +348,7 @@ def _cmd_stanton(args) -> int:
     _emit(
         args,
         "stanton",
-        # the quadrature tolerance integrate_decaying applies by default
-        {"n": args.n, "tol": 1e-10, "points": len(rows)},
+        {"n": args.n, "tol": continuation.QUADRATURE_TOL, "points": len(rows)},
         *_records(rows),
     )
     return 0

@@ -28,9 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, repeat, tee
-from operator import add, truediv
-from typing import Iterator
 
 from .errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, ConvergenceError, ResourceCapError, check_n
 from .special_functions import (
@@ -169,39 +166,6 @@ def _integrand_rel(n: int) -> float:
     return (3 * n + 16) * U
 
 
-_HEAD_BLOCK = 1 << 16  # hockey-stick prefix sums run one block at a time, so memory stays flat
-
-
-def _hockey_stick(r: int, stop: int) -> Iterator[int]:
-    """binom(k + r, r) for k = 0..stop-1, as the r-fold prefix sums of ones.
-
-    The sums run block by block, each pass carrying its running total over,
-    so memory does not grow with stop.
-    """
-    carries = [0] * r
-    for begin in range(0, stop, _HEAD_BLOCK):
-        block = [1] * min(_HEAD_BLOCK, stop - begin)
-        for j in range(r):
-            block[0] += carries[j]
-            block = list(accumulate(block))
-            carries[j] = block[-1]
-        yield from block
-
-
-def _head_quotients(n: int, terms: int) -> Iterator[float]:
-    """P(q)/q**n for q = 1..terms, each one correctly rounded division of exact integers.
-
-    With r = n - 2, P(q) = binom(q + r, r) + binom(q - 1, r), and the second
-    binomial is the first one's sequence delayed by r + 1 places.
-    """
-    r = n - 2
-    rising, lagged = tee(_hockey_stick(r, terms + 1))
-    next(rising)
-    falling = chain(repeat(0, r), lagged)
-    weights = map(add, rising, falling)
-    return map(truediv, weights, map(pow, range(1, terms + 1), repeat(n)))
-
-
 def _series_term(n: int, z):
     """P(z)/z**n in product form, for real or complex z with Re z > 0.
 
@@ -220,9 +184,9 @@ def _series_term(n: int, z):
 def series_direct(n: int, *, term_cap: int = DEFAULT_TERM_CAP) -> CoefficientEstimate:
     """The series (1/(2**n n!)) sum_q P(q)/q**n: an exact head and a certified tail.
 
-    The head is q = 1..EM_HEAD_TERMS (64), with P(q) as an exact integer
-    from hockey-stick prefix sums and one correctly rounded division by q**n
-    per term.  The tail from a = EM_HEAD_TERMS + 1 is
+    The head is q = 1..EM_HEAD_TERMS (64), each P(q) the sum of two exact
+    math.comb integers, divided by q**n in one correctly rounded int/int
+    division.  The tail from a = EM_HEAD_TERMS + 1 is
     special_functions.euler_maclaurin_tail on the product-form term; its
     integral takes the substitution x = a e^s, under which the q^-2 decay
     becomes e^-s.  Everything is added by one fsum.  Binomials never come
@@ -275,7 +239,9 @@ def series_direct(n: int, *, term_cap: int = DEFAULT_TERM_CAP) -> CoefficientEst
         raise ConvergenceError(
             f"series-direct tail at n={n}, term_cap={term_cap}: {err}"
         ) from err
-    total = math.fsum(chain(_head_quotients(n, terms), parts))
+    r = n - 2
+    head = [(math.comb(q + r, r) + math.comb(q - 1, r)) / q**n for q in range(1, a)]
+    total = math.fsum([*head, *parts])
     # The quotients and the fsum round once each, as do the prefactor's
     # mantissa and its product.
     rounding = 4.0 * U * abs(total)

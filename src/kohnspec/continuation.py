@@ -43,6 +43,7 @@ from .special_functions import folded_excess, folded_power, integrate_decaying, 
 
 __all__ = [
     "NEAR_POLE_RADIUS",
+    "QUADRATURE_TOL",
     "StripPoint",
     "stanton_coefficient",
     "continued_coefficient",
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 NEAR_POLE_RADIUS = 0.05
+QUADRATURE_TOL = 1e-10  # absolute tolerance of every continuation integral
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ def _complex_binom(m: int, q: complex) -> complex:
 
 
 def _integrate(evaluator: str, point: StripPoint, integrand, decay: float, node_cap: int):
-    """integrate_decaying over [0, inf) at its default tol; a failure names the evaluator and point.
+    """integrate_decaying over [0, inf) to QUADRATURE_TOL; a failure names the evaluator and point.
 
     A float-range failure is a ValueError: the kernels overflow only where
     their values do, so near an edge of the strip, at large n, the integrand
@@ -106,7 +108,9 @@ def _integrate(evaluator: str, point: StripPoint, integrand, decay: float, node_
     """
     where = f"n = {point.n}, q = {point.q}"
     try:
-        return integrate_decaying(integrand, decay, poly_degree=point.m, node_cap=node_cap)
+        return integrate_decaying(
+            integrand, decay, tol=QUADRATURE_TOL, poly_degree=point.m, node_cap=node_cap
+        )
     except OverflowError as err:
         raise ValueError(f"the {evaluator} integrand at {where} leaves the float range") from err
     except ConvergenceError as err:

@@ -388,9 +388,9 @@ def trace_direct(
     is built from one rounded exponential by a power and p multiplications,
     so its relative error is at most (n + 2p + 3 + x) * U with
     x = 2tq(n-1+p) < _EXP_ARG_MAX for every nonzero weight, and p < terms.
-    Where a multiplicity or a weight leaves the normal floats (large n), the
-    terms are scaled by powers of two (see _DirectSum).  The cost grows like
-    1/t^2.
+    Where a multiplicity or a weight leaves the normal floats (large n), that
+    block and every later one form their terms scaled by powers of two, in
+    the same loop (see _DirectSum).  The cost grows like 1/t^2.
     """
     _validate(n, t)
     return _DirectSum(n, t, term_cap).run()
@@ -421,17 +421,16 @@ def _scaled(k: int, mantissa: float, exponent: int) -> float:
 class _DirectSum:
     """The direct double sum, one block of terms p = 0, 1, ... per q.
 
-    Blocks are formed in plain float arithmetic (block, outer_majorant).  An
+    Blocks are formed in plain float arithmetic until one raises
+    OverflowError; from then on (scaled) block and outer_majorant form every
+    term and majorant by _scaled instead, the redone block included.  An
     entry of the float table past the float range is inf; a term reading it
     has overflowed already, because its multiplicity is at least both of its
-    entries, so that block raises OverflowError, as does one whose smallest
-    weight is below the normal floats.  From then on (scaled) the block is
-    redone, and every later one formed, by scaled_block and
-    scaled_outer_majorant: the same terms, order, stop tests and cap check,
-    each term and majorant formed by _scaled.  A scaled weight takes n - 1
-    multiplications instead of a power and never underflows, so its relative
-    error is at most (2n + 2p + x) * U for every x = 2tq(n-1+p) reached; such
-    a block reports n + x as its reach for the rounding bound, a plain block
+    entries, so that block raises, as does a plain one whose smallest weight
+    is below the normal floats.  A scaled weight takes n - 1 multiplications
+    instead of a power and never underflows, so its relative error is at
+    most (2n + 2p + x) * U for every x = 2tq(n-1+p) reached; such a block
+    reports n + x as its reach for the rounding bound, a plain block
     _EXP_ARG_MAX.
     """
 
@@ -459,21 +458,18 @@ class _DirectSum:
         while True:
             if q + 1 >= len(self.exact):
                 self.grow()
-            if not self.scaled:
-                try:
-                    partial, terms, inner_tail, block_reach = self.block(q, partial, terms)
-                except OverflowError:
-                    self.scaled = True
-            if self.scaled:
-                partial, terms, inner_tail, block_reach = self.scaled_block(q, partial, terms)
+            try:
+                partial, terms, inner_tail, block_reach = self.block(q, partial, terms)
+            except OverflowError:
+                self.scaled = True
+                partial, terms, inner_tail, block_reach = self.block(q, partial, terms)
             inner_slack += inner_tail
             reach = max(reach, block_reach)
             # Outer tail bound after block q; the ratio bound is evaluated at the
             # first discarded index q + 1, the largest over the discarded range.
             r_outer = ((n + q + 1) / (q + 2)) * decay
             if r_outer < 1.0:
-                majorant = self.scaled_outer_majorant if self.scaled else self.outer_majorant
-                outer_tail = majorant(q + 1) / (1.0 - r_outer)
+                outer_tail = self.outer_majorant(q + 1) / (1.0 - r_outer)
                 if outer_tail <= _REL_TOL * partial / 2.0:
                     rounding = (3 * terms + n + reach + 2) * U * partial
                     return HeatTraceSample(
@@ -481,91 +477,69 @@ class _DirectSum:
                     )
             q += 1
 
-    def cap_error(self) -> ConvergenceError:
-        return ConvergenceError(
-            f"direct sum needed more than {self.term_cap} terms at n={self.n}, t={self.t}"
-        )
-
     def outer_majorant(self, q: int) -> float:
-        t = self.t
-        return (
-            self.floats[q]
-            * math.exp(-2.0 * t * q * (self.n - 1))
-            / (-math.expm1(-2.0 * t * q)) ** self.n
-        )
-
-    def scaled_outer_majorant(self, q: int) -> float:
         t, n = self.t, self.n
-        return math.exp(
-            math.log(self.exact[q])
-            - 2.0 * t * q * (n - 1)
-            - n * math.log(-math.expm1(-2.0 * t * q))
-        )
+        if self.scaled:
+            return math.exp(
+                math.log(self.exact[q])
+                - 2.0 * t * q * (n - 1)
+                - n * math.log(-math.expm1(-2.0 * t * q))
+            )
+        return self.floats[q] * math.exp(-2.0 * t * q * (n - 1)) / (-math.expm1(-2.0 * t * q)) ** n
 
     def block(self, q: int, partial: float, terms: int) -> tuple[float, int, float, float]:
         """Add the terms p = 0, 1, ... at this q to partial, in order, until the
-        inner tail is certified; (partial, terms, inner tail, weight reach)."""
+        inner tail is certified; (partial, terms, inner tail, weight reach).
+
+        The weight exp(-2tq)^(n-1+p) is held as weight * 2^-exponent: a plain
+        block keeps exponent 0, a scaled one keeps weight in [_SCALE_TINY, 1].
+        """
         n, exact, floats, ratios = self.n, self.exact, self.floats, self.ratios
+        scaled = self.scaled
         rel_tol = _REL_TOL  # a local: read once per term
         x = math.exp(-2.0 * self.t * q)
         a_q, a_prev, b_q = exact[q], exact[q - 1], floats[q]
         share = 2.0 * q * (q + 1)
         room = self.term_cap - terms
         end = min(len(exact), room)
-        weight = x ** (n - 1)
+        weight, exponent = 1.0, 0
+        if scaled:
+            for _ in range(n - 1):
+                weight *= x
+                if weight < _SCALE_TINY:
+                    weight, exponent = math.ldexp(weight, _SCALE_SHIFT), exponent + _SCALE_SHIFT
+        else:
+            weight = x ** (n - 1)
         previous = 0  # A[p - 1], with A[-1] = 0
         p = 0
         while True:
             if p == end:
                 if p == room:
-                    raise self.cap_error()
+                    raise ConvergenceError(
+                        f"direct sum needed more than {self.term_cap} terms at n={n}, t={self.t}"
+                    )
                 self.grow()
                 end = min(len(exact), room)
             current = exact[p]
-            partial += (current * a_q - previous * a_prev) * weight
+            top = current * a_q
+            if scaled:
+                partial += _scaled(top - previous * a_prev, weight, exponent)
+            else:
+                partial += (top - previous * a_prev) * weight
             r_inner = ratios[p] * x
             if r_inner < 1.0:
-                inner_tail = floats[p] * b_q * weight * r_inner / (1.0 - r_inner)
+                majorant = _scaled(top, weight, exponent) if scaled else floats[p] * b_q * weight
+                inner_tail = majorant * r_inner / (1.0 - r_inner)
                 if inner_tail <= rel_tol * partial / share:
-                    if weight < sys.float_info.min:  # the smallest weight of the block
+                    if not scaled and weight < sys.float_info.min:  # the block's smallest weight
                         raise OverflowError("a weight of the block is a subnormal float")
-                    return partial, terms + p + 1, inner_tail, _EXP_ARG_MAX
+                    reach = n + 2.0 * self.t * q * (n - 1 + p) if scaled else _EXP_ARG_MAX
+                    return partial, terms + p + 1, inner_tail, reach
             previous = current
             p += 1
             weight *= x
-
-    def scaled_block(self, q: int, partial: float, terms: int) -> tuple[float, int, float, float]:
-        """block, with every term and inner majorant formed by _scaled."""
-        n, exact, ratios = self.n, self.exact, self.ratios
-        x = math.exp(-2.0 * self.t * q)
-        a_q, a_prev = exact[q], exact[q - 1]
-        share = 2.0 * q * (q + 1)
-        room = self.term_cap - terms
-        mantissa, exponent = 1.0, 0
-        for _ in range(n - 1):
-            mantissa *= x
-            if mantissa < _SCALE_TINY:
-                mantissa, exponent = math.ldexp(mantissa, _SCALE_SHIFT), exponent + _SCALE_SHIFT
-        previous = 0
-        p = 0
-        while True:
-            if p == room:
-                raise self.cap_error()
-            if p == len(exact):
-                self.grow()
-            current = exact[p]
-            top = current * a_q
-            partial += _scaled(top - previous * a_prev, mantissa, exponent)
-            r_inner = ratios[p] * x
-            if r_inner < 1.0:
-                inner_tail = _scaled(top, mantissa, exponent) * r_inner / (1.0 - r_inner)
-                if inner_tail <= _REL_TOL * partial / share:
-                    return partial, terms + p + 1, inner_tail, n + 2.0 * self.t * q * (n - 1 + p)
-            previous = current
-            p += 1
-            mantissa *= x
-            if mantissa < _SCALE_TINY:
-                mantissa, exponent = math.ldexp(mantissa, _SCALE_SHIFT), exponent + _SCALE_SHIFT
+            if scaled and weight < _SCALE_TINY:
+                weight, exponent = math.ldexp(weight, _SCALE_SHIFT), exponent + _SCALE_SHIFT
 
 
 def scaled_trace(

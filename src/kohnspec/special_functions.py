@@ -280,8 +280,8 @@ def integrate_decaying(
     integrand: Callable[[float], float | complex],
     decay_rate: float,
     *,
-    tol: float = 1e-10,
-    poly_degree: int = 12,
+    tol: float,
+    poly_degree: int,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> QuadratureResult:
     """Integrate f over [0, inf) for f with |f(x)| <= C * x**poly_degree * exp(-decay_rate * x).
@@ -298,20 +298,20 @@ def integrate_decaying(
     sum taken over the accepted panels and this one, or within _PANEL_REL
     of the panel's own value: the share follows the size of the integral
     once that passes tol, and no panel is asked for digits its rounding
-    does not hold.  tol is absolute; its default is the continuation's.
-    Complex-valued integrands are supported transparently.  Raises
-    ValueError unless tol is positive and finite, ConvergenceError when
-    node_cap would be exceeded or no certifiable truncation point exists,
-    OverflowError when the sum is not a finite float.
+    does not hold.  tol is absolute.  Complex-valued integrands are
+    supported transparently.  Raises ValueError unless decay_rate and tol are
+    positive and finite and poly_degree is a nonnegative integer,
+    ConvergenceError when node_cap would be exceeded or no certifiable
+    truncation point exists, OverflowError when the sum is not a finite float.
     """
-    if decay_rate <= 0.0:
-        raise ValueError(f"decay_rate must be positive, got {decay_rate}")
+    if not (math.isfinite(decay_rate) and decay_rate > 0.0):
+        raise ValueError(f"decay_rate must be positive and finite, got {decay_rate}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if poly_degree < 0:
-        raise ValueError(f"poly_degree must be nonnegative, got {poly_degree}")
+    if not (isinstance(poly_degree, int) and poly_degree >= 0):
+        raise ValueError(f"poly_degree must be a nonnegative integer, got {poly_degree}")
     d = float(decay_rate)
-    s = int(poly_degree)
+    s = poly_degree
     nodes_used = 0
 
     def log_envelope_constant(T: float) -> float:

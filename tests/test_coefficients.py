@@ -112,6 +112,27 @@ def test_series_direct_validates_and_caps():
         series_direct(3, term_cap=EM_HEAD_TERMS - 1)
 
 
+# Value, bound (float.hex) and work of series-direct, from when its head was
+# formed by streamed hockey-stick prefix sums: the same exact integers and
+# the same correctly rounded divisions as math.comb gives.
+_PINNED_SERIES_DIRECT = [
+    (2, "0x1.a51a6625307d3p-2", "0x1.2e4812160e138p-52", 64),
+    (3, "0x1.18bc4418cafe2p-4", "0x1.b7fafecae8c9ap-55", 64),
+    (10, "0x1.4ea2eca834a83p-29", "0x1.4ea41f00b57dap-80", 64),
+    (56, "0x1.17e9b1ac4b619p-299", "0x1.17e9b1ac4b619p-350", 64),
+    (100, "0x1.d20ea6fd43a1cp-619", "0x1.d20ea6fd43a1cp-670", 64),
+    (144, "0x1.70ee9ef12b970p-967", "0x1.70ee9ef12b970p-1018", 64),
+]
+
+
+@pytest.mark.parametrize(
+    "n, value, bound, work", _PINNED_SERIES_DIRECT, ids=[str(n) for n, *_ in _PINNED_SERIES_DIRECT]
+)
+def test_series_direct_is_pinned(n, value, bound, work):
+    got = series_direct(n)
+    assert (got.value.hex(), got.error_bound.hex(), got.work) == (value, bound, work)
+
+
 def test_integral_routes_match_series():
     for n in range(2, 9):
         ref = series_zeta(n).value

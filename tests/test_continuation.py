@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kohnspec.coefficients import series_zeta
 from kohnspec.continuation import (
     NEAR_POLE_RADIUS,
+    QUADRATURE_TOL,
     StripPoint,
     continuation_residual,
     continued_coefficient,
@@ -164,7 +165,7 @@ def test_fold_matches_split_pair(q):
             e = -math.expm1(-2.0 * tau)
             return 2.0**m * (tau / e) ** m * math.exp(-2.0 * rate * tau)
 
-        return integrate_decaying(integrand, 2.0 * rate, poly_degree=m).value
+        return integrate_decaying(integrand, 2.0 * rate, tol=QUADRATURE_TOL, poly_degree=m).value
 
     from kohnspec.continuation import _complex_binom, _volume_prefactor
 

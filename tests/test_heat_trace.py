@@ -313,6 +313,32 @@ def test_direct_arithmetic_is_pinned(n, t, value, bound, terms):
     assert abs(scaled.value - got.value) <= got.error_bound + scaled.error_bound
 
 
+# Values, bounds (float.hex) and term counts of the direct sum on its scaled
+# path, from before the plain and scaled blocks were one method: three inputs
+# whose multiplicities or weights leave the normal floats, so the sum turns
+# scaled by itself, and one row of _PINNED_DIRECT (plain there) with scaled
+# forced from the first block.
+_PINNED_SCALED_DIRECT = [
+    (150, 0.02, False, "0x1.6d5c019feff16p+699", "0x1.c24676e136c8bp+660", 6467),
+    (200, 0.05, False, "0x1.89734b8fb6ceep+657", "0x1.f58bf6d6d36c1p+617", 3160),
+    (582, 0.4884, False, "0x1.12257eda8bed5p-413", "0x1.1438f77dc553fp-454", 552),
+    (53, 0.01, True, "0x1.10294bcc4a047p+304", "0x1.4edda2ede53f6p+266", 13262),
+]
+
+
+@pytest.mark.parametrize(
+    "n, t, forced, value, bound, terms",
+    _PINNED_SCALED_DIRECT,
+    ids=[f"{n}-{t}{'-forced' if forced else ''}" for n, t, forced, *_ in _PINNED_SCALED_DIRECT],
+)
+def test_scaled_direct_arithmetic_is_pinned(n, t, forced, value, bound, terms):
+    summer = _DirectSum(n, t, 10**7)
+    summer.scaled = forced
+    got = summer.run()
+    assert summer.scaled
+    assert (got.value.hex(), got.error_bound.hex(), got.terms_used) == (value, bound, terms)
+
+
 @pytest.mark.parametrize("n, t", [(200, 0.05), (400, 0.3)])
 def test_direct_where_multiplicities_pass_the_float_range(n, t):
     # the multiplicities pass 1e308 long before the terms do (the trace is

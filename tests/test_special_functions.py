@@ -129,15 +129,15 @@ def test_log_gamma_rejects_poles_and_nonpositive_reals():
 
 
 def test_integrate_decaying_known_integrals():
-    r = integrate_decaying(lambda x: math.exp(-x), 1.0, poly_degree=0)
+    r = integrate_decaying(lambda x: math.exp(-x), 1.0, tol=1e-10, poly_degree=0)
     assert r.value == pytest.approx(1.0, abs=1e-9)
     assert abs(r.value - 1.0) <= r.error_estimate
 
-    r = integrate_decaying(lambda x: x * math.exp(-2 * x), 2.0, poly_degree=1)
+    r = integrate_decaying(lambda x: x * math.exp(-2 * x), 2.0, tol=1e-10, poly_degree=1)
     assert r.value == pytest.approx(0.25, abs=1e-10)
     assert abs(r.value - 0.25) <= r.error_estimate
 
-    r = integrate_decaying(lambda x: x**5 * math.exp(-x), 1.0, poly_degree=5)
+    r = integrate_decaying(lambda x: x**5 * math.exp(-x), 1.0, tol=1e-10, poly_degree=5)
     assert r.value == pytest.approx(120.0, abs=1e-7)
     assert abs(r.value - 120.0) <= r.error_estimate
 
@@ -147,14 +147,14 @@ def test_integrate_decaying_bose_kernel():
     def f(x):
         return 4.0 * math.exp(-2 * x) / (-math.expm1(-2 * x)) ** 2 * x**2
 
-    r = integrate_decaying(f, 2.0, poly_degree=2)
+    r = integrate_decaying(f, 2.0, tol=1e-10, poly_degree=2)
     exact = math.pi**2 / 6
     assert abs(r.value - exact) <= r.error_estimate
     assert r.value == pytest.approx(exact, abs=1e-9)
 
 
 def test_integrate_decaying_complex_integrand():
-    r = integrate_decaying(lambda x: cmath.exp(-2 * x * (1 + 0.5j)), 2.0, poly_degree=0)
+    r = integrate_decaying(lambda x: cmath.exp(-2 * x * (1 + 0.5j)), 2.0, tol=1e-10, poly_degree=0)
     exact = 0.4 - 0.2j
     assert isinstance(r, QuadratureResult)
     assert abs(r.value - exact) <= r.error_estimate
@@ -162,7 +162,7 @@ def test_integrate_decaying_complex_integrand():
 
 
 def test_integrate_decaying_reports_work_and_truncation():
-    r = integrate_decaying(lambda x: math.exp(-x), 1.0, poly_degree=0)
+    r = integrate_decaying(lambda x: math.exp(-x), 1.0, tol=1e-10, poly_degree=0)
     assert r.nodes_used > 0
     assert r.truncation_point > 1.0
 
@@ -176,7 +176,7 @@ def test_integrate_decaying_tolerance_halving_consistent():
 
 def test_integrate_decaying_width_share_follows_the_integral():
     # far above tol the panels are held to 1e-14 of the integral, not to tol
-    r = integrate_decaying(lambda x: 1e300 * math.exp(-x), 1.0, poly_degree=0)
+    r = integrate_decaying(lambda x: 1e300 * math.exp(-x), 1.0, tol=1e-10, poly_degree=0)
     assert abs(r.value - 1e300) <= r.error_estimate <= 1e-14 * 1e300
     assert r.nodes_used <= 1_000
 
@@ -184,21 +184,25 @@ def test_integrate_decaying_width_share_follows_the_integral():
 def test_integrate_decaying_names_a_sum_past_the_float_range():
     # every node and panel is finite, the integral (1e309) is not
     with pytest.raises(OverflowError, match="not finite"):
-        integrate_decaying(lambda x: 1e307 * math.exp(-0.01 * x), 0.01, poly_degree=0)
+        integrate_decaying(lambda x: 1e307 * math.exp(-0.01 * x), 0.01, tol=1e-10, poly_degree=0)
 
 
 def test_integrate_decaying_node_cap():
     with pytest.raises(ConvergenceError):
-        integrate_decaying(lambda x: math.exp(-x), 1.0, poly_degree=0, node_cap=20)
+        integrate_decaying(lambda x: math.exp(-x), 1.0, tol=1e-10, poly_degree=0, node_cap=20)
 
 
 def test_integrate_decaying_validates_arguments():
+    for rate in (0.0, -1.0, math.nan, math.inf):
+        # nan used to probe 400 truncation points, inf to raise a bare math domain error
+        with pytest.raises(ValueError, match="decay_rate must be positive and finite"):
+            integrate_decaying(lambda x: 0.0, rate, tol=1e-10, poly_degree=0)
     with pytest.raises(ValueError):
-        integrate_decaying(lambda x: 0.0, 0.0)
-    with pytest.raises(ValueError):
-        integrate_decaying(lambda x: 0.0, 1.0, tol=0.0)
-    with pytest.raises(ValueError):
-        integrate_decaying(lambda x: 0.0, 1.0, poly_degree=-1)
+        integrate_decaying(lambda x: 0.0, 1.0, tol=0.0, poly_degree=0)
+    for degree in (-1, 0.5, 2.0):
+        # 0.5 used to be truncated to 0, certifying a tail for slower growth than stated
+        with pytest.raises(ValueError, match="poly_degree must be a nonnegative integer"):
+            integrate_decaying(lambda x: 0.0, 1.0, tol=1e-10, poly_degree=degree)
 
 
 # Value, bound (float.hex) and node count of the engine's callers outside
