@@ -19,9 +19,11 @@ Exit codes: 0 success; 1 usage or domain error; 2 reconciliation failure
 (coeff --method all disagreement, heat --verify mismatch); 3 resource cap
 or non-convergence.
 
-Caps can be overridden by environment variables KOHNSPEC_LINE_CAP,
-KOHNSPEC_TERM_CAP, KOHNSPEC_NODE_CAP; their defaults live in kohnspec.errors.
-No flag sets an accuracy: each route fixes its own tolerance.
+Caps can be overridden by environment variables, each read only by the
+subcommands whose work it bounds: KOHNSPEC_LINE_CAP (count, converge),
+KOHNSPEC_TERM_CAP (heat --verify's direct sum), KOHNSPEC_NODE_CAP (coeff,
+heat, stanton).  Their defaults live in kohnspec.errors.  No flag sets an
+accuracy: each route fixes its own tolerance.
 """
 
 from __future__ import annotations
@@ -169,9 +171,9 @@ def _cmd_coeff(args) -> int:
         exact_form = str(est.exact_form) if est.exact_form else None
         return ("estimate", est.n, est.method, est.value, est.error_bound, est.work, exact_form)
 
-    options = dict(term_cap=_term_cap(), node_cap=_node_cap())
+    node_cap = _node_cap()
     if args.method == "all":
-        report = coefficients.reconcile(args.n, **options)
+        report = coefficients.reconcile(args.n, node_cap=node_cap)
         rows = [estimate_row(est) for est in report.estimates]
         for a, b, diff, combined in report.differences:
             rows.append(("difference", args.n, f"{a}|{b}", diff, combined, None, None))
@@ -190,7 +192,7 @@ def _cmd_coeff(args) -> int:
         return 0
 
     method = _METHOD_ALIASES.get(args.method, args.method)
-    est = coefficients.estimate(method, args.n, **options)
+    est = coefficients.estimate(method, args.n, node_cap=node_cap)
     _emit(
         args,
         "coeff",
@@ -221,13 +223,13 @@ def _count_row(n: int, lam: float, cap: int) -> dict:
 
 def _cmd_heat(args) -> int:
     ts = _parse_float_list(args.t, "--t")
-    cap = _term_cap()
-    caps = dict(term_cap=cap, node_cap=_node_cap())
+    node_cap = _node_cap()
+    term_cap = _term_cap() if args.verify else None
     rows = []
     all_within = True
     for t in ts:
-        part_q = heat_trace.trace_split_q(args.n, t, **caps)
-        part_w = heat_trace.trace_split_w(args.n, t, **caps)
+        part_q = heat_trace.trace_split_q(args.n, t, node_cap=node_cap)
+        part_w = heat_trace.trace_split_w(args.n, t, node_cap=node_cap)
         row = {
             "n": args.n,
             "t": t,
@@ -238,7 +240,7 @@ def _cmd_heat(args) -> int:
             "scaled_trace": heat_trace.scale_by_t_power(args.n, t, part_q.value + part_w.value),
         }
         if args.verify:
-            direct = heat_trace.trace_direct(args.n, t, term_cap=cap)
+            direct = heat_trace.trace_direct(args.n, t, term_cap=term_cap)
             split_total = part_q.value + part_w.value
             diff = abs(direct.value - split_total)
             budget = direct.error_bound + part_q.error_bound + part_w.error_bound
@@ -325,7 +327,7 @@ def _stanton_row(n: int, q: complex, node_cap: int, limit: float | None) -> dict
 
 def _cmd_stanton(args) -> int:
     node_cap = _node_cap()
-    if args.grid:
+    if args.grid is not None:
         spans = args.grid.split(",")
         if len(spans) > 2:
             raise ValueError("grid takes at most re and im spans")

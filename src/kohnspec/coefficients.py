@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, ConvergenceError, ResourceCapError, check_n
+from .errors import DEFAULT_NODE_CAP, ConvergenceError, check_n
 from .special_functions import (
     EM_HEAD_TERMS,
     U,
@@ -181,7 +181,7 @@ def _series_term(n: int, z):
     return (rising + falling) * inv * inv
 
 
-def series_direct(n: int, *, term_cap: int = DEFAULT_TERM_CAP) -> CoefficientEstimate:
+def series_direct(n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> CoefficientEstimate:
     """The series (1/(2**n n!)) sum_q P(q)/q**n: an exact head and a certified tail.
 
     The head is q = 1..EM_HEAD_TERMS (64), each P(q) the sum of two exact
@@ -189,20 +189,16 @@ def series_direct(n: int, *, term_cap: int = DEFAULT_TERM_CAP) -> CoefficientEst
     division.  The tail from a = EM_HEAD_TERMS + 1 is
     special_functions.euler_maclaurin_tail on the product-form term; its
     integral takes the substitution x = a e^s, under which the q^-2 decay
-    becomes e^-s.  Everything is added by one fsum.  Binomials never come
-    from the polynomial expansion of series_zeta.
+    becomes e^-s, in at most node_cap nodes (ConvergenceError past it).
+    Everything is added by one fsum.  Binomials never come from the
+    polynomial expansion of series_zeta.
 
-    work is the head's length; term_cap bounds the head plus every
-    evaluation of the tail (ResourceCapError at once if the head alone
-    exceeds it, ConvergenceError if the tail would).  The bound adds the
-    tail's bound (quadrature, R_m, aliasing and rounding) to the rounding of
-    the head, the fsum and the prefactor.
+    work is the head's length.  The bound adds the tail's bound (quadrature,
+    R_m, aliasing and rounding) to the rounding of the head, the fsum and
+    the prefactor.
     """
     check_n(n, "series-direct")
-    terms = EM_HEAD_TERMS
-    if terms > term_cap:
-        raise ResourceCapError(f"series-direct's head of {terms} terms exceeds the cap {term_cap}")
-    a = terms + 1
+    a = EM_HEAD_TERMS + 1
     # Both products carry n - 2 factors of a few roundings each, and on
     # Re z >= a/2 their sum never cancels to below half their moduli.
     eval_rel = (16 * n + 64) * U
@@ -210,15 +206,9 @@ def series_direct(n: int, *, term_cap: int = DEFAULT_TERM_CAP) -> CoefficientEst
     # 2/((n-2)! a): tol is a relative U of it.
     tol = U * 2.0 / (math.factorial(n - 2) * a)
 
-    def integral(node_cap: int):
-        def integrand(s: float) -> float:
-            x = a * math.exp(s)
-            return _series_term(n, x) * x
-
-        quad = integrate_decaying(integrand, 1.0, tol=tol, poly_degree=0, node_cap=node_cap)
-        # A node s moves x by (s + 2) U relatively, and |d log(x f) / d log x| <= n - 1.
-        nodes = (n - 1) * (quad.truncation_point + 2.0) * U
-        return quad, _quadrature_rounding(quad, eval_rel + nodes)
+    def integrand(s: float) -> float:
+        x = a * math.exp(s)
+        return _series_term(n, x) * x
 
     # |f(z)| <= |z|^-2 * 2 prod_i (1 + i/|z|)/i, at most (2/x)^2 * 2 prod_i (1 + 2i/x)/i
     # on the circle of radius x/2 around x: (a/x)^2 times its value at x = a.
@@ -226,19 +216,20 @@ def series_direct(n: int, *, term_cap: int = DEFAULT_TERM_CAP) -> CoefficientEst
     for i in range(1, n - 1):
         disk_max *= 1.0 / i + 2.0 / a
     try:
+        quad = integrate_decaying(integrand, 1.0, tol=tol, poly_degree=0, node_cap=node_cap)
+        # A node s moves x by (s + 2) U relatively, and |d log(x f) / d log x| <= n - 1.
+        nodes = (n - 1) * (quad.truncation_point + 2.0) * U
         parts, tail_bound, _ = euler_maclaurin_tail(
             lambda z: _series_term(n, z),
             a,
             disk_max=disk_max,
             growth=-2,
-            integral=integral,
+            integral=quad,
+            integral_rounding=_quadrature_rounding(quad, eval_rel + nodes),
             eval_rel=lambda c: eval_rel,
-            eval_cap=term_cap - terms,
         )
     except ConvergenceError as err:
-        raise ConvergenceError(
-            f"series-direct tail at n={n}, term_cap={term_cap}: {err}"
-        ) from err
+        raise ConvergenceError(f"series-direct at n={n}: {err}") from err
     r = n - 2
     head = [(math.comb(q + r, r) + math.comb(q - 1, r)) / q**n for q in range(1, a)]
     total = math.fsum([*head, *parts])
@@ -251,7 +242,7 @@ def series_direct(n: int, *, term_cap: int = DEFAULT_TERM_CAP) -> CoefficientEst
         method="series-direct",
         value=_times_fraction(prefactor, total),
         error_bound=_times_fraction(prefactor, tail_bound + rounding),
-        work=terms,
+        work=EM_HEAD_TERMS,
     )
 
 
@@ -328,23 +319,18 @@ def integral_intermediate(n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> Coeffi
     return _integral_route("integral-intermediate", n, integrand, n - 1, lower, prefactor, node_cap)
 
 
-def estimate(
-    method: str,
-    n: int,
-    *,
-    term_cap: int = DEFAULT_TERM_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> CoefficientEstimate:
-    """c(n) by the route named method (one of METHODS), passing it the cap it takes.
+def estimate(method: str, n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> CoefficientEstimate:
+    """c(n) by the route named method (one of METHODS).
 
-    Each route fixes its own accuracy; only the resource caps are settable.
+    Each route fixes its own accuracy; only node_cap, which bounds every
+    route's quadrature (series-zeta has none), is settable.
     The evaluator is looked up by its module-global name at call time, so a
     replaced module attribute also sees calls made through here.
     """
     if method == "series-zeta":
         return series_zeta(n)
     if method == "series-direct":
-        return series_direct(n, term_cap=term_cap)
+        return series_direct(n, node_cap=node_cap)
     if method == "integral":
         return integral_coefficient(n, node_cap=node_cap)
     if method == "integral-intermediate":
@@ -362,13 +348,9 @@ class ReconcileReport:
     ok: bool
 
 
-def reconcile(
-    n: int, *, term_cap: int = DEFAULT_TERM_CAP, node_cap: int = DEFAULT_NODE_CAP
-) -> ReconcileReport:
+def reconcile(n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> ReconcileReport:
     """Run every route in METHODS order; test |v_a - v_b| <= bound_a + bound_b pairwise."""
-    estimates = tuple(
-        estimate(method, n, term_cap=term_cap, node_cap=node_cap) for method in METHODS
-    )
+    estimates = tuple(estimate(method, n, node_cap=node_cap) for method in METHODS)
     rows = []
     ok = True
     for i in range(len(estimates)):

@@ -2,10 +2,11 @@
 
 Both errors mean "the computation was cut off", not "the answer is wrong":
 callers that see them should raise a cap or shrink the request.  Each cap
-has its one default here; the CLI's environment variables
-KOHNSPEC_{LINE,TERM,NODE}_CAP override them.  No tolerance is settable: each
-route fixes its own.  MAX_N holds every fixed largest n, and check_n
-enforces it; count_text prints a count in a cap message.
+bounds one kind of work whose size the input does not fix, and has its one
+default here; the CLI's environment variables KOHNSPEC_{LINE,TERM,NODE}_CAP
+override them.  No tolerance is settable: each route fixes its own.  MAX_N
+holds every fixed largest n, and check_n enforces it; count_text prints a
+count in a cap message.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ __all__ = [
 ]
 
 DEFAULT_LINE_CAP = 100_000_000  # spectral lines (enumerate_modes) or blocks (count)
-DEFAULT_TERM_CAP = 10_000_000  # series terms and heat-trace term evaluations
-DEFAULT_NODE_CAP = 200_000  # quadrature nodes per integral
+DEFAULT_TERM_CAP = 10_000_000  # terms of the direct heat double sum (trace_direct)
+DEFAULT_NODE_CAP = 200_000  # quadrature nodes per integral, tail integrals included
 
 # The largest n each route answers within its bound, with the reason it stops
 # there.  Every route takes n >= 2; one not named here has no fixed largest n.

@@ -236,7 +236,6 @@ def _split_sum(
     start: int,
     shifts: tuple[int, int],
     rate: float,
-    term_cap: int,
     node_cap: int,
 ) -> HeatTraceSample:
     """sum_{k >= start} term(n, t, k): exact head plus Euler-Maclaurin tail.
@@ -251,6 +250,14 @@ def _split_sum(
     a = start + EM_HEAD_TERMS on, its integral to a quarter of the stop's
     share of partial or of the term at the first k >= a with rho(k) < 1,
     about the largest, whichever is larger.
+
+    n bounds the work, t does not.  The head has at most
+    max(EM_HEAD_TERMS, 2n + 110) terms: where e^(-rate) <= 1/2, rho <= 3/4
+    from the (2n-4)-th term of either sum on, and 108 terms later the tail
+    bound is below _REL_TOL times that term, which partial holds.  The tail
+    adds one term at a, the contour's max(64, 4m) points with
+    m = max(6, (n+1)//2), and the integral's nodes, at most node_cap
+    (ConvergenceError past it).
     """
     alpha, beta = shifts
     decay = math.exp(-rate)
@@ -258,10 +265,6 @@ def _split_sum(
     partial = 0.0
     a = start + EM_HEAD_TERMS
     for k in range(start, a if rate < math.log(2.0) else sys.maxsize):
-        if len(head) >= term_cap:
-            raise ConvergenceError(
-                f"{label} needed more than {term_cap} term evaluations at n={n}, t={t}"
-            )
         value = term(n, t, k)
         head.append(value)
         partial += value
@@ -277,19 +280,11 @@ def _split_sum(
     # n and mid t; at a real index it takes the overflow-free path.
     peak = max(a, math.floor((alpha * decay - beta) / -math.expm1(-rate)) + 1)
     tol = 0.25 * _REL_TOL * max(partial, term(n, t, float(peak)))
-
-    def integral(evals_left: int):
+    try:
         quad = integrate_decaying(
-            lambda u: term(n, t, a + u),
-            rate,
-            tol=tol,
-            poly_degree=n - 2,
-            node_cap=min(evals_left, node_cap),
+            lambda u: term(n, t, a + u), rate, tol=tol, poly_degree=n - 2, node_cap=node_cap
         )
         tip = _eval_rel(n, rate * (a + quad.truncation_point))
-        return quad, (tip + quad.nodes_used * U) * abs(quad.value)
-
-    try:
         # disk_max bounds |f| for Re z >= a/2, |z| <= 3a/2: on the disk of
         # radius a/2 around a, and, times (x/a)^(n-2), on the circle of
         # radius x/2 around any x >= a.
@@ -298,33 +293,24 @@ def _split_sum(
             a,
             disk_max=math.exp(_log_majorant(n, t, rate, a)),
             growth=n - 2,
-            integral=integral,
+            integral=quad,
+            integral_rounding=(tip + quad.nodes_used * U) * abs(quad.value),
             eval_rel=lambda c: _eval_rel(n, c * rate * a),
-            eval_cap=term_cap - len(head) - 1,
         )
     except ConvergenceError as err:
-        raise ConvergenceError(
-            f"{label} tail at n={n}, t={t}, term_cap={term_cap}: {err}"
-        ) from err
+        raise ConvergenceError(f"{label} tail at n={n}, t={t}: {err}") from err
     total = math.fsum([*head, *parts])
     rounding = _eval_rel(n, rate * a) * partial + U * total
     return HeatTraceSample(n, t, total, tail_bound + rounding, len(head) + 1 + evaluations)
 
 
-def trace_split_q(
-    n: int,
-    t: float,
-    *,
-    term_cap: int = DEFAULT_TERM_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> HeatTraceSample:
+def trace_split_q(n: int, t: float, *, node_cap: int = DEFAULT_NODE_CAP) -> HeatTraceSample:
     """The q-indexed single sum of the split heat trace.
 
     Term ratios are bounded by rho(q) = ((n+q-1)/(q+1)) * exp(-2t(n-1)),
     decreasing in q; the terms decay at rate 2t(n-1).  See _split_sum for
-    the summation and its error bound; ConvergenceError when more than
-    term_cap term evaluations, or more than node_cap of them in the tail
-    integral, would be needed.
+    the summation, its error bound and its work; ConvergenceError when the
+    tail integral would need more than node_cap nodes.
     """
     _validate(n, t)
     return _split_sum(
@@ -335,18 +321,11 @@ def trace_split_q(
         1,
         (n - 1, 1),
         2.0 * t * (n - 1),
-        term_cap,
         node_cap,
     )
 
 
-def trace_split_w(
-    n: int,
-    t: float,
-    *,
-    term_cap: int = DEFAULT_TERM_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> HeatTraceSample:
+def trace_split_w(n: int, t: float, *, node_cap: int = DEFAULT_NODE_CAP) -> HeatTraceSample:
     """The w-indexed single sum of the split heat trace (w = p + n - 1).
 
     Same summation as trace_split_q with ratio bound
@@ -361,7 +340,6 @@ def trace_split_w(
         n - 1,
         (0, 2 - n),
         2.0 * t,
-        term_cap,
         node_cap,
     )
 
@@ -542,15 +520,10 @@ class _DirectSum:
                 weight, exponent = math.ldexp(weight, _SCALE_SHIFT), exponent + _SCALE_SHIFT
 
 
-def scaled_trace(
-    n: int,
-    t: float,
-    *,
-    term_cap: int = DEFAULT_TERM_CAP,
-) -> float:
+def scaled_trace(n: int, t: float) -> float:
     """t**n * G(t) via the two split sums; tends to Gamma(n+1) * c(n) as t -> 0."""
-    part_q = trace_split_q(n, t, term_cap=term_cap)
-    part_w = trace_split_w(n, t, term_cap=term_cap)
+    part_q = trace_split_q(n, t)
+    part_w = trace_split_w(n, t)
     return scale_by_t_power(n, t, part_q.value + part_w.value)
 
 

@@ -391,9 +391,9 @@ def euler_maclaurin_tail(
     *,
     disk_max: float,
     growth: int,
-    integral: Callable[[int], tuple[QuadratureResult, float]],
+    integral: QuadratureResult,
+    integral_rounding: float,
     eval_rel: Callable[[float], float],
-    eval_cap: int,
 ) -> tuple[list[float], float, int]:
     """sum_{k >= a} term(k) as (parts to add, error bound, evaluations), a >= 1.
 
@@ -409,23 +409,20 @@ def euler_maclaurin_tail(
       growth, such that disk_max * (x/a)**growth bounds |f| on the circle of
       radius x/2 around every x >= a; Cauchy estimates on those circles
       bound R_m and the contour's aliasing;
-    * integral(node_cap), the integral over [a, inf) in at most node_cap
-      evaluations of the term, with the first-order rounding of its value;
+    * integral, the integral over [a, inf) from integrate_decaying, and
+      integral_rounding, the first-order rounding of its value;
     * eval_rel(c), the relative rounding of one evaluation of the term at
       points of modulus up to c * a.
 
     The parts are f(a)/2, the m Bernoulli corrections and the integral; the
     bound adds the quadrature's error estimate, R_m, the aliasing bound and
-    the rounding of every part.  ConvergenceError if more than eval_cap
-    evaluations of the term would be needed, or if the bound is not finite
-    (a disk_max past the float range).
+    the rounding of every part.  The evaluations are the term's, 1 + points
+    with points = max(CONTOUR_POINTS, 4m) and m = max(EM_ORDER,
+    (growth + 3) // 2), plus the integral's nodes.  ConvergenceError if the
+    bound is not finite (a disk_max past the float range).
     """
     m = max(EM_ORDER, (growth + 3) // 2)  # 2m - 1 - growth >= 1 keeps the R_m majorant integrable
     points = max(CONTOUR_POINTS, 4 * m)
-    if 1 + points > eval_cap:
-        raise ConvergenceError(
-            f"the contour needs {1 + points} term evaluations, {eval_cap} are left"
-        )
     f_a = term(a)
     r = 0.125 * a
     radius = 0.5 * a
@@ -448,8 +445,7 @@ def euler_maclaurin_tail(
         parts.append(-scale * coeff)
     deriv_scale = sum(map(abs, scales))  # scales the coefficients' errors
 
-    quad, quad_rounding = integral(eval_cap - 1 - points)
-    parts.append(quad.value)
+    parts.append(integral.value)
 
     # R_m: |B_2m|/(2m)! int_a^inf |f^(2m)|, with f^(2m)(x) bounded by the
     # Cauchy estimate on the circle of radius x/2, which lies in Re z >= x/2.
@@ -466,9 +462,9 @@ def euler_maclaurin_tail(
     rounding = (
         eval_rel(1) * 0.5 * f_a
         + (eval_rel(1.125) + points * U) * max(abs(f) for f in samples) * deriv_scale
-        + quad_rounding
+        + integral_rounding
     )
-    bound = quad.error_estimate + remainder + aliasing + rounding
+    bound = integral.error_estimate + remainder + aliasing + rounding
     if not math.isfinite(bound):
         raise ConvergenceError(f"the error bound is {bound} (disk_max {disk_max:.3g})")
-    return parts, bound, 1 + points + quad.nodes_used
+    return parts, bound, 1 + points + integral.nodes_used

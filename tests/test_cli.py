@@ -105,11 +105,29 @@ def test_count_modes_sorted(capsys):
     ]
 
 
-def test_count_env_cap_exits_3(capsys, monkeypatch):
-    monkeypatch.setenv("KOHNSPEC_LINE_CAP", "10")
-    code, _, err = run(capsys, "count", "--n", "2", "--lambda", "1e6")
+@pytest.mark.parametrize(
+    "variable, value, command, named",
+    [
+        ("KOHNSPEC_LINE_CAP", "10", "count --n 2 --lambda 1e6", "cap"),
+        ("KOHNSPEC_TERM_CAP", "10", "heat --n 4 --t 0.01 --verify", "direct sum needed more than 10 terms"),
+        ("KOHNSPEC_NODE_CAP", "100", "coeff --n 4 --method series-direct", "series-direct at n=4: node cap 100"),
+    ],
+)
+def test_env_cap_exits_3_naming_the_work(capsys, monkeypatch, variable, value, command, named):
+    monkeypatch.setenv(variable, value)
+    code, out, err = run(capsys, *command.split())
     assert code == 3
-    assert "cap" in err
+    assert out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize("command", ["coeff --n 4 --method series-direct", "heat --n 4 --t 0.01"])
+def test_term_cap_leaves_calls_without_a_direct_sum_unchanged(capsys, monkeypatch, command):
+    # the term cap bounds only heat --verify's direct double sum
+    want = run(capsys, *command.split())
+    assert want[0] == 0
+    monkeypatch.setenv("KOHNSPEC_TERM_CAP", "10")
+    assert run(capsys, *command.split()) == want
 
 
 def test_bad_env_cap_exits_1(capsys, monkeypatch):
@@ -608,6 +626,7 @@ def test_n_sweep_answers_or_names_the_range(capsys):
         ("stanton --n 3 --grid=0:1:3,0:inf:2", "--grid must be finite, got inf"),
         ("stanton --n 3 --grid=0:1:x", "--grid span must be start:stop:steps, got '0:1:x'"),
         ("stanton --n 3 --grid=0:x:2", "--grid span must be start:stop:steps, got '0:x:2'"),
+        ("stanton --n 3 --grid=", "--grid span must be start:stop:steps, got ''"),
     ],
 )
 def test_non_finite_or_negative_input_exits_1_naming_it(capsys, command, named):

@@ -28,12 +28,16 @@ def _number(lo: float, hi: float):
 
 
 def _number_list(lo: float, hi: float):
-    return st.lists(_number(lo, hi), min_size=1, max_size=2).map(",".join)
+    """One or two numbers, comma-separated, or (1 draw in 8) the empty value."""
+    numbers = st.lists(_number(lo, hi), min_size=1, max_size=2).map(",".join)
+    return st.one_of(*[numbers] * 7, st.just(""))
 
 
 def _span(lo: float, hi: float):
+    """start:stop:steps, or (1 draw in 8) the empty value."""
     steps = st.integers(1, 2).map(str)
-    return st.tuples(_number(lo, hi), _number(lo, hi), steps).map(":".join)
+    span = st.tuples(_number(lo, hi), _number(lo, hi), steps).map(":".join)
+    return st.one_of(*[span] * 7, st.just(""))
 
 
 _N = st.integers(0, 12).map(str)

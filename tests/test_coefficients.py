@@ -17,7 +17,7 @@ from kohnspec.coefficients import (
     series_direct,
     series_zeta,
 )
-from kohnspec.errors import MAX_N, ConvergenceError, ResourceCapError
+from kohnspec.errors import MAX_N, ConvergenceError
 from kohnspec.special_functions import EM_HEAD_TERMS
 
 SERIES_DIRECT_MAX_N = MAX_N["series-direct"][0]
@@ -107,9 +107,9 @@ def test_series_zeta_validates():
 def test_series_direct_validates_and_caps():
     with pytest.raises(ValueError):
         series_direct(1)
-    # the head alone is over the cap: refused before any work
-    with pytest.raises(ResourceCapError, match=f"head of {EM_HEAD_TERMS} terms exceeds the cap 63"):
-        series_direct(3, term_cap=EM_HEAD_TERMS - 1)
+    # the node cap bounds the tail integral from its first samples on
+    with pytest.raises(ConvergenceError, match="^series-direct at n=3: node cap 1 exceeded while truncating"):
+        series_direct(3, node_cap=1)
 
 
 # Value, bound (float.hex) and work of series-direct, from when its head was
@@ -222,13 +222,7 @@ def test_series_direct_to_the_edge_of_the_float_range():
             series_direct(n)
 
 
-def test_series_direct_tail_counts_against_the_term_cap():
-    # the head fits, the tail's contour does not
-    with pytest.raises(ConvergenceError, match="^series-direct tail at n=4, term_cap=100: the contour"):
-        series_direct(4, term_cap=100)
-
-
-@pytest.mark.parametrize("method", ["integral", "integral-intermediate"])
+@pytest.mark.parametrize("method", ["series-direct", "integral", "integral-intermediate"])
 def test_integral_routes_name_themselves_at_the_node_cap(method):
     with pytest.raises(ConvergenceError, match=rf"^{method} at n=4: node cap 100 exceeded at \["):
         estimate(method, 4, node_cap=100)

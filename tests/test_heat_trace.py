@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from kohnspec.combinatorics import dim_hpq
-from kohnspec.errors import MAX_N, ConvergenceError
+from kohnspec.errors import DEFAULT_NODE_CAP, MAX_N, ConvergenceError
 from kohnspec.heat_trace import (
     _DirectSum,
     _split_q_term,
@@ -17,6 +17,7 @@ from kohnspec.heat_trace import (
     trace_split_q,
     trace_split_w,
 )
+from kohnspec.special_functions import EM_HEAD_TERMS
 
 HEAT_MAX_N = MAX_N["heat"][0]
 
@@ -78,12 +79,10 @@ def test_time_floor():
     # the floor, not the summation, rejects it: even a cap the sum would
     # exceed at once gives the floor's message
     with pytest.raises(ValueError, match="below the heat-trace floor 1e-06"):
-        trace_split_q(2, 5e-7, term_cap=10)
+        trace_split_q(2, 5e-7, node_cap=1)
 
 
 def test_term_cap():
-    with pytest.raises(ConvergenceError):
-        trace_split_q(2, 1e-5, term_cap=50)
     with pytest.raises(ConvergenceError):
         trace_direct(2, 1e-4, term_cap=10)
 
@@ -411,6 +410,24 @@ def test_split_tail_stops_at_the_node_cap():
     assert trace_split_w(124, 0.01, node_cap=920) == ref
     with pytest.raises(ConvergenceError, match="node cap 919 exceeded"):
         trace_split_w(124, 0.01, node_cap=919)
+
+
+@pytest.mark.parametrize("fn", [trace_split_q, trace_split_w])
+@pytest.mark.parametrize("n", [2, 3, 50, 145, 300, 500, 582])
+def test_split_sums_work_is_bounded_by_n(fn, n):
+    # No term cap: at the ends and the log-midpoint of the supported t, a
+    # sum that stops on the geometric rule has at most max(64, 2n + 110)
+    # terms, and an Euler-Maclaurin tail adds one term, the contour and the
+    # integral's nodes, at most the node cap.
+    low, high = supported_t(n)
+    for t in (low, math.sqrt(low * high), high):
+        rate = 2.0 * t * (n - 1) if fn is trace_split_q else 2.0 * t
+        got = fn(n, t)
+        if rate >= math.log(2.0) or got.terms_used <= EM_HEAD_TERMS:
+            assert got.terms_used <= max(EM_HEAD_TERMS, 2 * n + 110), (t, got)
+        else:
+            contour = max(64, 4 * max(6, (n + 1) // 2))
+            assert got.terms_used <= EM_HEAD_TERMS + 1 + contour + DEFAULT_NODE_CAP, (t, got)
 
 
 @pytest.mark.parametrize(

@@ -371,9 +371,9 @@ def _em_tail_of_inverse_square(a, disk_max):
         a,
         disk_max=disk_max,
         growth=-2,
-        integral=lambda node_cap: (QuadratureResult(1.0 / a, 0.0, 0, 0.0), U / a),
+        integral=QuadratureResult(1.0 / a, 0.0, 0, 0.0),
+        integral_rounding=U / a,
         eval_rel=lambda c: 4 * U,
-        eval_cap=1000,
     )
 
 
