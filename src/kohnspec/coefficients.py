@@ -75,7 +75,8 @@ class ZetaCombination:
     terms: tuple[tuple[int, int], ...]
 
     def value(self) -> float:
-        total = math.fsum(c * zeta_even(k).value for c, k in self.terms)
+        # Largest argument first builds the Bernoulli table once; fsum ignores order.
+        total = math.fsum(c * zeta_even(k).value for c, k in reversed(self.terms))
         return _times_fraction(self.scale, total)
 
     def __str__(self) -> str:

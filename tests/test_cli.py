@@ -537,6 +537,24 @@ def test_import_leaves_numpy_unloaded():
     assert not _numpy_loaded_after("import kohnspec")
 
 
+def test_package_exports_only_its_submodules():
+    # The API lives in the submodules; the bench's tracer reaches each one as
+    # an attribute of the package after a bare `import kohnspec`.
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    probe = "import kohnspec\nprint(*sorted(n for n in vars(kohnspec) if not n.startswith('_')))"
+    res = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == [
+        "coefficients",
+        "combinatorics",
+        "continuation",
+        "errors",
+        "heat_trace",
+        "special_functions",
+        "spectrum",
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

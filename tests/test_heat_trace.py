@@ -246,6 +246,15 @@ _PINNED_SPLIT_SUMS = [
     (trace_split_w, 8, 0.001, "0x1.e90403431347ap+62", "0x1.2424af1901de3p+20", 954),
     (trace_split_q, 40, 0.0001, "0x1.ba28340e945e6p+496", "0x1.314a5a497e9bbp+453", 874),
     (trace_split_w, 40, 0.0001, "0x1.292c20bf3ceccp+479", "0x1.57e21332e1853p+437", 1186),
+    # Euler-Maclaurin order m = 150..250, taken while the Bernoulli numbers
+    # came from their Fraction recurrence and each contour coefficient made
+    # its own cmath.exp calls; split_q stops at its first term here.
+    (trace_split_q, 300, 0.2, "0x1.e9de8a5bf7868p+315", "0x1.3f86fce2998c1p+275", 1),
+    (trace_split_w, 300, 0.2, "0x1.148c74066a9d6p+306", "0x1.2ad308ba3f3dbp+266", 1538),
+    (trace_split_q, 400, 0.3, "0x1.73ca55a193bfdp+122", "0x1.50df198d153a9p+82", 1),
+    (trace_split_w, 400, 0.3, "0x1.ae828530af328p+112", "0x1.3c34477296fdcp+73", 2026),
+    (trace_split_q, 500, 0.32, "0x1.a3e36a16d6b0dp+88", "0x1.dedaeccd32cefp+48", 1),
+    (trace_split_w, 500, 0.32, "0x1.974f87feda89dp+78", "0x1.65665c3ec7d1ep+39", 1938),
 ]
 
 
