@@ -75,8 +75,7 @@ class ZetaCombination:
     terms: tuple[tuple[int, int], ...]
 
     def value(self) -> float:
-        # Largest argument first builds the Bernoulli table once; fsum ignores order.
-        total = math.fsum(c * zeta_even(k).value for c, k in reversed(self.terms))
+        total = math.fsum(c * zeta_even(k).value for c, k in self.terms)
         return _times_fraction(self.scale, total)
 
     def __str__(self) -> str:

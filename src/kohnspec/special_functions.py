@@ -65,28 +65,16 @@ _bernoulli_cache: list[Fraction] = [Fraction(1)]
 def bernoulli(k: int) -> Fraction:
     """Exact k-th Bernoulli number, B_1 = -1/2 convention.
 
-    A k past the cached table rebuilds it in one pass up to k, from the
-    tangent numbers T_1..T_(k//2) by the O(k^2) integer recurrence of Brent
-    and Harvey (arXiv:1108.0286), and B_2i = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)).
-    Only those k//2 quotients meet a gcd.  A caller that needs B_0..B_K asks
-    for B_K first, so the table is built once.
+    Recurrence: sum_{j=0}^{m} binom(m+1, j) B_j = 0 for m >= 1.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    if k >= len(_bernoulli_cache):
-        half = k // 2
-        tangent = [0, 1] + [0] * (half - 1)  # tangent[i] = T_i once the passes end
-        for i in range(2, half + 1):
-            tangent[i] = (i - 1) * tangent[i - 1]
-        for j in range(2, half + 1):
-            for i in range(j, half + 1):
-                tangent[i] = (i - j) * tangent[i - 1] + (i - j + 2) * tangent[i]
-        table = [Fraction(1), Fraction(-1, 2)]
-        for i in range(1, half + 1):
-            four = 4**i
-            b_2i = Fraction((-1) ** (i - 1) * 2 * i * tangent[i], four * (four - 1))
-            table += [b_2i, Fraction(0)]
-        _bernoulli_cache[:] = table
+    while len(_bernoulli_cache) <= k:
+        m = len(_bernoulli_cache)
+        acc = Fraction(0)
+        for j in range(m):
+            acc += math.comb(m + 1, j) * _bernoulli_cache[j]
+        _bernoulli_cache.append(-acc / (m + 1))
     return _bernoulli_cache[k]
 
 
@@ -441,7 +429,6 @@ def euler_maclaurin_tail(
     # Each Bernoulli number meets powers of a that leave the float range on
     # their own at large a or m (n >= about 165 for the heat sums), so every
     # such product is formed from exact rationals and rounded once.
-    bernoulli(2 * m)  # asked first, so the table is built once, not once per j
     bernoullis = [bernoulli(2 * j) for j in range(1, m + 1)]
     # B_2j / (2j r^(2j-1)): the weight of the coefficient f^(2j-1)(a) r^(2j-1) / (2j-1)!
     scales = [float(b / (2 * j * Fraction(a, 8) ** (2 * j - 1))) for j, b in enumerate(bernoullis, 1)]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from kohnspec import coefficients, continuation, special_functions
+from kohnspec import coefficients, continuation
 from kohnspec.errors import ConvergenceError
 from kohnspec.special_functions import (
     _GL16,
@@ -50,32 +50,6 @@ def test_bernoulli_table():
         assert bernoulli(k) == want
     for k in (3, 5, 7, 9, 11):
         assert bernoulli(k) == 0
-
-
-def _bernoulli_by_recurrence(k_max: int) -> list[Fraction]:
-    """B_0..B_k_max from sum_{j=0}^{m} binom(m+1, j) B_j = 0, one Fraction at a time."""
-    table = [Fraction(1)]
-    for m in range(1, k_max + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * table[j]
-        table.append(-acc / (m + 1))
-    return table
-
-
-_BERNOULLI_REFERENCE = _bernoulli_by_recurrence(301)
-
-
-def test_bernoulli_matches_the_recurrence():
-    for k in range(301):
-        assert bernoulli(k) == _BERNOULLI_REFERENCE[k], k
-
-
-@pytest.mark.parametrize("order", [(300, 7, 301), (7, 301, 300), (1, 0, 2), (301, 300)])
-def test_bernoulli_agrees_in_any_call_order(monkeypatch, order):
-    monkeypatch.setattr(special_functions, "_bernoulli_cache", [Fraction(1)])
-    for k in order:
-        assert bernoulli(k) == _BERNOULLI_REFERENCE[k], (order, k)
 
 
 def test_zeta_even_exact_rationals():
