@@ -8,8 +8,9 @@ splits, via the two-term multiplicity split, into two single sums:
 
 (p has been summed in closed form in each piece; w = p + n - 1 in the
 second).  The direct double sum is kept as an independent cross-check; it
-takes every multiplicity from one exact table A[k] = binom(n+k-1, k) as
-A[p] A[q] - A[p-1] A[q-1], and its number of terms grows like 1/t^2.
+forms every term, its multiplicity from one exact table A[k] = binom(n+k-1, k)
+as A[p] A[q] - A[p-1] A[q-1], in Dirichlet's hyperbola order, and its number
+of terms grows like (1/t) log(1/t).
 
 Every sum here stops on one rule: its tail below _REL_TOL times its own
 partial sum, which, as a sum of positive terms, is a lower bound of the value
@@ -67,8 +68,6 @@ __all__ = [
 MIN_T = 1e-6
 _REL_TOL = 1e-13  # every sum stops once its tail is below this share of its partial sum
 
-# Largest x with exp(-x) > 0 in floating point.
-_EXP_ARG_MAX = -math.log(math.ulp(0.0))
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)  # smallest normal float
 _RANGE_MARGIN = math.log(64.0)  # headroom of every quantity _range_excess keeps in range
@@ -350,174 +349,119 @@ def trace_direct(
     *,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> HeatTraceSample:
-    """The raw double sum over (p, q), exact multiplicities, as a cross-check.
+    """The raw double sum over (q, w = p + n - 1), exact multiplicities, as a cross-check.
 
-    Each multiplicity is A[p] A[q] - A[p-1] A[q-1] from one exact table
-    A[k] = binom(n+k-1, k) (combinatorics.multichoose_table), grown as the
-    sum reaches further, so a term costs two products of table entries.
-    Inner p-tails are bounded through the product majorant
-    dim_hpq <= A[p] * A[q]; outer q-tails through the majorant
-    M(q) = A[q] * exp(-2tq(n-1)) / (1-exp(-2tq))^n obtained by summing that
-    product bound over all p.  The sum stops once the outer tail is below
-    half of _REL_TOL * partial, each block once its inner tail is below a
-    1/(2q(q+1)) share of that.  The reported bound is the outer tail plus the
-    accumulated inner tails plus rounding.  Recursive summation of positive
-    terms adds at most (terms-1) * U * partial.  Each weight exp(-2tq)^(n-1+p)
-    is built from one rounded exponential by a power and p multiplications,
-    so its relative error is at most (n + 2p + 3 + x) * U with
-    x = 2tq(n-1+p) < _EXP_ARG_MAX for every nonzero weight, and p < terms.
-    Where a multiplicity or a weight leaves the normal floats (large n), that
-    block and every later one form their terms scaled by powers of two, in
-    the same loop (see _DirectSum).  The cost grows like 1/t^2.
+    Every term is formed from its multiplicity A[p] A[q] - A[p-1] A[q-1] (one
+    exact table A[k] = binom(n+k-1, k), combinatorics.multichoose_table, with
+    A[-1] = 0) and its own weight e^(-2tqw), in Dirichlet's hyperbola order:
+    rows q <= Q over all w, columns w <= W over q > Q, and a bound for the
+    corner q > Q, w > W.  A row (c = A[q], k = p) and a column (c = A[p],
+    k = q) are both a line sum_k (c A[k] - c' A[k-1]) e^(-2tm(k+k0)).  Its
+    terms from index K on are at most c A[K] e^(-2tm(K+k0)) times either
+    1/(1 - rho(K)), where rho(K) = (n+K)/(K+1) e^(-2tm) < 1 bounds every later
+    ratio A[k+1] e^(-2tm) / A[k], or (1 - e^(-2tm))^(-n), from A[K+i] <= A[K] A[i]
+    and sum_i A[i] r^i = (1 - r)^(-n); log_tail takes the smaller.  The
+    corner is that bound for its first column, summed over its q by the same.
+
+    The stop: the q = 1 row is at least L = (n-1) e^(-2t(n-1)) / (1-e^(-2t))^n.
+    Q is the smallest k whose corner at Q = k, W = max(k, n-2) is below
+    _REL_TOL L/4, and each line ends at the first index whose tail is below
+    an equal share of another _REL_TOL L/4 (both found by _first, a line's
+    end guessed from the last line's largest exponent).  So the tails stay
+    below _REL_TOL/2 of the partial sum, and term_cap is checked before each
+    line is formed.
+
+    Each line is formed in bulk at its own power of two 2^(j-s): every
+    multiplicity is divided by 2^s, which puts it below 2^960, and every weight
+    is e^(j log 2 - x) for its exponent x, with j log 2 at most the line's
+    first exponent.  So no term overflows, and math.fsum sums the line exactly
+    before one rounding.  A term's relative error is at most (2x + 2j + 4) U
+    (x, j log 2, their difference, exp to 1 ulp, the division, the product);
+    an underflow adds at most 2^(b-s-1073) in the line's units, b the bit
+    length of c times the line's last table entry.  The bound is the tails,
+    the corner, (2 x_max + 2j + 6) U of each line, (length + 2) 2^(b-j-1073)
+    per line for underflows (at least 2^-1073, which covers scaling the line
+    back), and U of the total.  The number of terms grows like (1/t) log(1/t).
     """
     _validate(n, t)
-    return _DirectSum(n, t, term_cap).run()
+    t2, ln2 = 2.0 * t, math.log(2.0)
+
+    def log_factor(k: int, m: int) -> float:
+        # log of a bound of sum_{i >= 0} A[k+i]/A[k] e^(-2tmi), the smaller of the two
+        rho = (n + k) / (k + 1) * math.exp(-t2 * m)
+        whole = -n * math.log(-math.expm1(-t2 * m))
+        return min(-math.log1p(-rho), whole) if rho < 1.0 else whole
+
+    def log_tail(c: int, m: int, k0: int, k: int) -> float:
+        return math.log(c * math.comb(n - 1 + k, k)) - t2 * (m * (k + k0)) + log_factor(k, m)
+
+    def log_corner(k: int) -> float:
+        q, w = k + 1, max(k, n - 2) + 1  # the corner's first q and w
+        p = w - n + 1
+        return log_tail(math.comb(n - 1 + p, p), w, 0, q) + log_factor(p, q)
+
+    log_quarter = math.log(0.25 * _REL_TOL * (n - 1)) - t2 * (n - 1) - n * math.log(-math.expm1(-t2))
+    big_q = _first(lambda k: log_corner(k) <= log_quarter, 1, 1)
+    big_w = max(big_q, n - 2)
+    table = multichoose_table(n, max(big_q, big_w - n + 1) + 1)
+    lines = [(table[q], table[q - 1], q, n - 1, 0) for q in range(1, big_q + 1)]
+    lines += [(table[p], table[p - 1] if p else 0, p + n - 1, 0, big_q + 1) for p in range(big_w - n + 2)]
+    log_share = log_quarter - math.log(len(lines))
+    exp = math.exp
+    values, bound, terms, reach = [], exp(log_corner(big_q)), 0, 0.0
+    for c, c_prev, m, k0, start in lines:
+        rate = t2 * m
+        guess = math.ceil(reach / rate) - k0
+        end = _first(lambda k: log_tail(c, m, k0, k) <= log_share, start, guess)
+        if terms + end - start > term_cap:
+            raise ConvergenceError(f"direct sum needed more than {term_cap} terms at n={n}, t={t}")
+        terms += end - start
+        reach = rate * (end + k0)
+        bound += exp(log_tail(c, m, k0, end))
+        if end == start:
+            continue
+        multichoose_table(n, end, table)
+        bits = (c * table[end - 1]).bit_length()
+        s = max(bits - 960, 0)
+        j = int(rate * (start + k0) / ln2)
+        scale, shift = 1 << s, j * ln2
+        prev = table[start - 1 : end - 1] if start else [0, *table[: end - 1]]
+        exponents = range(m * (start + k0), m * (end + k0), m)
+        line = math.fsum(
+            [
+                (c * a - c_prev * b) / scale * exp(shift - t2 * x)
+                for a, b, x in zip(table[start:end], prev, exponents)
+            ]
+        )
+        values.append(math.ldexp(line, s - j))
+        underflow = math.ldexp(end - start + 2, max(bits - j, 0) - 1073)
+        bound += (2.0 * reach + 2 * j + 6) * U * values[-1] + underflow
+    total = math.fsum(values)
+    return HeatTraceSample(n, t, total, bound + U * total, terms)
 
 
-def _float_or_inf(k: int) -> float:
-    """float(k), or inf where k is past the float range."""
-    try:
-        return float(k)
-    except OverflowError:
-        return math.inf
+def _first(ok: Callable[[int], bool], start: int, guess: int) -> int:
+    """The smallest k >= start with ok(k), where ok, unless true at start, is
+    false up to some index and true from it on.
 
-
-# A scaled block keeps its weight as mantissa * 2^-exponent with the mantissa
-# in [2^-_SCALE_SHIFT, 1], and divides big integers by 2^s before conversion,
-# so no factor of a term leaves the float range.
-_SCALE_SHIFT = 512
-_SCALE_TINY = 2.0**-_SCALE_SHIFT
-_SCALE_BITS = 1000
-
-
-def _scaled(k: int, mantissa: float, exponent: int) -> float:
-    """k * mantissa * 2^-exponent, rounding k/2^s and the product once each."""
-    s = max(k.bit_length() - _SCALE_BITS, 0)
-    return math.ldexp(k / (1 << s) * mantissa, s - exponent)
-
-
-class _DirectSum:
-    """The direct double sum, one block of terms p = 0, 1, ... per q.
-
-    Blocks are formed in plain float arithmetic until one raises
-    OverflowError; from then on (scaled) block and outer_majorant form every
-    term and majorant by _scaled instead, the redone block included.  An
-    entry of the float table past the float range is inf; a term reading it
-    has overflowed already, because its multiplicity is at least both of its
-    entries, so that block raises, as does a plain one whose smallest weight
-    is below the normal floats.  A scaled weight takes n - 1 multiplications
-    instead of a power and never underflows, so its relative error is at
-    most (2n + 2p + x) * U for every x = 2tq(n-1+p) reached; such a block
-    reports n + x as its reach for the rounding bound, a plain block
-    _EXP_ARG_MAX.
+    Gallops from guess by steps 1, 2, 4, ... to bracket that index, then bisects.
     """
-
-    def __init__(self, n: int, t: float, term_cap: int):
-        self.n, self.t, self.term_cap = n, t, term_cap
-        self.scaled = False
-        self.exact = multichoose_table(n, 64)
-        self.floats = list(map(_float_or_inf, self.exact))
-        self.ratios = [(n + p) / (p + 1) for p in range(len(self.exact))]
-
-    def grow(self) -> None:
-        multichoose_table(self.n, 2 * len(self.exact), self.exact)
-        n, size = self.n, len(self.exact)
-        self.floats += map(_float_or_inf, self.exact[len(self.floats):])
-        self.ratios += [(n + p) / (p + 1) for p in range(len(self.ratios), size)]
-
-    def run(self) -> HeatTraceSample:
-        n, t = self.n, self.t
-        partial = 0.0
-        inner_slack = 0.0
-        reach = 0.0
-        terms = 0
-        decay = math.exp(-2.0 * t * (n - 1))
-        q = 1
-        while True:
-            if q + 1 >= len(self.exact):
-                self.grow()
-            try:
-                partial, terms, inner_tail, block_reach = self.block(q, partial, terms)
-            except OverflowError:
-                self.scaled = True
-                partial, terms, inner_tail, block_reach = self.block(q, partial, terms)
-            inner_slack += inner_tail
-            reach = max(reach, block_reach)
-            # Outer tail bound after block q; the ratio bound is evaluated at the
-            # first discarded index q + 1, the largest over the discarded range.
-            r_outer = ((n + q + 1) / (q + 2)) * decay
-            if r_outer < 1.0:
-                outer_tail = self.outer_majorant(q + 1) / (1.0 - r_outer)
-                if outer_tail <= _REL_TOL * partial / 2.0:
-                    rounding = (3 * terms + n + reach + 2) * U * partial
-                    return HeatTraceSample(
-                        n, t, partial, outer_tail + inner_slack + rounding, terms
-                    )
-            q += 1
-
-    def outer_majorant(self, q: int) -> float:
-        t, n = self.t, self.n
-        if self.scaled:
-            return math.exp(
-                math.log(self.exact[q])
-                - 2.0 * t * q * (n - 1)
-                - n * math.log(-math.expm1(-2.0 * t * q))
-            )
-        return self.floats[q] * math.exp(-2.0 * t * q * (n - 1)) / (-math.expm1(-2.0 * t * q)) ** n
-
-    def block(self, q: int, partial: float, terms: int) -> tuple[float, int, float, float]:
-        """Add the terms p = 0, 1, ... at this q to partial, in order, until the
-        inner tail is certified; (partial, terms, inner tail, weight reach).
-
-        The weight exp(-2tq)^(n-1+p) is held as weight * 2^-exponent: a plain
-        block keeps exponent 0, a scaled one keeps weight in [_SCALE_TINY, 1].
-        """
-        n, exact, floats, ratios = self.n, self.exact, self.floats, self.ratios
-        scaled = self.scaled
-        rel_tol = _REL_TOL  # a local: read once per term
-        x = math.exp(-2.0 * self.t * q)
-        a_q, a_prev, b_q = exact[q], exact[q - 1], floats[q]
-        share = 2.0 * q * (q + 1)
-        room = self.term_cap - terms
-        end = min(len(exact), room)
-        weight, exponent = 1.0, 0
-        if scaled:
-            for _ in range(n - 1):
-                weight *= x
-                if weight < _SCALE_TINY:
-                    weight, exponent = math.ldexp(weight, _SCALE_SHIFT), exponent + _SCALE_SHIFT
-        else:
-            weight = x ** (n - 1)
-        previous = 0  # A[p - 1], with A[-1] = 0
-        p = 0
-        while True:
-            if p == end:
-                if p == room:
-                    raise ConvergenceError(
-                        f"direct sum needed more than {self.term_cap} terms at n={n}, t={self.t}"
-                    )
-                self.grow()
-                end = min(len(exact), room)
-            current = exact[p]
-            top = current * a_q
-            if scaled:
-                partial += _scaled(top - previous * a_prev, weight, exponent)
-            else:
-                partial += (top - previous * a_prev) * weight
-            r_inner = ratios[p] * x
-            if r_inner < 1.0:
-                majorant = _scaled(top, weight, exponent) if scaled else floats[p] * b_q * weight
-                inner_tail = majorant * r_inner / (1.0 - r_inner)
-                if inner_tail <= rel_tol * partial / share:
-                    if not scaled and weight < sys.float_info.min:  # the block's smallest weight
-                        raise OverflowError("a weight of the block is a subnormal float")
-                    reach = n + 2.0 * self.t * q * (n - 1 + p) if scaled else _EXP_ARG_MAX
-                    return partial, terms + p + 1, inner_tail, reach
-            previous = current
-            p += 1
-            weight *= x
-            if scaled and weight < _SCALE_TINY:
-                weight, exponent = math.ldexp(weight, _SCALE_SHIFT), exponent + _SCALE_SHIFT
+    if ok(start):
+        return start
+    lo, hi, step = start, max(start + 1, guess), 1
+    if ok(hi):
+        while hi - step > lo and ok(hi - step):
+            hi, step = hi - step, 2 * step
+        lo = max(lo, hi - step)
+    else:
+        lo = hi
+        while not ok(lo + step):
+            lo, step = lo + step, 2 * step
+        hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
 
 
 def scaled_trace(n: int, t: float) -> float:

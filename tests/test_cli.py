@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kohnspec import cli
+from kohnspec import cli, heat_trace
 from kohnspec.combinatorics import dim_hpq
 from kohnspec.coefficients import METHODS, series_zeta
 from kohnspec.errors import MAX_N
@@ -148,6 +149,24 @@ def test_heat_verify(capsys):
     assert rows[0]["scaled_trace"] == pytest.approx(
         0.1**2 * (rows[0]["split_q"] + rows[0]["split_w"])
     )
+
+
+@pytest.mark.parametrize("n, t", [("3", "0.001115"), ("3", "0.002859"), ("5", "0.00202"), ("8", "0.002929")])
+def test_heat_verify_fails_when_a_split_value_moves_by_50_bounds(capsys, monkeypatch, n, t):
+    # at the bench's --verify inputs the check's budget is the three printed
+    # bounds; it was 736 to 3 736 times the split bounds while the direct sum
+    # bounded one rounding per term, so this move exited 0
+    exact = heat_trace.trace_split_q
+
+    def moved(*args, **kwargs):
+        got = exact(*args, **kwargs)
+        return dataclasses.replace(got, value=got.value + 50 * got.error_bound)
+
+    monkeypatch.setattr(heat_trace, "trace_split_q", moved)
+    code, out, err = run(capsys, "heat", "--n", n, "--t", t, "--verify", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["rows"][0]["within_bounds"] is False
+    assert err == "error: split sums disagree with the direct trace\n"
 
 
 def test_heat_rejects_bad_time_list(capsys):
@@ -341,7 +360,8 @@ def test_out_that_cannot_be_written_exits_1_naming_it(capsys, tmp_path, where, r
 # last digits, the c(n) values did not.  The coeff entries were re-pinned again
 # when the integral routes' tolerance became 1e-14 of a lower bound of their
 # integrals: only those two estimate rows and the differences built from them
-# moved.
+# moved.  The heat entries were re-pinned when the direct sum took exact line
+# sums in hyperbola order: only direct, direct_bound and abs_diff moved.
 _PINNED_STDOUT = {
     ("count --n 2 --lambda 30 --modes", "table"): "4668eb09ca029bc9831c05082d204f9bb883fb887e50f4fdada9666bbc573c11",
     ("count --n 2 --lambda 30 --modes", "csv"): "2a0f85bf31c828b40b8fba7fb840ef552639453df90a74105d7a57d27b7b6139",
@@ -352,9 +372,9 @@ _PINNED_STDOUT = {
     ("coeff --n 3 --method all", "table"): "e648d11bf5ecb9989fa3bef2e1898ba74fa5ce49efabdae1666ea9c8f97407be",
     ("coeff --n 3 --method all", "csv"): "b9b4ece292469671ff24318e5b5afa1ed486387b326114194875e6aa28355972",
     ("coeff --n 3 --method all", "json"): "65960858141722c8b542406fee12178f19df1e735860cdb3ee479d40fb84fef8",
-    ("heat --n 2 --t 0.1,0.5 --verify", "table"): "19c007203cb7a143d2a46fee2413f9232a0ee32a6cdce38a549366bfe605af79",
-    ("heat --n 2 --t 0.1,0.5 --verify", "csv"): "255b559b7fc5019b3f61a816a1ccd92e7afea7f7f963605798864e110b88aaff",
-    ("heat --n 2 --t 0.1,0.5 --verify", "json"): "5d4a2febe8b002b41724ac8a96ebb67f9ebc1b7d7ab14049482d16dc4a2893fe",
+    ("heat --n 2 --t 0.1,0.5 --verify", "table"): "1974e19235df5dfcae71d54dd42e4c43ee4fb3af8b6e3af37482fcb8b2c4c437",
+    ("heat --n 2 --t 0.1,0.5 --verify", "csv"): "ec01cc717765932c509075c53fa56d6fdbbae9a995f7d39a9a2f68135398c318",
+    ("heat --n 2 --t 0.1,0.5 --verify", "json"): "7aeaeb9b463813f476683d723bccb8de7e9a4b4a60918b61ea8249d2f6f976e3",
 }
 
 

@@ -8,7 +8,6 @@ import pytest
 from kohnspec.combinatorics import dim_hpq
 from kohnspec.errors import DEFAULT_NODE_CAP, MAX_N, ConvergenceError
 from kohnspec.heat_trace import (
-    _DirectSum,
     _split_q_term,
     scale_by_t_power,
     scaled_trace,
@@ -112,23 +111,25 @@ ORACLE_DPS = 20
 
 
 @functools.cache
-def _gauss_legendre_nodes():
+def _gauss_legendre_nodes(dps=ORACLE_DPS, degree=4):
     from mpmath.calculus.quadrature import GaussLegendre
 
-    with mp.workdps(ORACLE_DPS):
-        return GaussLegendre(mp.mp).calc_nodes(4, mp.mp.prec)  # 24 points
+    with mp.workdps(dps):
+        return GaussLegendre(mp.mp).calc_nodes(degree, mp.mp.prec)  # 3 * 2^(degree-1) points
 
 
-def _oracle_split(n, t, which, head=100, order=3):
-    """One split sum at 20 digits, independently of kohnspec.
+def _oracle_split(n, t, which, head=100, order=3, dps=ORACLE_DPS, degree=4):
+    """One split sum at dps digits (20 by default), independently of kohnspec.
 
-    100 terms summed directly, then the Euler-Maclaurin tail: the integral
-    by 24-point Gauss-Legendre on panels [x, min(2x, x + 8/rate)] out to
-    (64 + 4n)/rate past the head (x^(n-2) e^(-rate x) has dropped below
-    1e-20 of its peak there), and mpmath's numerical derivatives.  Past 100
-    terms the dropped Euler-Maclaurin remainder is far below 1e-20 relative.
+    head terms summed directly, then the Euler-Maclaurin tail: the integral
+    by Gauss-Legendre (24 points at degree 4) on panels [x, min(2x, x + 8/rate)]
+    out to (3 dps + 4 + 4n)/rate past the head (x^(n-2) e^(-rate x) has
+    dropped below 10^-dps of its peak there), and mpmath's numerical
+    derivatives.  With the defaults the dropped Euler-Maclaurin remainder is
+    far below 1e-20 relative; (head, order) = (1000, 8) puts it near
+    18!/(2 pi 1000)^18, below 1e-52.
     """
-    with mp.workdps(ORACLE_DPS):
+    with mp.workdps(dps):
         tt = mp.mpf(t)
         if which == "q":
             start, sign, rate = 1, 1, 2 * tt * (n - 1)
@@ -144,17 +145,25 @@ def _oracle_split(n, t, which, head=100, order=3):
 
         a = start + head
         total = mp.fsum(f(mp.mpf(k)) for k in range(start, a))
-        lo, end = mp.mpf(a), a + (64 + 4 * n) / rate
+        lo, end = mp.mpf(a), a + (3 * dps + 4 + 4 * n) / rate
+        nodes = _gauss_legendre_nodes(dps, degree)
         while lo < end:
             hi = min(2 * lo, lo + 8 / rate)
             half, mid = (hi - lo) / 2, (hi + lo) / 2
-            total += half * mp.fsum(w * f(mid + half * x) for x, w in _gauss_legendre_nodes())
+            total += half * mp.fsum(w * f(mid + half * x) for x, w in nodes)
             lo = hi
         derivs = list(mp.diffs(f, a, 2 * order - 1))
         total += derivs[0] / 2
         for j in range(1, order + 1):
             total -= mp.bernoulli(2 * j) / mp.factorial(2 * j) * derivs[2 * j - 1]
         return total
+
+
+@functools.cache
+def _oracle_trace_50(n, t):
+    """G(t) = split_q + split_w at 50 digits: Gauss-Legendre at 48 points, head 1000, order 8."""
+    with mp.workdps(50):
+        return mp.fsum(_oracle_split(n, t, which, head=1000, order=8, dps=50, degree=5) for which in "qw")
 
 
 def _oracle_plain_sum(n, t, which):
@@ -268,38 +277,69 @@ def test_split_sums_arithmetic_is_pinned(fn, n, t, value, bound, terms):
     assert (got.value.hex(), got.error_bound.hex(), got.terms_used) == (value, bound, terms)
 
 
-# Values, bounds (float.hex) and term counts of the direct double sum when
-# each multiplicity was a dim_hpq call: the four bench --verify inputs, small
-# n over three decades of t, and two larger n.  The rows at t = 10 were taken
-# after each was checked within its bound of the mpmath oracle.
+# The four bench --verify inputs.
+_BENCH_VERIFY = [(3, 0.001115), (3, 0.002859), (5, 0.00202), (8, 0.002929)]
+
+
+@pytest.mark.parametrize("n, t", _BENCH_VERIFY + [(n, t) for n in (2, 3, 8) for t in (0.05, 0.5, 10.0)])
+def test_direct_against_a_50_digit_oracle(n, t):
+    # every line is summed exactly, so the bound is the stop's 1e-13/2 plus
+    # each term's rounding, near (2x + 2j + 6) 2^-53 of its line
+    got = trace_direct(n, t)
+    with mp.workdps(50):
+        assert abs(mp.mpf(got.value) - _oracle_trace_50(n, t)) <= got.error_bound, got
+    assert got.error_bound <= 2e-13 * got.value, got
+
+
+@pytest.mark.parametrize("n, t", [(150, 0.02), (200, 0.05), (200, 0.8), (400, 0.3), (582, 0.4884)])
+def test_direct_where_multiplicities_or_weights_leave_the_float_range(n, t):
+    # the multiplicities pass 1e308 (the trace is about e^456 at (200, 0.05))
+    # and at (582, 0.4884) the weights fall below 1e-308 while the terms do
+    # not: each line is scaled by its own power of two
+    got = trace_direct(n, t)
+    with mp.workdps(30):
+        ref = _oracle_plain_sum(n, t, "q") + _oracle_plain_sum(n, t, "w")
+        assert abs(mp.mpf(got.value) - ref) <= got.error_bound, got
+    assert got.error_bound <= 1e-12 * got.value, got
+
+
+# Values, bounds (float.hex) and term counts of the direct double sum in
+# hyperbola order with exact line sums: the bench --verify inputs, small n over
+# three decades of t, and larger n up to the largest, where multiplicities
+# and weights leave the float range.  The rows the two tests above share were
+# taken after those held them within their bounds of the oracles.
 _PINNED_DIRECT = [
-    (3, 0.001115, '0x1.1a8253cf4b091p+28', '0x1.0784d4de55564p-6', 162512),
-    (3, 0.002859, '0x1.0b838817a3e07p+24', '0x1.5a6d083404048p-12', 56077),
-    (5, 0.00202, '0x1.e5a77dee63a14p+41', '0x1.bfe2ea36beb7ep+6', 80049),
-    (8, 0.002929, '0x1.188261d274addp+62', '0x1.426a2a95fa2e2p+26', 49673),
-    (2, 0.05, '0x1.3f11f52263241p+8', '0x1.38ce3a1bc300ap-32', 2230),
-    (2, 0.5, '0x1.2fc510cfdb172p+1', '0x1.f4ea8c611e3d8p-42', 136),
-    (2, 10.0, '0x1.1b48657c9a81dp-28', '0x1.a32ff8c475f3ep-72', 3),
-    (3, 0.05, '0x1.810aa86e2b0b6p+11', '0x1.5e47893bcf921p-29', 1995),
-    (3, 0.5, '0x1.9a6fbb7a85c23p+0', '0x1.33c4d5d0f4102p-42', 111),
-    (3, 10.0, '0x1.d635b711e6a59p-57', '0x1.5b07d2634d62dp-100', 2),
-    (4, 0.05, '0x1.0b9f4bb2913b6p+15', '0x1.d535f8a1fcbc3p-26', 1897),
-    (4, 0.5, '0x1.2d80c2ac46b06p+0', '0x1.8cda3a2499932p-43', 101),
-    (4, 10.0, '0x1.5ae191d691016p-85', '0x1.005fe1973a4a0p-128', 2),
-    (5, 0.05, '0x1.7b82ddcc950f6p+18', '0x1.413181ae63e97p-22', 1830),
-    (5, 0.5, '0x1.b3a2398d8ad0ep-1', '0x1.12a4489f91a83p-43', 94),
-    (5, 10.0, '0x1.dfcfd257f3faap-114', '0x1.632e05e9721a4p-157', 2),
-    (6, 0.05, '0x1.0b10f881730dcp+22', '0x1.bcae60f41f381p-19', 1779),
-    (6, 0.5, '0x1.31b15585549a0p-1', '0x1.858d7d9d9b0dep-44', 90),
-    (6, 10.0, '0x1.3e91753ae31c8p-142', '0x1.d86770a9bf93cp-186', 2),
-    (7, 0.05, '0x1.727e45c0ffc36p+25', '0x1.2ecccdb6ab23ap-15', 1736),
-    (7, 0.5, '0x1.a1e7baac6f6f8p-2', '0x1.f74d4380f90afp-45', 87),
-    (7, 10.0, '0x1.9b45b45153e8dp-171', '0x1.3172539898c15p-214', 2),
-    (8, 0.05, '0x1.fa3be93d91274p+28', '0x1.98179c188d54ep-12', 1694),
-    (8, 0.5, '0x1.17a9500eb93f5p-2', '0x1.49c1f70b12714p-45', 85),
-    (8, 10.0, '0x1.040f107dc64c8p-199', '0x1.82f2b53893d8cp-243', 2),
-    (30, 0.05, '0x1.65bc011649477p+102', '0x1.b7e4eff9fc51dp+61', 1311),
-    (53, 0.01, '0x1.10294bcc4a047p+304', '0x1.538b46216c9b8p+266', 13262),
+    (3, 0.001115, '0x1.1a8253cf4b553p+28', '0x1.831d96729c670p-17', 160650),
+    (3, 0.002859, '0x1.0b838817a4022p+24', '0x1.31018199b046ep-21', 55769),
+    (5, 0.00202, '0x1.e5a77dee63d26p+41', '0x1.be809477a0889p-3', 79417),
+    (8, 0.002929, '0x1.188261d274d9fp+62', '0x1.0e7dbecdf9ac0p+18', 49775),
+    (2, 0.05, '0x1.3f11f5226336bp+8', '0x1.50e1d039b7d85p-38', 2298),
+    (2, 0.5, '0x1.2fc510cfdb26bp+1', '0x1.7a29b1403550cp-45', 142),
+    (2, 10.0, '0x1.1b48657c9a817p-28', '0x1.956de79c5985cp-74', 3),
+    (3, 0.05, '0x1.810aa86e2b250p+11', '0x1.440fbcb477e67p-34', 2027),
+    (3, 0.5, '0x1.9a6fbb7a85d3ep+0', '0x1.e01a2011dd45cp-46', 116),
+    (3, 10.0, '0x1.d635b711e6a56p-57', '0x1.025873bf3dd7bp-101', 2),
+    (4, 0.05, '0x1.0b9f4bb2914ddp+15', '0x1.5b01ff394cdacp-30', 1919),
+    (4, 0.5, '0x1.2d80c2ac46b6ep+0', '0x1.7b0837df4165bp-46', 105),
+    (4, 10.0, '0x1.5ae191d691002p-85', '0x1.010857c20db64p-129', 2),
+    (5, 0.05, '0x1.7b82ddcc9526cp+18', '0x1.672c44897d928p-27', 1859),
+    (5, 0.5, '0x1.b3a2398d8ad9bp-1', '0x1.3b0ad76be88cap-46', 98),
+    (5, 10.0, '0x1.dfcfd257f3fb4p-114', '0x1.bf8cd15fcd595p-158', 2),
+    (6, 0.05, '0x1.0b10f8817320dp+22', '0x1.0f2ae06622637p-23', 1810),
+    (6, 0.5, '0x1.31b1558554a13p-1', '0x1.b2910be275adcp-47', 94),
+    (6, 10.0, '0x1.3e91753ae31bfp-142', '0x1.66445a91a8e7ep-186', 2),
+    (7, 0.05, '0x1.727e45c0ffdddp+25', '0x1.89755bc372afdp-20', 1771),
+    (7, 0.5, '0x1.a1e7baac6f731p-2', '0x1.a49704fe582bcp-47', 88),
+    (7, 10.0, '0x1.9b45b45153e6cp-171', '0x1.0ebab9a1b0982p-214', 2),
+    (8, 0.05, '0x1.fa3be93d9146fp+28', '0x1.c581c132d038ep-16', 1731),
+    (8, 0.5, '0x1.17a9500eb9417p-2', '0x1.23347ef2121b4p-47', 86),
+    (8, 10.0, '0x1.040f107dc64e0p-199', '0x1.874bc01a3f0cep-243', 2),
+    (30, 0.05, '0x1.65bc01164952fp+102', '0x1.251c0d8f8d9d4p+58', 1319),
+    (53, 0.01, '0x1.10294bcc4a32bp+304', '0x1.7e9104cdc256ap+259', 6450),
+    (150, 0.02, '0x1.6d5c019ff01c2p+699', '0x1.1512e879a24fdp+656', 6467),
+    (200, 0.05, '0x1.89734b8fb700bp+657', '0x1.70b0ce958fcb0p+614', 3160),
+    (200, 0.8, '0x1.4845f3c4fb2b6p-387', '0x1.5babf9e7648f0p-429', 125),
+    (582, 0.4884, '0x1.12257eda8be87p-413', '0x1.0f686a1119f2ap-454', 552),
 ]
 
 
@@ -309,60 +349,10 @@ _PINNED_DIRECT = [
 def test_direct_arithmetic_is_pinned(n, t, value, bound, terms):
     got = trace_direct(n, t)
     assert (got.value.hex(), got.error_bound.hex(), got.terms_used) == (value, bound, terms)
-    # the cap check counts every term: exactly terms_used of them fit
-    assert trace_direct(n, t, term_cap=terms).terms_used == terms
-    with pytest.raises(ConvergenceError):
+    # the cap counts every term, checked before each line: exactly terms_used fit
+    assert trace_direct(n, t, term_cap=terms) == got
+    with pytest.raises(ConvergenceError, match=f"more than {terms - 1} terms"):
         trace_direct(n, t, term_cap=terms - 1)
-    # scaled from the first block, the sum takes the same terms and agrees
-    summer = _DirectSum(n, t, 10**7)
-    summer.scaled = True
-    scaled = summer.run()
-    assert scaled.terms_used == terms
-    assert abs(scaled.value - got.value) <= got.error_bound + scaled.error_bound
-
-
-# Values, bounds (float.hex) and term counts of the direct sum on its scaled
-# path, from before the plain and scaled blocks were one method: three inputs
-# whose multiplicities or weights leave the normal floats, so the sum turns
-# scaled by itself, and one row of _PINNED_DIRECT (plain there) with scaled
-# forced from the first block.
-_PINNED_SCALED_DIRECT = [
-    (150, 0.02, False, "0x1.6d5c019feff16p+699", "0x1.c24676e136c8bp+660", 6467),
-    (200, 0.05, False, "0x1.89734b8fb6ceep+657", "0x1.f58bf6d6d36c1p+617", 3160),
-    (582, 0.4884, False, "0x1.12257eda8bed5p-413", "0x1.1438f77dc553fp-454", 552),
-    (53, 0.01, True, "0x1.10294bcc4a047p+304", "0x1.4edda2ede53f6p+266", 13262),
-]
-
-
-@pytest.mark.parametrize(
-    "n, t, forced, value, bound, terms",
-    _PINNED_SCALED_DIRECT,
-    ids=[f"{n}-{t}{'-forced' if forced else ''}" for n, t, forced, *_ in _PINNED_SCALED_DIRECT],
-)
-def test_scaled_direct_arithmetic_is_pinned(n, t, forced, value, bound, terms):
-    summer = _DirectSum(n, t, 10**7)
-    summer.scaled = forced
-    got = summer.run()
-    assert summer.scaled
-    assert (got.value.hex(), got.error_bound.hex(), got.terms_used) == (value, bound, terms)
-
-
-@pytest.mark.parametrize("n, t", [(200, 0.05), (400, 0.3)])
-def test_direct_where_multiplicities_pass_the_float_range(n, t):
-    # the multiplicities pass 1e308 long before the terms do (the trace is
-    # about e^456 at n = 200), so plain float arithmetic cannot form them
-    summer = _DirectSum(n, t, 10**7)
-    got = summer.run()
-    assert summer.scaled
-    assert trace_direct(n, t) == got
-    oracle = _oracle_split if n == 200 else _oracle_plain_sum  # the first is slow at n = 400
-    ref = oracle(n, t, "q") + oracle(n, t, "w")
-    assert abs(mp.mpf(got.value) - ref) <= got.error_bound
-    assert got.error_bound <= 1e-11 * got.value
-    # the cap counts the terms of the plain and the scaled blocks together
-    assert trace_direct(n, t, term_cap=got.terms_used) == got
-    with pytest.raises(ConvergenceError):
-        trace_direct(n, t, term_cap=got.terms_used - 1)
 
 
 @pytest.mark.parametrize("n, t", [(2, 400.0), (53, 10.0)])
