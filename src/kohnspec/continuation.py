@@ -22,9 +22,11 @@ origin: continued_coefficient(0) equals the Weyl coefficient c(n).
 
 The integrands are formed from special_functions.folded_power/folded_excess,
 exact at tau -> 0 and at large tau and overflowing only where their values
-do; complex binomials go through the Lanczos log-gamma.  n = 2 is rejected:
-m = 1 leaves no strip between the first poles and the continuation
-degenerates; so is n beyond errors.MAX_N["continuation"].
+do.  As vol(S^(2n-1)) = 2 pi^n / m!, the prefactor is binom(m, q) / m!
+times 2 / (2^n n!): the binomial over m! is a finite product by Euler's
+reflection formula, and the rest is rational.  n = 2 is rejected: m = 1
+leaves no strip between the first poles and the continuation degenerates;
+so is n beyond errors.MAX_N["continuation"].
 
 Near the q = 0 pole the direct-integral evaluator loses its decay margin, so
 stanton_coefficient refuses |q| < NEAR_POLE_RADIUS; continued_coefficient is
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DEFAULT_NODE_CAP, ConvergenceError, check_n
-from .special_functions import folded_excess, folded_power, integrate_decaying, log_gamma
+from .special_functions import folded_excess, folded_power, integrate_decaying
 
 __all__ = [
     "NEAR_POLE_RADIUS",
@@ -63,11 +65,9 @@ class StripPoint:
     q: complex
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 3:
-            raise ValueError(
-                f"continuation requires integer n >= 3, got n = {self.n}"
-            )
         check_n(self.n, "continuation")
+        if self.n < 3:
+            raise ValueError(f"continuation requires n >= 3, got n = {self.n}")
         object.__setattr__(self, "q", complex(self.q))
         if not cmath.isfinite(self.q):
             raise ValueError(f"q must be finite, got q = {self.q}")
@@ -87,16 +87,52 @@ class StripPoint:
         return -1.0 < self.q.real < self.m
 
 
-def _volume_prefactor(n: int) -> float:
-    """vol(S^(2n-1)) / ((2 pi)^n n!); the pi powers cancel to a rational."""
-    return float(Fraction(2, math.factorial(n - 1) * 2**n * math.factorial(n)))
+def _reciprocal_gammas(m: int, q: complex, *divisors: float | complex) -> complex:
+    """1 / (Gamma(q+1) Gamma(m-q+1) prod(divisors)); without divisors binom(m, q) / m!.
 
-
-def _complex_binom(m: int, q: complex) -> complex:
-    """binom(m, q) = m! / (Gamma(q+1) Gamma(m-q+1)) continued in q."""
-    return cmath.exp(
-        log_gamma(float(m + 1)) - log_gamma(q + 1.0) - log_gamma(m - q + 1.0)
+    With k the integer in [0, m] nearest re q and u = q - k, Euler's
+    reflection Gamma(1+u) Gamma(1-u) = pi u / sin(pi u) leaves the finite
+    product sinc(u) / (prod_{i<k} (q - i) prod_{k<i<=m} (i - q)): no log-gamma,
+    exactly the integer binomial's factors at integer q, and no factor vanishes
+    on the strip -1 < re q < m.  sin(pi u) is e^L times a bounded factor,
+    L = pi |im q| carried past float precision, and e^L enters in powers of
+    e^128 kept apart while each factor divides, so OverflowError only where
+    the value passes the float range.
+    """
+    j = round(q.real)
+    k = min(max(j, 0), m)
+    u = complex(q.real - k, q.imag)
+    x, y = q.real - j, abs(q.imag)  # sin(pi u) = (-1)^(j-k) sin(pi (x + i im q))
+    big_l = math.pi * y
+    # the rounding of math.pi * y, exactly, plus (pi - math.pi) y
+    small_l = float(Fraction(math.pi) * Fraction(y) - Fraction(big_l))
+    small_l += 1.2246467991473532e-16 * y
+    t = -math.expm1(-2.0 * big_l)  # 1 - e^(-2L)
+    bounded = complex(
+        math.sin(math.pi * x) * (2.0 - t), math.copysign(math.cos(math.pi * x) * t, q.imag)
     )
+    value = (-0.5 if (j - k) % 2 else 0.5) * bounded / (math.pi * u) if u else complex(1.0)
+    if value == 0:  # q is a pole of Gamma(q+1) or Gamma(m-q+1)
+        return value
+    powers, rest = divmod(big_l, 128.0)  # both exact
+    value *= math.exp(rest) * math.exp(small_l)
+    powers = int(powers)
+    step = math.exp(128.0)
+    # value * step^powers stays the running quotient, |value| in [1, step);
+    # the leading 1.0 brings the start into that range
+    for d in (1.0, *(q - i for i in range(k)), *(i - q for i in range(k + 1, m + 1)), *divisors):
+        value /= d
+        while step <= abs(value) < math.inf:
+            value, powers = value / step, powers + 1
+        while abs(value) < 1.0:
+            value, powers = value * step, powers - 1
+    while powers > 0 and cmath.isfinite(value):
+        value, powers = value * step, powers - 1
+    while powers < 0 and value:
+        value, powers = value / step, powers + 1
+    if not cmath.isfinite(value):
+        raise OverflowError(f"1/(Gamma(q+1) Gamma({m}-q+1)) at q = {q} leaves the float range")
+    return value
 
 
 def _integrate(evaluator: str, point: StripPoint, integrand, decay: float, node_cap: int):
@@ -153,7 +189,7 @@ def stanton_coefficient(point: StripPoint, *, node_cap: int = DEFAULT_NODE_CAP) 
     integrand = _folded_integrand(folded_power, m, q, 2.0**m)
     decay = 2.0 * min(q.real, m - q.real)
     quad = _integrate("stanton_coefficient", point, integrand, decay, node_cap)
-    return _complex_binom(m, q) * _volume_prefactor(n) * quad.value
+    return _reciprocal_gammas(m, q, 2.0 ** (n - 1) * math.factorial(n)) * quad.value
 
 
 def continued_coefficient(point: StripPoint, *, node_cap: int = DEFAULT_NODE_CAP) -> complex:
@@ -172,23 +208,22 @@ def continued_coefficient(point: StripPoint, *, node_cap: int = DEFAULT_NODE_CAP
     integrand = _folded_integrand(folded_excess, m, q, 2.0 ** (m - 1))
     decay = 2.0 * min(q.real + 1.0, m - q.real)
     quad = _integrate("continued_coefficient", point, integrand, decay, node_cap)
-    return 2.0 * _complex_binom(m, q) * _volume_prefactor(n) * quad.value
+    return _reciprocal_gammas(m, q, 2.0 ** (n - 2) * math.factorial(n)) * quad.value
 
 
 def pole_term(point: StripPoint) -> complex:
     """The explicit meromorphic difference between the two evaluators.
 
     pole_term(q) = binom(m, q) * vol(S^(2n-1)) / (2 n (2 pi)^n) * q^(-n);
-    the pi powers cancel to the rational constant 1 / ((n-1)! n 2^n).
-    Undefined at q = 0; a ValueError names q where q^(-n) leaves the float range.
+    the pi powers cancel, leaving binom(m, q) / m! times q^(-n) / (n 2^n).
+    Undefined at q = 0; a ValueError names q where the value leaves the float range.
     """
-    n, q, m = point.n, point.q, point.m
+    n, q = point.n, point.q
     if q == 0:
         raise ValueError("pole_term has its pole at q = 0")
-    constant = float(Fraction(1, math.factorial(n - 1) * n * 2**n))
     try:
-        return _complex_binom(m, q) * constant * q ** (-n)
-    except (ZeroDivisionError, OverflowError) as err:  # q^n underflows to 0, or q^(-n) overflows
+        return _reciprocal_gammas(point.m, q, n * 2.0**n, *(q,) * n)
+    except OverflowError as err:
         raise ValueError(
             f"the pole term at n = {n}, q = {q} leaves the float range"
         ) from err

@@ -41,7 +41,9 @@ class ConvergenceError(RuntimeError):
 
 
 def check_n(n: int, route: str | None = None) -> None:
-    """Raise ValueError unless n >= 2 and, for a route named in MAX_N, n <= its entry."""
+    """Raise ValueError unless n is an int >= 2 and, for a route named in MAX_N, n <= its entry."""
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got n = {n!r}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if route is not None and n > MAX_N[route][0]:

@@ -3,7 +3,6 @@
 Covers exactly what the spectral computations need and nothing more:
 
 * even zeta values as exact rational multiples of pi powers (Bernoulli route),
-* a complex log-gamma good to ~1e-14 (Lanczos, fixed coefficient table),
 * log(1 - e^(-2x)) and the half-line integrands' kernels (x/E)^m e^(-rate x)
   and x^m (E^(-m) - 1) e^(-rate x), E = 1 - e^(-2x), overflow-free in range,
 * integrate_decaying: adaptive Gauss-Legendre panels on [0, T] plus a
@@ -30,7 +29,6 @@ __all__ = [
     "PiMultiple",
     "bernoulli",
     "zeta_even",
-    "log_gamma",
     "log1mexp2",
     "folded_power",
     "folded_excess",
@@ -134,68 +132,6 @@ def folded_excess(x: float, m: int, rate: float) -> float:
     if value == math.inf:  # the power fits, the value does not
         raise OverflowError("math range error")
     return value
-
-
-# Lanczos approximation, g = 7, nine terms.  The standard double-precision
-# coefficient set; relative accuracy of exp(log_gamma) is ~1e-15 on the right
-# half-plane, verified against independent references on [0.5, 50] and on the
-# strip re z in (-1, 10), |im z| <= 2 in the test suite.
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _lanczos_log_gamma_right(z: complex) -> complex:
-    """Lanczos core, valid for re z >= 0.5."""
-    w = z - 1.0
-    acc: complex = _LANCZOS_COEFFS[0]
-    for k in range(1, 9):
-        acc = acc + _LANCZOS_COEFFS[k] / (w + k)
-    t = w + 7.5
-    return _HALF_LOG_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
-
-
-def log_gamma(z: float | complex) -> float | complex:
-    """log Gamma(z); float in, float out for real z > 0, complex otherwise.
-
-    Guarantee: exp(log_gamma(z)) = Gamma(z).  For re z < 0.5 the reflection
-    formula log pi - log sin(pi z) - log_gamma(1 - z) supplies the value; its
-    imaginary part is then only pinned modulo 2*pi, which is immaterial for
-    the binomial ratios this package exponentiates.
-
-    Raises ValueError at the poles (z a nonpositive integer) and for real
-    z <= 0 (where Gamma changes sign; pass complex(z) to force the reflected
-    branch).
-    """
-    if isinstance(z, complex):
-        if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-            raise ValueError(f"log_gamma pole at z = {z}")
-        if z.real < 0.5:
-            return (
-                cmath.log(math.pi)
-                - cmath.log(cmath.sin(math.pi * z))
-                - _lanczos_log_gamma_right(1.0 - z)
-            )
-        return _lanczos_log_gamma_right(z)
-    if z <= 0.0:
-        raise ValueError(f"log_gamma needs z > 0 on the real path, got {z}")
-    if z < 0.5:
-        # 1 - z > 0.5 and sin(pi z) > 0, so this stays real.
-        return (
-            math.log(math.pi)
-            - math.log(math.sin(math.pi * z))
-            - _lanczos_log_gamma_right(complex(1.0 - z)).real
-        )
-    return _lanczos_log_gamma_right(complex(z)).real
 
 
 @dataclass(frozen=True)

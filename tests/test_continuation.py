@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 
@@ -50,11 +51,11 @@ def test_strip_point_rejects_a_q_that_is_not_finite(q):
         StripPoint(3, q)
 
 
-@pytest.mark.parametrize("q", [1e-177, 1e-104])
-def test_pole_term_names_q_where_its_power_leaves_the_float_range(q):
-    # q^3 underflows to 0 (a ZeroDivisionError) or q^-3 overflows (an OverflowError)
-    with pytest.raises(ValueError, match="pole term at n = 3, q = .* leaves the float range"):
-        pole_term(StripPoint(3, q))
+@pytest.mark.parametrize("n, q", [(3, 1e-177), (3, 1e-104), (10, 1 + 300j), (10, 1e300j)])
+def test_pole_term_names_q_where_it_leaves_the_float_range(n, q):
+    # q^-n overflows, or e^(pi |im q|) outgrows the binomial's other factors
+    with pytest.raises(ValueError, match=f"pole term at n = {n}, q = .* leaves the float range"):
+        pole_term(StripPoint(n, q))
 
 
 def test_stanton_closed_form_anchor():
@@ -167,9 +168,10 @@ def test_fold_matches_split_pair(q):
 
         return integrate_decaying(integrand, 2.0 * rate, tol=QUADRATURE_TOL, poly_degree=m).value
 
-    from kohnspec.continuation import _complex_binom, _volume_prefactor
+    from kohnspec.continuation import _reciprocal_gammas
 
-    split_sum = _complex_binom(m, complex(q)) * _volume_prefactor(n) * (
+    # binom(m, q) vol(S^(2n-1)) / ((2 pi)^n n!) = binom(m, q) / m! * 2 / (2^n n!)
+    split_sum = _reciprocal_gammas(m, complex(q), 2.0 ** (n - 1) * math.factorial(n)) * (
         half(q) + half(m - q)
     )
     folded = stanton_coefficient(pt)
@@ -228,6 +230,33 @@ def test_continuation_at_its_table_entry_and_beyond():
         assert continuation_residual(point) <= 1e-12 * abs(f), q
     with pytest.raises(ValueError, match=f"^continuation supports n <= {largest}, got n = {largest + 1}:"):
         StripPoint(largest + 1, 1.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 10, 40, 60, 82])
+def test_pole_term_matches_the_50_digit_binomial(n):
+    # binom(m, q) by Euler's reflection formula is a finite product: a few
+    # ulps per factor, where a difference of log-gammas of size ~280 lost
+    # digits (1.6e-13 at n = 82, q = 0.05)
+    m = n - 1
+    for q in (0.5 + 0.5j, 2 + 3j, 0.05, m - 0.05, 1, 2, -0.5 + 0.3j, -0.9, m / 2 + 1j, m - 0.5 + 2j):
+        ref = _pole_reference(n, q)
+        assert abs(pole_term(StripPoint(n, q)) - ref) <= 2e-14 * abs(ref), q
+
+
+@pytest.mark.parametrize("n, q", [(3, 0.5 + 230j), (10, 1 + 226j), (82, 1 + 226j), (82, 40 + 240j)])
+def test_pole_term_answers_where_sin_pi_q_alone_overflows(n, q):
+    # sin(pi q) passes the float range from |im q| ~ 226 on; the product's
+    # factors and q^(-n) bring the value back into it
+    pole = pole_term(StripPoint(n, q))
+    ref = _pole_reference(n, q)
+    assert cmath.isfinite(pole)
+    assert abs(pole - ref) <= 1e-14 * abs(ref)
+
+
+def test_binomial_zeros_are_exact_off_the_strip():
+    # 1/Gamma(q+1) vanishes at q = -1, -2, ...; 1/Gamma(m-q+1) at q = m+1, ...
+    for q in (-1.0, -2.0, 3.0, 7.0):
+        assert pole_term(StripPoint(3, q)) == 0
 
 
 def _folded_series(n: int, q: float, first: int) -> mp.mpf:

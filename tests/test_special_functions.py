@@ -20,7 +20,6 @@ from kohnspec.special_functions import (
     folded_power,
     integrate_decaying,
     log1mexp2,
-    log_gamma,
     zeta_even,
 )
 
@@ -82,50 +81,6 @@ def test_pi_multiple_value():
     assert PiMultiple(Fraction(1, 6), 2).value == pytest.approx(
         math.pi**2 / 6, rel=1e-15
     )
-
-
-def test_log_gamma_real_anchors():
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-13)
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-13)
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_log_gamma_matches_lgamma_on_grid():
-    x = 0.5
-    while x <= 50.0:
-        ref = math.lgamma(x)
-        assert abs(log_gamma(x) - ref) <= 1e-13 * max(1.0, abs(ref))
-        x += 0.25
-
-
-def test_log_gamma_complex_recurrence():
-    for z in (1.0 + 1.0j, 2.5 - 0.5j, -1.5 + 0.5j, -0.3 - 2.0j, 0.1 + 0.1j):
-        lhs = cmath.exp(log_gamma(z + 1))
-        rhs = z * cmath.exp(log_gamma(z))
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-
-def test_log_gamma_modulus_identity_on_critical_line():
-    # |Gamma(1 + i b)|^2 = pi b / sinh(pi b)
-    for b in (0.5, 1.0, 2.0):
-        got = abs(cmath.exp(log_gamma(1.0 + 1j * b))) ** 2
-        want = math.pi * b / math.sinh(math.pi * b)
-        assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_log_gamma_conjugate_symmetry():
-    for z in (1.3 + 0.8j, -0.7 + 1.1j):
-        a = cmath.exp(log_gamma(z.conjugate()))
-        b = cmath.exp(log_gamma(z)).conjugate()
-        assert abs(a - b) <= 1e-12 * abs(b)
-
-
-def test_log_gamma_rejects_poles_and_nonpositive_reals():
-    for bad in (0.0, -1.0, -2.5):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
-    with pytest.raises(ValueError):
-        log_gamma(complex(-2.0, 0.0))
 
 
 def test_integrate_decaying_known_integrals():
@@ -227,15 +182,17 @@ def test_integral_routes_are_pinned(route, n, value, bound, nodes):
 
 # The continuation's value (real and imaginary parts) and its integral's
 # error estimate and node count, from the same commit as _PINNED_CALLERS.
+# The values were re-pinned when binom(m, q) came to be formed by Euler's
+# reflection formula (1.4e-14 closer to it at n = 40); the integrals did not move.
 _PINNED_CONTINUATION = [
     ("stanton_coefficient", 10, 1.3 + 0.7j,
-     "-0x1.2f29993125316p-34", "0x1.f788ae7678360p-35", "0x1.5cea22da2b01ap-35", 384),
+     "-0x1.2f29993125315p-34", "0x1.f788ae7678368p-35", "0x1.5cea22da2b01ap-35", 384),
     ("continued_coefficient", 10, 1.3 + 0.7j,
-     "-0x1.384037ffebfbep-40", "-0x1.f798cf0adcfa2p-38", "0x1.868ac5af8d4eep-42", 384),
+     "-0x1.384037ffebfd2p-40", "-0x1.f798cf0adcfa4p-38", "0x1.868ac5af8d4eep-42", 384),
     ("stanton_coefficient", 40, 2 + 3j,
-     "0x1.95a3081cd4271p-262", "-0x1.961ef1078ae0ap-264", "0x1.ba51a8ec80f7dp+63", 3456),
+     "0x1.95a3081cd42d5p-262", "-0x1.961ef1078adedp-264", "0x1.ba51a8ec80f7dp+63", 3456),
     ("continued_coefficient", 40, 2 + 3j,
-     "0x1.b5b1e8c7c7602p-268", "0x1.7e436c82de62ep-266", "0x1.3f0cfa34ef987p+45", 1720),
+     "0x1.b5b1e8c7c75f3p-268", "0x1.7e436c82de68ep-266", "0x1.3f0cfa34ef987p+45", 1720),
 ]
 
 
