@@ -173,6 +173,15 @@ def _folded_integrand(first, m: int, q: complex, scale: float):
     return integrand
 
 
+def _coefficient(evaluator: str, point: StripPoint, first, shift: int, node_cap: int) -> complex:
+    """The body of stanton_coefficient (shift 0) and continued_coefficient (shift 1)."""
+    n, q, m = point.n, point.q, point.m
+    integrand = _folded_integrand(first, m, q, 2.0 ** (m - shift))
+    decay = 2.0 * min(q.real + shift, m - q.real)
+    quad = _integrate(evaluator, point, integrand, decay, node_cap)
+    return _reciprocal_gammas(m, q, 2.0 ** (n - 1 - shift) * math.factorial(n)) * quad.value
+
+
 def stanton_coefficient(point: StripPoint, *, node_cap: int = DEFAULT_NODE_CAP) -> complex:
     """Form-degree coefficient on the strip 0 < re q < n - 1.
 
@@ -180,16 +189,12 @@ def stanton_coefficient(point: StripPoint, *, node_cap: int = DEFAULT_NODE_CAP) 
     2^m (tau/E)^m (e^(-2 q tau) + e^(-2 (m-q) tau)), E = 1 - e^(-2 tau),
     with limit 2 at tau = 0 and decay rate 2 min(re q, m - re q).
     """
-    n, q, m = point.n, point.q, point.m
     if not point.in_stanton_strip:
         raise ValueError(
-            f"stanton_coefficient needs 0 < re q < {m} and |q| >= {NEAR_POLE_RADIUS}, "
-            f"got q = {q}; near the pole evaluate continued_coefficient instead"
+            f"stanton_coefficient needs 0 < re q < {point.m} and |q| >= {NEAR_POLE_RADIUS}, "
+            f"got q = {point.q}; near the pole evaluate continued_coefficient instead"
         )
-    integrand = _folded_integrand(folded_power, m, q, 2.0**m)
-    decay = 2.0 * min(q.real, m - q.real)
-    quad = _integrate("stanton_coefficient", point, integrand, decay, node_cap)
-    return _reciprocal_gammas(m, q, 2.0 ** (n - 1) * math.factorial(n)) * quad.value
+    return _coefficient("stanton_coefficient", point, folded_power, 0, node_cap)
 
 
 def continued_coefficient(point: StripPoint, *, node_cap: int = DEFAULT_NODE_CAP) -> complex:
@@ -200,15 +205,9 @@ def continued_coefficient(point: StripPoint, *, node_cap: int = DEFAULT_NODE_CAP
     2 min(re q + 1, m - re q).  At q = 0 this is exactly the
     integral-intermediate form of the Weyl coefficient.
     """
-    n, q, m = point.n, point.q, point.m
     if not point.in_continued_strip:
-        raise ValueError(
-            f"continued_coefficient needs -1 < re q < {m}, got q = {q}"
-        )
-    integrand = _folded_integrand(folded_excess, m, q, 2.0 ** (m - 1))
-    decay = 2.0 * min(q.real + 1.0, m - q.real)
-    quad = _integrate("continued_coefficient", point, integrand, decay, node_cap)
-    return _reciprocal_gammas(m, q, 2.0 ** (n - 2) * math.factorial(n)) * quad.value
+        raise ValueError(f"continued_coefficient needs -1 < re q < {point.m}, got q = {point.q}")
+    return _coefficient("continued_coefficient", point, folded_excess, 1, node_cap)
 
 
 def pole_term(point: StripPoint) -> complex:

@@ -16,11 +16,11 @@ Every sum here stops on one rule: its tail below _REL_TOL times its own
 partial sum, which, as a sum of positive terms, is a lower bound of the value
 (a split tail integral may take its largest term instead, a lower bound too).
 
-Both split sums go through one helper, _split_sum, at a cost independent of
-t.  It adds the first EM_HEAD_TERMS terms exactly (math.fsum).  If a geometric
-tail bound certifies the rest before then (large t), it stops there; terms
-that at least halve per index are summed on until it does.  Otherwise the
-tail from a = start + EM_HEAD_TERMS on is the Euler-Maclaurin sum
+Both split sums go through one helper, _split_sum, at a cost bounded by n
+and log(1/t).  It adds the first EM_HEAD_TERMS terms exactly (math.fsum).  If
+a geometric tail bound certifies the rest before then (large t), it stops
+there; terms that at least halve per index are summed on until it does.
+Otherwise the tail from a = start + EM_HEAD_TERMS on is the Euler-Maclaurin sum
 (special_functions.euler_maclaurin_tail)
 
     integral_a^inf f + f(a)/2 - sum_{j<=m} B_2j/(2j)! f^(2j-1)(a) + R_m,
@@ -33,13 +33,13 @@ aliasing error in closed form.  The reported error bound is the sum of the
 stopped tail (or of the quadrature error, R_m and the aliasing bound) and
 a first-order bound on floating-point rounding.
 
-Every sum needs the trace and the numbers that form it inside the normal
-floats: supported_t gives that interval of t for each n.
+Every sum needs t > 0 and the trace and the numbers that form it inside the
+normal floats, nothing more: supported_t gives that interval of t for each n.
 
 Denominators 1 - exp(-2tq) are formed with expm1, also at complex
 arguments, so the small-t limit (t/(1 - e^(-at)))^n -> a^(-n) survives in
 floating point; that is what makes the scaled trace t**n * G(t) stable down
-to the default floor t = 1e-6.
+to the lower end of that interval.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, ConvergenceError, check_
 from .special_functions import EM_HEAD_TERMS, U, euler_maclaurin_tail, integrate_decaying
 
 __all__ = [
-    "MIN_T",
     "HeatTraceSample",
     "trace_split_q",
     "trace_split_w",
@@ -65,7 +64,6 @@ __all__ = [
     "supported_t",
 ]
 
-MIN_T = 1e-6
 _REL_TOL = 1e-13  # every sum stops once its tail is below this share of its partial sum
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -117,7 +115,8 @@ def _range_excess(n: int, t: float) -> list[tuple[float, str, float]]:
 def supported_t(n: int) -> tuple[float, float] | None:
     """The lowest and highest t at which the heat sums answer for n >= 2, or None.
 
-    Each end, found by bisection in log t, is MIN_T or where quantities of
+    Each end, found by bisection in log t up from the smallest normal float
+    (a t at which (1 - e^(-2t))^n is not one), is where quantities of
     _range_excess cross the edge of the float range.
     """
     check_n(n)
@@ -127,26 +126,24 @@ def supported_t(n: int) -> tuple[float, float] | None:
 
     def edge(end: slice, good: float, bad: float) -> float:
         for _ in range(60):
-            mid = math.sqrt(good * bad)
+            mid = math.sqrt(good) * math.sqrt(bad)  # good * bad may underflow
             good, bad = (mid, bad) if inside(mid, end) else (good, mid)
         return good
 
     small_t, large_t = slice(4), slice(4, None)
-    if not inside(MIN_T, large_t):
-        return None
     # twice the largest t at which the first weight is inside
-    high = edge(large_t, MIN_T, (_RANGE_MARGIN - _LOG_FLOAT_MIN) / (n - 1))
+    high = edge(large_t, sys.float_info.min, (_RANGE_MARGIN - _LOG_FLOAT_MIN) / (n - 1))
     if not inside(high, small_t):
         return None
-    return (MIN_T if inside(MIN_T, small_t) else edge(small_t, high, MIN_T)), high
+    return edge(small_t, high, sys.float_info.min), high
 
 
 def _validate(n: int, t: float) -> None:
     check_n(n, "heat")
     if not (isinstance(t, (int, float)) and math.isfinite(t)):
         raise ValueError(f"t must be finite, got {t}")
-    if t < MIN_T:
-        reason = f"below the heat-trace floor {MIN_T}"
+    if t <= 0:
+        reason = "t must be positive"
     else:
         excess, name, log = max(_range_excess(n, t))
         if excess <= 0.0:
@@ -248,15 +245,17 @@ def _split_sum(
     certify it.  Otherwise euler_maclaurin_tail adds the terms from
     a = start + EM_HEAD_TERMS on, its integral to a quarter of the stop's
     share of partial or of the term at the first k >= a with rho(k) < 1,
-    about the largest, whichever is larger.
+    about the largest, whichever is larger; its panels need agree no closer
+    than the rounding of one term at a, _eval_rel(n, rate * a).
 
-    n bounds the work, t does not.  The head has at most
+    n bounds the work; t enters only the integral's.  The head has at most
     max(EM_HEAD_TERMS, 2n + 110) terms: where e^(-rate) <= 1/2, rho <= 3/4
     from the (2n-4)-th term of either sum on, and 108 terms later the tail
     bound is below _REL_TOL times that term, which partial holds.  The tail
     adds one term at a, the contour's max(64, 4m) points with
     m = max(6, (n+1)//2), and the integral's nodes, at most node_cap
-    (ConvergenceError past it).
+    (ConvergenceError past it).  Its geometric panels, about log2(1/t), take
+    both sums from 2 740 evaluations at (n, t) = (2, 1e-6) to 49 428 at 6e-154.
     """
     alpha, beta = shifts
     decay = math.exp(-rate)
@@ -281,7 +280,8 @@ def _split_sum(
     tol = 0.25 * _REL_TOL * max(partial, term(n, t, float(peak)))
     try:
         quad = integrate_decaying(
-            lambda u: term(n, t, a + u), rate, tol=tol, poly_degree=n - 2, node_cap=node_cap
+            lambda u: term(n, t, a + u), rate, tol=tol, poly_degree=n - 2, node_cap=node_cap,
+            rel_noise=_eval_rel(n, rate * a),
         )
         tip = _eval_rel(n, rate * (a + quad.truncation_point))
         # disk_max bounds |f| for Re z >= a/2, |z| <= 3a/2: on the disk of

@@ -175,13 +175,18 @@ def test_heat_rejects_bad_time_list(capsys):
     assert "--t" in err
 
 
-def test_heat_below_floor_names_floor_not_a_flag(capsys):
-    code, _, err = run(capsys, "heat", "--n", "2", "--t", "5e-7")
-    assert code == 1
-    assert "1e-06" in err
-    # nothing lowers the floor, so the message must not suggest a flag or an argument
-    assert "--" not in err
-    assert "min_t" not in err
+@pytest.mark.parametrize(
+    "t, reason",
+    [("0", "t must be positive"), ("-0.001", "t must be positive"), ("5e-154", "the denominator")],
+)
+def test_heat_below_its_lowest_t_names_the_interval_not_a_flag(capsys, t, reason):
+    code, out, err = run(capsys, "heat", "--n", "2", "--t", t)
+    assert (code, out) == (1, "")
+    low, high = supported_t(2)
+    assert f"t = {float(t)}: {reason}" in err
+    assert f"heat supports t >= about {low:.3g} and t <= about {high:.3g}" in err
+    # nothing lowers the lowest t, so the message must not suggest a flag or an argument
+    assert "--" not in err and "min_t" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("n, t", [("2", "400"), ("53", "10")])

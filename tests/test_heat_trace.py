@@ -5,6 +5,7 @@ import sys
 import mpmath as mp
 import pytest
 
+from kohnspec.coefficients import series_zeta
 from kohnspec.combinatorics import dim_hpq
 from kohnspec.errors import DEFAULT_NODE_CAP, MAX_N, ConvergenceError
 from kohnspec.heat_trace import (
@@ -68,17 +69,73 @@ def test_split_agrees_with_direct(n, t):
     assert diff <= direct.error_bound + part_q.error_bound + part_w.error_bound
 
 
-def test_time_floor():
-    with pytest.raises(ValueError):
-        trace_split_q(2, 5e-7)
-    with pytest.raises(ValueError):
-        trace_split_q(2, 0.0)
-    with pytest.raises(ValueError):
-        trace_direct(2, -1.0)
-    # the floor, not the summation, rejects it: even a cap the sum would
-    # exceed at once gives the floor's message
-    with pytest.raises(ValueError, match="below the heat-trace floor 1e-06"):
-        trace_split_q(2, 5e-7, node_cap=1)
+@pytest.mark.parametrize("t", [0.0, -0.0, -1.0])
+def test_time_must_be_positive(t):
+    low, high = supported_t(2)
+    named = f"t must be positive; at n = 2 heat supports t >= about {low:.3g} and t <= about {high:.3g}"
+    for fn in (trace_split_q, trace_split_w, trace_direct):
+        with pytest.raises(ValueError, match=named):
+            fn(2, t)
+
+
+def test_time_below_the_float_range_names_the_quantity_and_the_interval():
+    # below the lowest t the float range rejects it, before any work: even a
+    # cap the sum would exceed at once gives the range message
+    low, high = supported_t(2)
+    named = (
+        r"the denominator \(1 - e\^\(-2t\)\)\^n is about e\^-70\d, below the float range; "
+        f"at n = 2 heat supports t >= about {low:.3g} and t <= about {high:.3g}"
+    )
+    with pytest.raises(ValueError, match=named):
+        trace_split_q(2, 0.99 * low, node_cap=1)
+
+
+# supported_t's lowest t: at these n, where (1 - e^(-2t))^n, about (2t)^n, comes
+# within the factor 64 of headroom of the smallest normal float
+LOWEST_T = {2: 5.97e-154, 3: 5.63e-103, 5: 3.39e-62, 8: 3.15e-39, 20: 2.76e-16, 40: 1.2e-8}
+
+
+@pytest.mark.parametrize("n", sorted(LOWEST_T))
+def test_lowest_t_is_where_the_denominator_leaves_the_normal_floats(n):
+    low, high = supported_t(n)
+    assert low == pytest.approx(LOWEST_T[n], rel=0.01)
+    # every 10^-k below it is named, none raises from inside the message
+    for k in range(6, 330):
+        t = 10.0**-k
+        if 0.0 < t < low:
+            with pytest.raises(ValueError, match=f"heat supports t >= about {low:.3g} and"):
+                trace_split_w(n, t)
+    t = 1.001 * low
+    assert trace_split_q(n, t).value > 0.0 and trace_split_w(n, t).value > 0.0
+
+
+def _heat_polynomial(n, t):
+    """P_n(1/t), the part of G(t) polynomial in 1/t, for n = 2, 3; G - P_n ~ e^(-2 pi^2 / t)."""
+    t, pi2 = mp.mpf(t), mp.pi**2
+    if n == 2:
+        return pi2 / (12 * t**2) - 1 / (2 * t) + mp.mpf(1) / 12
+    return pi2 / (24 * t**3) - (pi2 / 24 + mp.mpf(1) / 8) / t**2 + 1 / (4 * t) - mp.mpf(1) / 24
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_split_sums_match_the_exact_polynomial_down_to_the_lowest_t(n):
+    # G - P_n is e^(-2 pi^2 / t), 3e-29 at t = 0.3, times a polynomial in 1/t:
+    # far below the bounds from there down
+    low, _ = supported_t(n)
+    ts = [0.3, 0.1, 1e-2, 1e-4, 1e-8, 1e-16, 1e-32, 1e-64, 1e-128]
+    with mp.workdps(40):
+        for t in [t for t in ts if t > low] + [1.001 * low]:
+            part_q, part_w = trace_split_q(n, t), trace_split_w(n, t)
+            diff = abs(mp.mpf(part_q.value) + mp.mpf(part_w.value) - _heat_polynomial(n, t))
+            assert diff <= part_q.error_bound + part_w.error_bound, (t, part_q, part_w)
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_scaled_trace_at_the_lowest_t_is_the_weyl_limit(n):
+    # t^n G(t) -> n! c(n) as t -> 0, here to about t times n
+    t = 1.001 * supported_t(n)[0]
+    scaled = scale_by_t_power(n, t, trace_split_q(n, t).value + trace_split_w(n, t).value)
+    assert scaled == pytest.approx(math.factorial(n) * series_zeta(n).value, rel=1e-13)
 
 
 def test_term_cap():
@@ -257,13 +314,16 @@ _PINNED_SPLIT_SUMS = [
     (trace_split_w, 40, 0.0001, "0x1.292c20bf3ceccp+479", "0x1.57e21332e1853p+437", 1186),
     # Euler-Maclaurin order m = 150..250, taken while the Bernoulli numbers
     # came from their Fraction recurrence and each contour coefficient made
-    # its own cmath.exp calls; split_q stops at its first term here.
+    # its own cmath.exp calls; split_q stops at its first term here.  The
+    # split_w rows are taken since its tail integral accepts a panel pair that
+    # agrees within the stated rounding of one term (about 1e-12 here, not
+    # 1e-14): fewer panels, each value within 0.003 of its bound of the oracle.
     (trace_split_q, 300, 0.2, "0x1.e9de8a5bf7868p+315", "0x1.3f86fce2998c1p+275", 1),
-    (trace_split_w, 300, 0.2, "0x1.148c74066a9d6p+306", "0x1.2ad308ba3f3dbp+266", 1538),
+    (trace_split_w, 300, 0.2, "0x1.148c74066a9d9p+306", "0x1.295c635e2bfe1p+266", 1442),
     (trace_split_q, 400, 0.3, "0x1.73ca55a193bfdp+122", "0x1.50df198d153a9p+82", 1),
-    (trace_split_w, 400, 0.3, "0x1.ae828530af328p+112", "0x1.3c34477296fdcp+73", 2026),
+    (trace_split_w, 400, 0.3, "0x1.ae828530af31bp+112", "0x1.392e385372e20p+73", 1642),
     (trace_split_q, 500, 0.32, "0x1.a3e36a16d6b0dp+88", "0x1.dedaeccd32cefp+48", 1),
-    (trace_split_w, 500, 0.32, "0x1.974f87feda89dp+78", "0x1.65665c3ec7d1ep+39", 1938),
+    (trace_split_w, 500, 0.32, "0x1.974f87feda89dp+78", "0x1.60a3ada1ca824p+39", 1746),
 ]
 
 
@@ -404,11 +464,11 @@ def test_heat_sums_where_the_trace_is_tiny(n, t):
 
 
 def test_split_tail_stops_at_the_node_cap():
-    # split_w's tail integral at (124, 0.01) takes exactly 920 nodes
+    # split_w's tail integral at (124, 0.01) takes exactly 824 nodes
     ref = trace_split_w(124, 0.01)
-    assert trace_split_w(124, 0.01, node_cap=920) == ref
-    with pytest.raises(ConvergenceError, match="node cap 919 exceeded"):
-        trace_split_w(124, 0.01, node_cap=919)
+    assert trace_split_w(124, 0.01, node_cap=824) == ref
+    with pytest.raises(ConvergenceError, match="node cap 823 exceeded"):
+        trace_split_w(124, 0.01, node_cap=823)
 
 
 @pytest.mark.parametrize("fn", [trace_split_q, trace_split_w])
@@ -431,13 +491,19 @@ def test_split_sums_work_is_bounded_by_n(fn, n):
 
 @pytest.mark.parametrize(
     "n, t",
-    [(126, 0.01), (128, 0.01), (250, 0.1), (280, 0.2), (330, 0.3), (460, 0.33), (484, 0.31), (500, 0.3156)],
+    [
+        (126, 0.01), (128, 0.01), (250, 0.1), (280, 0.2), (330, 0.3), (460, 0.33), (484, 0.31),
+        (500, 0.3156), (500, 0.3155711471273671),
+    ],
 )
 def test_split_w_where_its_tail_integral_is_large(n, t):
     # the tail integral is about 1e215 at (128, 0.01), far above the head's
     # partial sum; its panels are accepted relative to it.  At (484, 0.31) the
     # head is 1e-95 of the sum: a tolerance relative to the head alone, not
-    # to the largest term, bisected the integral to 193 625 evaluations
+    # to the largest term, bisected the integral to 193 625 evaluations.  At
+    # (500, 0.3155711471273671) pairs that differ by rounding alone, above
+    # 1e-14 but below the term's stated rounding, bisected to widths of 1e-12:
+    # 82 866 evaluations and a bound of 1.06e-11 of the value
     got = trace_split_w(n, t)
     ref = _oracle_plain_sum(n, t, "w")
     assert abs(mp.mpf(got.value) - ref) <= got.error_bound
