@@ -45,6 +45,7 @@ to the lower end of that interval.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -115,9 +116,8 @@ def _range_excess(n: int, t: float) -> list[tuple[float, str, float]]:
 def supported_t(n: int) -> tuple[float, float] | None:
     """The lowest and highest t at which the heat sums answer for n >= 2, or None.
 
-    Each end, found by bisection in log t up from the smallest normal float
-    (a t at which (1 - e^(-2t))^n is not one), is where quantities of
-    _range_excess cross the edge of the float range.
+    Each end is the float where quantities of _range_excess cross the edge
+    of the float range, bisected for up from the smallest normal float.
     """
     check_n(n)
 
@@ -125,10 +125,12 @@ def supported_t(n: int) -> tuple[float, float] | None:
         return max(_range_excess(n, t)[end])[0] <= 0.0
 
     def edge(end: slice, good: float, bad: float) -> float:
-        for _ in range(60):
-            mid = math.sqrt(good) * math.sqrt(bad)  # good * bad may underflow
+        while True:  # in log t while the ends are far apart (good * bad may underflow)
+            far = max(good, bad) > 2.0 * min(good, bad)
+            mid = math.sqrt(good) * math.sqrt(bad) if far else 0.5 * (good + bad)
+            if not min(good, bad) < mid < max(good, bad):
+                return good  # good and bad are adjacent floats
             good, bad = (mid, bad) if inside(mid, end) else (good, mid)
-        return good
 
     small_t, large_t = slice(4), slice(4, None)
     # twice the largest t at which the first weight is inside
@@ -245,8 +247,7 @@ def _split_sum(
     certify it.  Otherwise euler_maclaurin_tail adds the terms from
     a = start + EM_HEAD_TERMS on, its integral to a quarter of the stop's
     share of partial or of the term at the first k >= a with rho(k) < 1,
-    about the largest, whichever is larger; its panels need agree no closer
-    than the rounding of one term at a, _eval_rel(n, rate * a).
+    about the largest, whichever is larger.
 
     n bounds the work; t enters only the integral's.  The head has at most
     max(EM_HEAD_TERMS, 2n + 110) terms: where e^(-rate) <= 1/2, rho <= 3/4
@@ -280,8 +281,7 @@ def _split_sum(
     tol = 0.25 * _REL_TOL * max(partial, term(n, t, float(peak)))
     try:
         quad = integrate_decaying(
-            lambda u: term(n, t, a + u), rate, tol=tol, poly_degree=n - 2, node_cap=node_cap,
-            rel_noise=_eval_rel(n, rate * a),
+            lambda u: term(n, t, a + u), rate, tol=tol, poly_degree=n - 2, node_cap=node_cap
         )
         tip = _eval_rel(n, rate * (a + quad.truncation_point))
         # disk_max bounds |f| for Re z >= a/2, |z| <= 3a/2: on the disk of
@@ -369,7 +369,7 @@ def trace_direct(
     an equal share of another _REL_TOL L/4 (both found by _first, a line's
     end guessed from the last line's largest exponent).  So the tails stay
     below _REL_TOL/2 of the partial sum, and term_cap is checked before each
-    line is formed.
+    line, and the part of the table it needs, is formed.
 
     Each line is formed in bulk at its own power of two 2^(j-s): every
     multiplicity is divided by 2^s, which puts it below 2^960, and every weight
@@ -403,13 +403,14 @@ def trace_direct(
     log_quarter = math.log(0.25 * _REL_TOL * (n - 1)) - t2 * (n - 1) - n * math.log(-math.expm1(-t2))
     big_q = _first(lambda k: log_corner(k) <= log_quarter, 1, 1)
     big_w = max(big_q, n - 2)
-    table = multichoose_table(n, max(big_q, big_w - n + 1) + 1)
-    lines = [(table[q], table[q - 1], q, n - 1, 0) for q in range(1, big_q + 1)]
-    lines += [(table[p], table[p - 1] if p else 0, p + n - 1, 0, big_q + 1) for p in range(big_w - n + 2)]
-    log_share = log_quarter - math.log(len(lines))
+    rows = ((q, q, n - 1, 0) for q in range(1, big_q + 1))  # (i, m, k0, start), c = A[i]
+    columns = ((p, p + n - 1, 0, big_q + 1) for p in range(big_w - n + 2))
+    log_share = log_quarter - math.log(big_q + big_w - n + 2)
     exp = math.exp
-    values, bound, terms, reach = [], exp(log_corner(big_q)), 0, 0.0
-    for c, c_prev, m, k0, start in lines:
+    values, bound, terms, reach, table = [], exp(log_corner(big_q)), 0, 0.0, [1]
+    for i, m, k0, start in itertools.chain(rows, columns):
+        multichoose_table(n, i + 1, table)
+        c, c_prev = table[i], table[i - 1] if i else 0
         rate = t2 * m
         guess = math.ceil(reach / rate) - k0
         end = _first(lambda k: log_tail(c, m, k0, k) <= log_share, start, guess)

@@ -219,7 +219,6 @@ def integrate_decaying(
     tol: float,
     poly_degree: int,
     node_cap: int = DEFAULT_NODE_CAP,
-    rel_noise: float = 0.0,
 ) -> QuadratureResult:
     """Integrate f over [0, inf) for f with |f(x)| <= C * x**poly_degree * exp(-decay_rate * x).
 
@@ -232,12 +231,12 @@ def integrate_decaying(
     The [0, T] part uses adaptive bisection with paired 16/32-point
     Gauss-Legendre panels.  A panel [a, b] is accepted when the pair agrees
     within the width share (b - a)/T of max(tol, _PANEL_REL |sum|)/2, the
-    sum taken over the accepted panels and this one, or within the larger of
-    _PANEL_REL and rel_noise, the integrand's own relative rounding, of the
-    panel's value: the share follows the integral once that passes tol, and no
-    panel is asked for digits its rounding does not hold.  tol is absolute.
-    Complex-valued integrands work too.  Raises ValueError unless decay_rate
-    and tol are positive and finite and poly_degree is a nonnegative integer,
+    sum taken over the accepted panels and this one, or within _PANEL_REL
+    of the panel's own value: the share follows the size of the integral
+    once that passes tol, and no panel is asked for digits its rounding
+    does not hold.  tol is absolute.  Complex-valued integrands are
+    supported transparently.  Raises ValueError unless decay_rate and tol are
+    positive and finite and poly_degree is a nonnegative integer,
     ConvergenceError when node_cap would be exceeded or no certifiable
     truncation point exists, OverflowError when the sum is not a finite float.
     """
@@ -305,7 +304,7 @@ def integrate_decaying(
         diff = abs(fine - coarse)
         if (
             diff <= 0.5 * max(tol, _PANEL_REL * abs(value + fine)) * (b - a) / T
-            or diff <= max(_PANEL_REL, rel_noise) * abs(fine)
+            or diff <= _PANEL_REL * abs(fine)
         ):
             value = value + fine
             # |truth - fine| can match |fine - coarse| when a panel is

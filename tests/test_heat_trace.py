@@ -1,13 +1,14 @@
 import functools
 import math
 import sys
+import time
 
 import mpmath as mp
 import pytest
 
 from kohnspec.coefficients import series_zeta
 from kohnspec.combinatorics import dim_hpq
-from kohnspec.errors import DEFAULT_NODE_CAP, MAX_N, ConvergenceError
+from kohnspec.errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, MAX_N, ConvergenceError
 from kohnspec.heat_trace import (
     _split_q_term,
     scale_by_t_power,
@@ -141,6 +142,16 @@ def test_scaled_trace_at_the_lowest_t_is_the_weyl_limit(n):
 def test_term_cap():
     with pytest.raises(ConvergenceError):
         trace_direct(2, 1e-4, term_cap=10)
+
+
+@pytest.mark.parametrize("n, t", [(2, 1e-30), (2, 1e-150), (20, 1e-15), (40, 2e-8)])
+def test_direct_sum_at_small_t_stops_at_the_term_cap_at_once(n, t):
+    # about (1/t) log(1/t) terms, past any cap; its first line alone shows it,
+    # before a table or a list of the sqrt(1/t) lines is formed
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match=f"more than {DEFAULT_TERM_CAP} terms"):
+        trace_direct(n, t)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_scaled_trace_approaches_its_limit():
@@ -314,16 +325,13 @@ _PINNED_SPLIT_SUMS = [
     (trace_split_w, 40, 0.0001, "0x1.292c20bf3ceccp+479", "0x1.57e21332e1853p+437", 1186),
     # Euler-Maclaurin order m = 150..250, taken while the Bernoulli numbers
     # came from their Fraction recurrence and each contour coefficient made
-    # its own cmath.exp calls; split_q stops at its first term here.  The
-    # split_w rows are taken since its tail integral accepts a panel pair that
-    # agrees within the stated rounding of one term (about 1e-12 here, not
-    # 1e-14): fewer panels, each value within 0.003 of its bound of the oracle.
+    # its own cmath.exp calls; split_q stops at its first term here.
     (trace_split_q, 300, 0.2, "0x1.e9de8a5bf7868p+315", "0x1.3f86fce2998c1p+275", 1),
-    (trace_split_w, 300, 0.2, "0x1.148c74066a9d9p+306", "0x1.295c635e2bfe1p+266", 1442),
+    (trace_split_w, 300, 0.2, "0x1.148c74066a9d6p+306", "0x1.2ad308ba3f3dbp+266", 1538),
     (trace_split_q, 400, 0.3, "0x1.73ca55a193bfdp+122", "0x1.50df198d153a9p+82", 1),
-    (trace_split_w, 400, 0.3, "0x1.ae828530af31bp+112", "0x1.392e385372e20p+73", 1642),
+    (trace_split_w, 400, 0.3, "0x1.ae828530af328p+112", "0x1.3c34477296fdcp+73", 2026),
     (trace_split_q, 500, 0.32, "0x1.a3e36a16d6b0dp+88", "0x1.dedaeccd32cefp+48", 1),
-    (trace_split_w, 500, 0.32, "0x1.974f87feda89dp+78", "0x1.60a3ada1ca824p+39", 1746),
+    (trace_split_w, 500, 0.32, "0x1.974f87feda89dp+78", "0x1.65665c3ec7d1ep+39", 1938),
 ]
 
 
@@ -464,11 +472,11 @@ def test_heat_sums_where_the_trace_is_tiny(n, t):
 
 
 def test_split_tail_stops_at_the_node_cap():
-    # split_w's tail integral at (124, 0.01) takes exactly 824 nodes
+    # split_w's tail integral at (124, 0.01) takes exactly 920 nodes
     ref = trace_split_w(124, 0.01)
-    assert trace_split_w(124, 0.01, node_cap=824) == ref
-    with pytest.raises(ConvergenceError, match="node cap 823 exceeded"):
-        trace_split_w(124, 0.01, node_cap=823)
+    assert trace_split_w(124, 0.01, node_cap=920) == ref
+    with pytest.raises(ConvergenceError, match="node cap 919 exceeded"):
+        trace_split_w(124, 0.01, node_cap=919)
 
 
 @pytest.mark.parametrize("fn", [trace_split_q, trace_split_w])
@@ -489,11 +497,14 @@ def test_split_sums_work_is_bounded_by_n(fn, n):
             assert got.terms_used <= EM_HEAD_TERMS + 1 + contour + DEFAULT_NODE_CAP, (t, got)
 
 
+_PANEL_DEFECT = "panel pairs that differ by rounding alone bisect on (ROADMAP item 7)"
+
+
 @pytest.mark.parametrize(
     "n, t",
     [
-        (126, 0.01), (128, 0.01), (250, 0.1), (280, 0.2), (330, 0.3), (460, 0.33), (484, 0.31),
-        (500, 0.3156), (500, 0.3155711471273671),
+        (126, 0.01), (128, 0.01), (250, 0.1), (280, 0.2), (330, 0.3), (460, 0.33), (484, 0.31), (500, 0.3156),
+        pytest.param(500, 0.3155711471273671, marks=pytest.mark.xfail(strict=True, reason=_PANEL_DEFECT)),
     ],
 )
 def test_split_w_where_its_tail_integral_is_large(n, t):
@@ -501,9 +512,10 @@ def test_split_w_where_its_tail_integral_is_large(n, t):
     # partial sum; its panels are accepted relative to it.  At (484, 0.31) the
     # head is 1e-95 of the sum: a tolerance relative to the head alone, not
     # to the largest term, bisected the integral to 193 625 evaluations.  At
-    # (500, 0.3155711471273671) pairs that differ by rounding alone, above
-    # 1e-14 but below the term's stated rounding, bisected to widths of 1e-12:
-    # 82 866 evaluations and a bound of 1.06e-11 of the value
+    # (500, 0.3155711471273671), one ulp from t that take 2 034 and 3 090
+    # evaluations, panel pairs differ by more than the 1e-14 acceptance floor
+    # but less than one term's stated rounding, about 1e-12, and bisect to
+    # widths of 1e-12: 82 866 evaluations and a bound of 1.06e-11 of the value
     got = trace_split_w(n, t)
     ref = _oracle_plain_sum(n, t, "w")
     assert abs(mp.mpf(got.value) - ref) <= got.error_bound
