@@ -33,7 +33,6 @@ from .errors import DEFAULT_NODE_CAP, ConvergenceError, check_n
 from .special_functions import (
     EM_HEAD_TERMS,
     U,
-    QuadratureResult,
     euler_maclaurin_tail,
     folded_excess,
     folded_power,
@@ -141,17 +140,6 @@ def _times_fraction(factor: Fraction, x: float) -> float:
     return math.ldexp(float(factor / Fraction(2) ** e) * x, e)
 
 
-def _quadrature_rounding(quad: QuadratureResult, eval_rel: float) -> float:
-    """First-order rounding of an integrate_decaying value whose integrand is positive.
-
-    eval_rel bounds the relative error of one integrand evaluation.  Each
-    accepted panel sums 32 weighted values (32 U) and scales them by its half
-    width (U); the panels, at most nodes_used / 48 of them, are added one by
-    one (U each); the final _times_fraction product rounds twice.
-    """
-    return (eval_rel + (35 + quad.nodes_used // 48) * U) * abs(quad.value)
-
-
 def _integrand_rel(n: int) -> float:
     """Relative rounding of one evaluation of either integral route's integrand, first order.
 
@@ -193,9 +181,9 @@ def series_direct(n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> CoefficientEst
     Everything is added by one fsum.  Binomials never come from the
     polynomial expansion of series_zeta.
 
-    work is the head's length.  The bound adds the tail's bound (quadrature,
-    R_m, aliasing and rounding) to the rounding of the head, the fsum and
-    the prefactor.
+    work is the head's length.  The bound adds the tail's bound (quadrature
+    and its rounding, R_m, aliasing, rounding) to the rounding of the head,
+    the fsum and the prefactor.
     """
     check_n(n, "series-direct")
     a = EM_HEAD_TERMS + 1
@@ -216,16 +204,17 @@ def series_direct(n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> CoefficientEst
     for i in range(1, n - 1):
         disk_max *= 1.0 / i + 2.0 / a
     try:
-        quad = integrate_decaying(integrand, 1.0, tol=tol, poly_degree=0, node_cap=node_cap)
         # A node s moves x by (s + 2) U relatively, and |d log(x f) / d log x| <= n - 1.
-        nodes = (n - 1) * (quad.truncation_point + 2.0) * U
+        quad = integrate_decaying(
+            integrand, 1.0, tol=tol, poly_degree=0, node_cap=node_cap,
+            eval_rel=lambda s: eval_rel + (n - 1) * (s + 2.0) * U,
+        )
         parts, tail_bound, _ = euler_maclaurin_tail(
             lambda z: _series_term(n, z),
             a,
             disk_max=disk_max,
             growth=-2,
             integral=quad,
-            integral_rounding=_quadrature_rounding(quad, eval_rel + nodes),
             eval_rel=lambda c: eval_rel,
         )
     except ConvergenceError as err:
@@ -254,21 +243,21 @@ def _integral_route(
 
     lower bounds the integral from below, and the quadrature's absolute
     tolerance is 1e-14 of it, the relative agreement a GL16/GL32 panel pair
-    can reach: so the tolerance follows the value at every n.  A
-    ConvergenceError names the route and n.
+    can reach: so the tolerance follows the value at every n; the rounding
+    it states is _integrand_rel(n).  A ConvergenceError names the route and n.
     """
     try:
         quad = integrate_decaying(
-            integrand, 2.0, tol=1e-14 * lower, poly_degree=poly_degree, node_cap=node_cap
+            integrand, 2.0, tol=1e-14 * lower, poly_degree=poly_degree, node_cap=node_cap,
+            eval_rel=lambda x: _integrand_rel(n),
         )
     except ConvergenceError as err:
         raise ConvergenceError(f"{method} at n={n}: {err}") from err
-    bound = quad.error_estimate + _quadrature_rounding(quad, _integrand_rel(n))
     return CoefficientEstimate(
         n=n,
         method=method,
         value=_times_fraction(prefactor, quad.value),
-        error_bound=_times_fraction(prefactor, bound),
+        error_bound=_times_fraction(prefactor, quad.error_estimate),
         work=quad.nodes_used,
     )
 

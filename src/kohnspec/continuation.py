@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DEFAULT_NODE_CAP, ConvergenceError, check_n
-from .special_functions import folded_excess, folded_power, integrate_decaying
+from .special_functions import U, folded_excess, folded_power, integrate_decaying
 
 __all__ = [
     "NEAR_POLE_RADIUS",
@@ -138,14 +138,16 @@ def _reciprocal_gammas(m: int, q: complex, *divisors: float | complex) -> comple
 def _integrate(evaluator: str, point: StripPoint, integrand, decay: float, node_cap: int):
     """integrate_decaying over [0, inf) to QUADRATURE_TOL; a failure names the evaluator and point.
 
-    A float-range failure is a ValueError: the kernels overflow only where
-    their values do, so near an edge of the strip, at large n, the integrand
-    itself passes the float range.  A ConvergenceError stays one.
+    The rounding stated at tau is the kernels' (3m + 16) U plus the phase's
+    2 |im q| tau U.  A float-range failure is a ValueError: the kernels
+    overflow only where their values do, so near an edge of the strip, at
+    large n, the integrand itself passes the float range.  A ConvergenceError stays one.
     """
     where = f"n = {point.n}, q = {point.q}"
     try:
         return integrate_decaying(
-            integrand, decay, tol=QUADRATURE_TOL, poly_degree=point.m, node_cap=node_cap
+            integrand, decay, tol=QUADRATURE_TOL, poly_degree=point.m, node_cap=node_cap,
+            eval_rel=lambda tau: (3 * point.m + 16 + 2.0 * abs(point.q.imag) * tau) * U,
         )
     except OverflowError as err:
         raise ValueError(f"the {evaluator} integrand at {where} leaves the float range") from err

@@ -247,7 +247,8 @@ def _split_sum(
     certify it.  Otherwise euler_maclaurin_tail adds the terms from
     a = start + EM_HEAD_TERMS on, its integral to a quarter of the stop's
     share of partial or of the term at the first k >= a with rho(k) < 1,
-    about the largest, whichever is larger.
+    about the largest, whichever is larger; the integrand's stated rounding
+    at u is that of one term, _eval_rel(n, rate (a + u)).
 
     n bounds the work; t enters only the integral's.  The head has at most
     max(EM_HEAD_TERMS, 2n + 110) terms: where e^(-rate) <= 1/2, rho <= 3/4
@@ -281,9 +282,9 @@ def _split_sum(
     tol = 0.25 * _REL_TOL * max(partial, term(n, t, float(peak)))
     try:
         quad = integrate_decaying(
-            lambda u: term(n, t, a + u), rate, tol=tol, poly_degree=n - 2, node_cap=node_cap
+            lambda u: term(n, t, a + u), rate, tol=tol, poly_degree=n - 2, node_cap=node_cap,
+            eval_rel=lambda u: _eval_rel(n, rate * (a + u)),
         )
-        tip = _eval_rel(n, rate * (a + quad.truncation_point))
         # disk_max bounds |f| for Re z >= a/2, |z| <= 3a/2: on the disk of
         # radius a/2 around a, and, times (x/a)^(n-2), on the circle of
         # radius x/2 around any x >= a.
@@ -293,7 +294,6 @@ def _split_sum(
             disk_max=math.exp(_log_majorant(n, t, rate, a)),
             growth=n - 2,
             integral=quad,
-            integral_rounding=(tip + quad.nodes_used * U) * abs(quad.value),
             eval_rel=lambda c: _eval_rel(n, c * rate * a),
         )
     except ConvergenceError as err:

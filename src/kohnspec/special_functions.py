@@ -139,8 +139,8 @@ class QuadratureResult:
     """Value and certified error budget of a half-line integral.
 
     error_estimate = sum of per-panel GL16/GL32 discrepancies (each a
-    conservative stand-in for the accepted panel's true error) plus the
-    analytic bound on the discarded [truncation_point, inf) tail.
+    conservative stand-in for the accepted panel's true error), the analytic
+    bound on the discarded [truncation_point, inf) tail and the sum's rounding.
     """
 
     value: float | complex
@@ -218,6 +218,7 @@ def integrate_decaying(
     *,
     tol: float,
     poly_degree: int,
+    eval_rel: Callable[[float], float],
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> QuadratureResult:
     """Integrate f over [0, inf) for f with |f(x)| <= C * x**poly_degree * exp(-decay_rate * x).
@@ -229,16 +230,21 @@ def integrate_decaying(
     whenever the envelope assumption holds.
 
     The [0, T] part uses adaptive bisection with paired 16/32-point
-    Gauss-Legendre panels.  A panel [a, b] is accepted when the pair agrees
-    within the width share (b - a)/T of max(tol, _PANEL_REL |sum|)/2, the
-    sum taken over the accepted panels and this one, or within _PANEL_REL
-    of the panel's own value: the share follows the size of the integral
-    once that passes tol, and no panel is asked for digits its rounding
-    does not hold.  tol is absolute.  Complex-valued integrands are
-    supported transparently.  Raises ValueError unless decay_rate and tol are
-    positive and finite and poly_degree is a nonnegative integer,
-    ConvergenceError when node_cap would be exceeded or no certifiable
-    truncation point exists, OverflowError when the sum is not a finite float.
+    Gauss-Legendre panels.  eval_rel(x), non-decreasing, is the caller's
+    statement of the relative rounding of one evaluation at node x.  A panel
+    [a, b] is accepted when the pair agrees within the width share (b - a)/T
+    of max(tol, floor |sum|)/2, the sum taken over the accepted panels and
+    this one, or within floor = max(_PANEL_REL, eval_rel(b)) of the panel's
+    own value: the share follows the size of the integral once that passes
+    tol, and no panel is asked for digits its rounding does not hold.  The
+    estimate adds the sum's rounding, (eval_rel(T) + (35 + nodes_used // 48) U)
+    times the accepted panels' moduli, |value| if one-signed: 32 weights and
+    a half width per panel, one addition each, two roundings for a prefactor.
+    tol is absolute; complex-valued integrands are supported transparently.
+    Raises ValueError unless decay_rate and tol are positive and finite and
+    poly_degree is a nonnegative integer, ConvergenceError when node_cap
+    would be exceeded or no certifiable truncation point exists,
+    OverflowError when the sum is not a finite float.
     """
     if not (math.isfinite(decay_rate) and decay_rate > 0.0):
         raise ValueError(f"decay_rate must be positive and finite, got {decay_rate}")
@@ -293,7 +299,7 @@ def integrate_decaying(
     stack = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
     stack.reverse()
     value: float | complex = 0.0
-    panel_error = 0.0
+    moduli = panel_error = 0.0
     while stack:
         a, b = stack.pop()
         if nodes_used + 48 > node_cap:
@@ -302,11 +308,13 @@ def integrate_decaying(
         fine = _panel(integrand, a, b, _GL32)
         nodes_used += 48
         diff = abs(fine - coarse)
+        floor = max(_PANEL_REL, eval_rel(b))
         if (
-            diff <= 0.5 * max(tol, _PANEL_REL * abs(value + fine)) * (b - a) / T
-            or diff <= _PANEL_REL * abs(fine)
+            diff <= 0.5 * max(tol, floor * abs(value + fine)) * (b - a) / T
+            or diff <= floor * abs(fine)
         ):
             value = value + fine
+            moduli += abs(fine)
             # |truth - fine| can match |fine - coarse| when a panel is
             # accepted at the rounding floor, so the heuristic gets a
             # safety factor before it is reported as a bound.
@@ -318,7 +326,8 @@ def integrate_decaying(
 
     if not cmath.isfinite(value):
         raise OverflowError(f"the integral's sum is not finite: {value}")
-    return QuadratureResult(value, panel_error + tail_bound, nodes_used, T)
+    rounding = (eval_rel(T) + (35 + nodes_used // 48) * U) * moduli
+    return QuadratureResult(value, panel_error + tail_bound + rounding, nodes_used, T)
 
 
 def euler_maclaurin_tail(
@@ -328,7 +337,6 @@ def euler_maclaurin_tail(
     disk_max: float,
     growth: int,
     integral: QuadratureResult,
-    integral_rounding: float,
     eval_rel: Callable[[float], float],
 ) -> tuple[list[float], float, int]:
     """sum_{k >= a} term(k) as (parts to add, error bound, evaluations), a >= 1.
@@ -345,14 +353,14 @@ def euler_maclaurin_tail(
       growth, such that disk_max * (x/a)**growth bounds |f| on the circle of
       radius x/2 around every x >= a; Cauchy estimates on those circles
       bound R_m and the contour's aliasing;
-    * integral, the integral over [a, inf) from integrate_decaying, and
-      integral_rounding, the first-order rounding of its value;
+    * integral, the integral over [a, inf) from integrate_decaying, whose
+      error estimate includes its rounding;
     * eval_rel(c), the relative rounding of one evaluation of the term at
       points of modulus up to c * a.
 
     The parts are f(a)/2, the m Bernoulli corrections and the integral; the
     bound adds the quadrature's error estimate, R_m, the aliasing bound and
-    the rounding of every part.  The evaluations are the term's, 1 + points
+    the rounding of the other parts.  The evaluations are the term's, 1 + points
     with points = max(CONTOUR_POINTS, 4m) and m = max(EM_ORDER,
     (growth + 3) // 2), plus the integral's nodes.  ConvergenceError if the
     bound is not finite (a disk_max past the float range).
@@ -396,7 +404,6 @@ def euler_maclaurin_tail(
     rounding = (
         eval_rel(1) * 0.5 * f_a
         + (eval_rel(1.125) + points * U) * max(abs(f) for f in samples) * deriv_scale
-        + integral_rounding
     )
     bound = integral.error_estimate + remainder + aliasing + rounding
     if not math.isfinite(bound):

@@ -31,7 +31,7 @@ from kohnspec.continuation import (
     stanton_coefficient,
 )
 from kohnspec.heat_trace import scaled_trace, trace_direct, trace_split_q, trace_split_w
-from kohnspec.special_functions import integrate_decaying
+from kohnspec.special_functions import U, integrate_decaying
 from kohnspec.spectrum import count, counting_ratio, eigenvalue
 
 RESULTS: list[str] = []
@@ -195,14 +195,21 @@ def test_criterion_8_property_suites():
                 assert sum(split_terms(n, p, q)) == dim_hpq(n, p, q)
 
     # quadrature self-consistency under tolerance halving
+    # each probe states its rounding: the node's, moved through every
+    # exponential, and a few ulps for the operations
     probes = [
-        (lambda x: math.exp(-x), 1.0, 0),
-        (lambda x: x * math.exp(-2 * x), 2.0, 1),
-        (lambda x: 4.0 * math.exp(-2 * x) / (-math.expm1(-2 * x)) ** 2 * x**2, 2.0, 2),
+        (lambda x: math.exp(-x), 1.0, 0, lambda x: (x + 1) * U),
+        (lambda x: x * math.exp(-2 * x), 2.0, 1, lambda x: (2 * x + 3) * U),
+        (
+            lambda x: 4.0 * math.exp(-2 * x) / (-math.expm1(-2 * x)) ** 2 * x**2,
+            2.0,
+            2,
+            lambda x: (4 * x + 10) * U,
+        ),
     ]
-    for f, decay, degree in probes:
-        loose = integrate_decaying(f, decay, tol=1e-8, poly_degree=degree)
-        tight = integrate_decaying(f, decay, tol=5e-9, poly_degree=degree)
+    for f, decay, degree, eval_rel in probes:
+        loose = integrate_decaying(f, decay, tol=1e-8, poly_degree=degree, eval_rel=eval_rel)
+        tight = integrate_decaying(f, decay, tol=5e-9, poly_degree=degree, eval_rel=eval_rel)
         assert abs(loose.value - tight.value) <= (
             loose.error_estimate + tight.error_estimate
         )

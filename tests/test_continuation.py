@@ -18,7 +18,7 @@ from kohnspec.continuation import (
     stanton_coefficient,
 )
 from kohnspec.errors import MAX_N, ConvergenceError
-from kohnspec.special_functions import integrate_decaying
+from kohnspec.special_functions import U, integrate_decaying
 
 # Anchors frozen from an independent high-precision evaluation of the same
 # integrals (50-digit working precision, cancellation-free integrands).
@@ -179,7 +179,9 @@ def test_fold_matches_split_pair(q):
             e = -math.expm1(-2.0 * tau)
             return 2.0**m * (tau / e) ** m * math.exp(-2.0 * rate * tau)
 
-        return integrate_decaying(integrand, 2.0 * rate, tol=QUADRATURE_TOL, poly_degree=m).value
+        return integrate_decaying(
+            integrand, 2.0 * rate, tol=QUADRATURE_TOL, poly_degree=m, eval_rel=lambda tau: (3 * m + 16) * U
+        ).value
 
     from kohnspec.continuation import _reciprocal_gammas
 

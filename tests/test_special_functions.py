@@ -83,16 +83,25 @@ def test_pi_multiple_value():
     )
 
 
+def _exp_rel(rate: float, ops: int):
+    """The stated rounding of c x^k e^(-rate x): rate x U from the rounded node, ops U for the rest."""
+    return lambda x: (rate * x + ops) * U
+
+
 def test_integrate_decaying_known_integrals():
-    r = integrate_decaying(lambda x: math.exp(-x), 1.0, tol=1e-10, poly_degree=0)
+    r = integrate_decaying(lambda x: math.exp(-x), 1.0, tol=1e-10, poly_degree=0, eval_rel=_exp_rel(1, 1))
     assert r.value == pytest.approx(1.0, abs=1e-9)
     assert abs(r.value - 1.0) <= r.error_estimate
 
-    r = integrate_decaying(lambda x: x * math.exp(-2 * x), 2.0, tol=1e-10, poly_degree=1)
+    r = integrate_decaying(
+        lambda x: x * math.exp(-2 * x), 2.0, tol=1e-10, poly_degree=1, eval_rel=_exp_rel(2, 3)
+    )
     assert r.value == pytest.approx(0.25, abs=1e-10)
     assert abs(r.value - 0.25) <= r.error_estimate
 
-    r = integrate_decaying(lambda x: x**5 * math.exp(-x), 1.0, tol=1e-10, poly_degree=5)
+    r = integrate_decaying(
+        lambda x: x**5 * math.exp(-x), 1.0, tol=1e-10, poly_degree=5, eval_rel=_exp_rel(1, 8)
+    )
     assert r.value == pytest.approx(120.0, abs=1e-7)
     assert abs(r.value - 120.0) <= r.error_estimate
 
@@ -102,14 +111,17 @@ def test_integrate_decaying_bose_kernel():
     def f(x):
         return 4.0 * math.exp(-2 * x) / (-math.expm1(-2 * x)) ** 2 * x**2
 
-    r = integrate_decaying(f, 2.0, tol=1e-10, poly_degree=2)
+    # e^(-2x) and its expm1 denominator move by 2x U each with the node
+    r = integrate_decaying(f, 2.0, tol=1e-10, poly_degree=2, eval_rel=_exp_rel(4, 10))
     exact = math.pi**2 / 6
     assert abs(r.value - exact) <= r.error_estimate
     assert r.value == pytest.approx(exact, abs=1e-9)
 
 
 def test_integrate_decaying_complex_integrand():
-    r = integrate_decaying(lambda x: cmath.exp(-2 * x * (1 + 0.5j)), 2.0, tol=1e-10, poly_degree=0)
+    r = integrate_decaying(
+        lambda x: cmath.exp(-2 * x * (1 + 0.5j)), 2.0, tol=1e-10, poly_degree=0, eval_rel=_exp_rel(3, 4)
+    )
     exact = 0.4 - 0.2j
     assert isinstance(r, QuadratureResult)
     assert abs(r.value - exact) <= r.error_estimate
@@ -117,47 +129,76 @@ def test_integrate_decaying_complex_integrand():
 
 
 def test_integrate_decaying_reports_work_and_truncation():
-    r = integrate_decaying(lambda x: math.exp(-x), 1.0, tol=1e-10, poly_degree=0)
+    r = integrate_decaying(lambda x: math.exp(-x), 1.0, tol=1e-10, poly_degree=0, eval_rel=_exp_rel(1, 1))
     assert r.nodes_used > 0
     assert r.truncation_point > 1.0
 
 
 def test_integrate_decaying_tolerance_halving_consistent():
     f = lambda x: x * math.exp(-2 * x)  # noqa: E731
-    loose = integrate_decaying(f, 2.0, poly_degree=1, tol=1e-8)
-    tight = integrate_decaying(f, 2.0, poly_degree=1, tol=5e-9)
+    loose = integrate_decaying(f, 2.0, poly_degree=1, tol=1e-8, eval_rel=_exp_rel(2, 3))
+    tight = integrate_decaying(f, 2.0, poly_degree=1, tol=5e-9, eval_rel=_exp_rel(2, 3))
     assert abs(loose.value - tight.value) <= loose.error_estimate + tight.error_estimate
 
 
 def test_integrate_decaying_width_share_follows_the_integral():
-    # far above tol the panels are held to 1e-14 of the integral, not to tol
-    r = integrate_decaying(lambda x: 1e300 * math.exp(-x), 1.0, tol=1e-10, poly_degree=0)
-    assert abs(r.value - 1e300) <= r.error_estimate <= 1e-14 * 1e300
+    # far above tol the panels are held to 1e-14 of the integral, not to tol;
+    # the estimate adds the sum's rounding from the stated rounding at T
+    r = integrate_decaying(
+        lambda x: 1e300 * math.exp(-x), 1.0, tol=1e-10, poly_degree=0, eval_rel=_exp_rel(1, 2)
+    )
+    rounding = (r.truncation_point + 2 + 35 + r.nodes_used // 48) * U * r.value
+    assert abs(r.value - 1e300) <= r.error_estimate <= 1e-14 * 1e300 + rounding
     assert r.nodes_used <= 1_000
 
 
 def test_integrate_decaying_names_a_sum_past_the_float_range():
     # every node and panel is finite, the integral (1e309) is not
     with pytest.raises(OverflowError, match="not finite"):
-        integrate_decaying(lambda x: 1e307 * math.exp(-0.01 * x), 0.01, tol=1e-10, poly_degree=0)
+        integrate_decaying(
+            lambda x: 1e307 * math.exp(-0.01 * x), 0.01, tol=1e-10, poly_degree=0, eval_rel=_exp_rel(0.01, 2)
+        )
 
 
 def test_integrate_decaying_node_cap():
     with pytest.raises(ConvergenceError):
-        integrate_decaying(lambda x: math.exp(-x), 1.0, tol=1e-10, poly_degree=0, node_cap=20)
+        integrate_decaying(
+            lambda x: math.exp(-x), 1.0, tol=1e-10, poly_degree=0, eval_rel=_exp_rel(1, 1), node_cap=20
+        )
+
+
+def _noisy(x: float) -> float:
+    """e^(-x) (1 + 1e-12 sin(1e7 x)): relative noise of 1e-12, deterministic, about 1e-19 net."""
+    return math.exp(-x) * (1.0 + 1e-12 * math.sin(1e7 * x))
+
+
+def test_integrate_decaying_accepts_panels_at_the_stated_rounding():
+    # the noise is stated: panel pairs that differ by it alone are accepted,
+    # and the estimate carries it
+    r = integrate_decaying(_noisy, 1.0, tol=1e-14, poly_degree=0, eval_rel=lambda x: 2e-12)
+    assert r.nodes_used <= 1_000
+    assert abs(r.value - 1.0) <= r.error_estimate <= 5e-12
+    # stated as a few ulps, the same noise is bisected on to the node cap
+    with pytest.raises(ConvergenceError, match="node cap 20000 exceeded"):
+        integrate_decaying(
+            _noisy, 1.0, tol=1e-14, poly_degree=0, eval_rel=_exp_rel(1, 2), node_cap=20_000
+        )
 
 
 def test_integrate_decaying_validates_arguments():
     for rate in (0.0, -1.0, math.nan, math.inf):
         # nan used to probe 400 truncation points, inf to raise a bare math domain error
         with pytest.raises(ValueError, match="decay_rate must be positive and finite"):
-            integrate_decaying(lambda x: 0.0, rate, tol=1e-10, poly_degree=0)
+            integrate_decaying(lambda x: 0.0, rate, tol=1e-10, poly_degree=0, eval_rel=lambda x: 0.0)
     with pytest.raises(ValueError):
-        integrate_decaying(lambda x: 0.0, 1.0, tol=0.0, poly_degree=0)
+        integrate_decaying(lambda x: 0.0, 1.0, tol=0.0, poly_degree=0, eval_rel=lambda x: 0.0)
     for degree in (-1, 0.5, 2.0):
         # 0.5 used to be truncated to 0, certifying a tail for slower growth than stated
         with pytest.raises(ValueError, match="poly_degree must be a nonnegative integer"):
-            integrate_decaying(lambda x: 0.0, 1.0, tol=1e-10, poly_degree=degree)
+            integrate_decaying(lambda x: 0.0, 1.0, tol=1e-10, poly_degree=degree, eval_rel=lambda x: 0.0)
+    # every caller states its integrand's rounding: there is no default
+    with pytest.raises(TypeError, match="eval_rel"):
+        integrate_decaying(lambda x: 0.0, 1.0, tol=1e-10, poly_degree=0)
 
 
 # Value, bound (float.hex) and node count of the engine's callers outside
@@ -183,16 +224,22 @@ def test_integral_routes_are_pinned(route, n, value, bound, nodes):
 # The continuation's value (real and imaginary parts) and its integral's
 # error estimate and node count, from the same commit as _PINNED_CALLERS.
 # The values were re-pinned when binom(m, q) came to be formed by Euler's
-# reflection formula (1.4e-14 closer to it at n = 40); the integrals did not move.
+# reflection formula (1.4e-14 closer to it at n = 40).  The estimates and
+# the n = 40 integrals were re-pinned when the integrand came to state its
+# rounding, (3m + 16) U plus the phase's 2 |im q| tau U: the estimate books
+# it, and panels are accepted at it (fewer nodes at n = 40, where the
+# 50-digit relative error of stanton_coefficient moved from 2.4e-5 to 3.8e-5
+# and of continued_coefficient from 2.8e-10 to 8.2e-10, within the
+# estimates, 2.0e-4 and 9.0e-9 of the integrals).
 _PINNED_CONTINUATION = [
     ("stanton_coefficient", 10, 1.3 + 0.7j,
-     "-0x1.2f29993125315p-34", "0x1.f788ae7678368p-35", "0x1.5cea22da2b01ap-35", 384),
+     "-0x1.2f29993125315p-34", "0x1.f788ae7678368p-35", "0x1.557bc76b35bb7p-33", 384),
     ("continued_coefficient", 10, 1.3 + 0.7j,
-     "-0x1.384037ffebfd2p-40", "-0x1.f798cf0adcfa4p-38", "0x1.868ac5af8d4eep-42", 384),
+     "-0x1.384037ffebfd2p-40", "-0x1.f798cf0adcfa4p-38", "0x1.83428af3da045p-39", 384),
     ("stanton_coefficient", 40, 2 + 3j,
-     "0x1.95a3081cd42d5p-262", "-0x1.961ef1078adedp-264", "0x1.ba51a8ec80f7dp+63", 3456),
+     "0x1.95a49695686e2p-262", "-0x1.961bb0e245c71p-264", "0x1.74edfd8b9ab67p+66", 1824),
     ("continued_coefficient", 40, 2 + 3j,
-     "0x1.b5b1e8c7c75f3p-268", "0x1.7e436c82de68ep-266", "0x1.3f0cfa34ef987p+45", 1720),
+     "0x1.b5b1e8bc7619ap-268", "0x1.7e436c866f75fp-266", "0x1.03f4458e810b0p+47", 1144),
 ]
 
 
@@ -220,7 +267,7 @@ def test_continuation_is_pinned(monkeypatch, route, n, q, re, im, bound, nodes):
 def test_integrate_decaying_rejects_a_tol_that_is_not_positive_and_finite(tol):
     # NaN compares false with everything, so `tol <= 0` alone let it through
     with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol}"):
-        integrate_decaying(lambda x: math.exp(-x), 1.0, tol=tol, poly_degree=0)
+        integrate_decaying(lambda x: math.exp(-x), 1.0, tol=tol, poly_degree=0, eval_rel=_exp_rel(1, 1))
 
 
 @pytest.mark.parametrize(
@@ -328,8 +375,7 @@ def _em_tail_of_inverse_square(a, disk_max):
         a,
         disk_max=disk_max,
         growth=-2,
-        integral=QuadratureResult(1.0 / a, 0.0, 0, 0.0),
-        integral_rounding=U / a,
+        integral=QuadratureResult(1.0 / a, U / a, 0, 0.0),
         eval_rel=lambda c: 4 * U,
     )
 
