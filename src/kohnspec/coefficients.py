@@ -11,7 +11,7 @@ agreement (reconcile) is the package's main correctness witness.
   combination of even zeta values, and only the final assembly is floating
   point.
 * series-direct: the same series summed numerically: an exact head of
-  integer binomials and a certified Euler-Maclaurin tail.
+  integer binomials and a certified Abel-Plana tail.
 * integral: c(n) = vol(S^(2n-1)) (n-1) / (n (2 pi)^n n!) *
   2 * int_0^inf (x/sinh x)^n cosh((n-2)x) dx.
 * integral-intermediate: c(n) = (1/(n! (n-1)!)) * int_0^inf x^(n-1) *
@@ -31,9 +31,9 @@ from functools import partial
 
 from .errors import DEFAULT_NODE_CAP, ConvergenceError, check_n
 from .special_functions import (
-    EM_HEAD_TERMS,
+    HEAD_TERMS,
     U,
-    euler_maclaurin_tail,
+    abel_plana_tail,
     folded_excess,
     folded_power,
     integrate_decaying,
@@ -157,65 +157,57 @@ def _integrand_rel(n: int) -> float:
 def _series_term(n: int, z):
     """P(z)/z**n in product form, for real or complex z with Re z > 0.
 
-    (prod_i (1 + i/z)/i + prod_i (1 - i/z)/i) / z**2 over i = 1..n-2: every
+    (prod_i (1/i + 1/z) + prod_i (1/i - 1/z)) / z**2 over i = 1..n-2: every
     partial product stays within the float range where the quotient does.
     """
     inv = 1.0 / z
     rising = falling = 1.0
     for i in range(1, n - 1):
-        step = i * inv
-        rising = rising * (1.0 + step) / i
-        falling = falling * (1.0 - step) / i
+        unit = 1.0 / i
+        rising = rising * (unit + inv)
+        falling = falling * (unit - inv)
     return (rising + falling) * inv * inv
 
 
 def series_direct(n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> CoefficientEstimate:
     """The series (1/(2**n n!)) sum_q P(q)/q**n: an exact head and a certified tail.
 
-    The head is q = 1..EM_HEAD_TERMS (64), each P(q) the sum of two exact
+    The head is q = 1..HEAD_TERMS (64), each P(q) the sum of two exact
     math.comb integers, divided by q**n in one correctly rounded int/int
-    division.  The tail from a = EM_HEAD_TERMS + 1 is
-    special_functions.euler_maclaurin_tail on the product-form term; its
-    integral takes the substitution x = a e^s, under which the q^-2 decay
-    becomes e^-s, in at most node_cap nodes (ConvergenceError past it).
-    Everything is added by one fsum.  Binomials never come from the
-    polynomial expansion of series_zeta.
+    division.  The tail from a = HEAD_TERMS + 1 is
+    special_functions.abel_plana_tail on the product-form term; its first
+    integral, from c = a - 1/2, takes the substitution x = c e^s, under which
+    the q^-2 decay becomes e^-s.  Each integral takes at most node_cap nodes
+    (ConvergenceError past it).  Everything is added by one fsum.  Binomials
+    never come from the polynomial expansion of series_zeta.
 
-    work is the head's length.  The bound adds the tail's bound (quadrature
-    and its rounding, R_m, aliasing, rounding) to the rounding of the head,
-    the fsum and the prefactor.
+    work is the head's length.  The bound adds the tail's bound (both
+    quadratures and their rounding) to the rounding of the head, the fsum
+    and the prefactor.
     """
     check_n(n, "series-direct")
-    a = EM_HEAD_TERMS + 1
+    a = HEAD_TERMS + 1
+    c = a - 0.5
     # Both products carry n - 2 factors of a few roundings each, and on
-    # Re z >= a/2 their sum never cancels to below half their moduli.
+    # Re z >= c their sum never cancels to below half their moduli.
     eval_rel = (16 * n + 64) * U
     # x^2 f(x) decreases to 2/(n-2)!, so the tail integral is at least
-    # 2/((n-2)! a): tol is a relative U of it.
-    tol = U * 2.0 / (math.factorial(n - 2) * a)
+    # 2/((n-2)! c): tol is a relative U of it.
+    tol = U * 2.0 / (math.factorial(n - 2) * c)
 
     def integrand(s: float) -> float:
-        x = a * math.exp(s)
+        x = c * math.exp(s)
         return _series_term(n, x) * x
 
-    # |f(z)| <= |z|^-2 * 2 prod_i (1 + i/|z|)/i, at most (2/x)^2 * 2 prod_i (1 + 2i/x)/i
-    # on the circle of radius x/2 around x: (a/x)^2 times its value at x = a.
-    disk_max = 8.0 / (a * a)
-    for i in range(1, n - 1):
-        disk_max *= 1.0 / i + 2.0 / a
     try:
         # A node s moves x by (s + 2) U relatively, and |d log(x f) / d log x| <= n - 1.
         quad = integrate_decaying(
             integrand, 1.0, tol=tol, poly_degree=0, node_cap=node_cap,
             eval_rel=lambda s: eval_rel + (n - 1) * (s + 2.0) * U,
         )
-        parts, tail_bound, _ = euler_maclaurin_tail(
-            lambda z: _series_term(n, z),
-            a,
-            disk_max=disk_max,
-            growth=-2,
-            integral=quad,
-            eval_rel=lambda c: eval_rel,
+        parts, tail_bound, _ = abel_plana_tail(
+            lambda z: _series_term(n, z), a, integral=quad, poly_degree=0,
+            eval_rel=lambda r: eval_rel, node_cap=node_cap,
         )
     except ConvergenceError as err:
         raise ConvergenceError(f"series-direct at n={n}: {err}") from err
@@ -231,7 +223,7 @@ def series_direct(n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> CoefficientEst
         method="series-direct",
         value=_times_fraction(prefactor, total),
         error_bound=_times_fraction(prefactor, tail_bound + rounding),
-        work=EM_HEAD_TERMS,
+        work=HEAD_TERMS,
     )
 
 

@@ -28,7 +28,7 @@ MAX_N: dict[str, tuple[int, str]] = {
     "integral": (145, "from n = 146 its error bound is a subnormal float"),
     "integral-intermediate": (145, "from n = 146 its error bound is a subnormal float"),
     "continuation": (82, "from n = 83 the pole term near re q = n - 1 is a subnormal float"),
-    "heat": (582, "from n = 583 no t keeps both t^n G(t) and split_w's tail majorant in range"),
+    "heat": (748, "from n = 749 no t keeps both t^n G(t) and (1 - e^(-2t))^n above the smallest normal float"),
 }
 
 

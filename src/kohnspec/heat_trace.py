@@ -17,21 +17,19 @@ partial sum, which, as a sum of positive terms, is a lower bound of the value
 (a split tail integral may take its largest term instead, a lower bound too).
 
 Both split sums go through one helper, _split_sum, at a cost bounded by n
-and log(1/t).  It adds the first EM_HEAD_TERMS terms exactly (math.fsum).  If
+and log(1/t).  It adds the first HEAD_TERMS terms exactly (math.fsum).  If
 a geometric tail bound certifies the rest before then (large t), it stops
 there; terms that at least halve per index are summed on until it does.
-Otherwise the tail from a = start + EM_HEAD_TERMS on is the Euler-Maclaurin sum
-(special_functions.euler_maclaurin_tail)
+Otherwise the tail from a = start + HEAD_TERMS on is the midpoint Abel-Plana
+sum (special_functions.abel_plana_tail), with c = a - 1/2,
 
-    integral_a^inf f + f(a)/2 - sum_{j<=m} B_2j/(2j)! f^(2j-1)(a) + R_m,
+    integral_c^inf f(x) dx + 2 Im integral_0^inf f(c + iy) / (e^(2 pi y) + 1) dy,
 
-with the integral from integrate_decaying, exact Bernoulli numbers, and the
-odd derivatives from a trapezoid rule on a circle of radius a/8 around a.
-The terms are analytic for Re z > 0 (the poles of 1/(1 - e^(-2tz)) lie on
-the imaginary axis), so Cauchy estimates bound R_m and the contour's
-aliasing error in closed form.  The reported error bound is the sum of the
-stopped tail (or of the quadrature error, R_m and the aliasing bound) and
-a first-order bound on floating-point rounding.
+both integrals from integrate_decaying.  The terms are analytic for
+Re z > 0 (the poles of 1/(1 - e^(-2tz)) lie on the imaginary axis) and grow
+like |y|^(n-2) along Re z = c, so the formula holds with no remainder: the
+reported error bound is the stopped tail, or the two quadratures' error
+estimates, plus a first-order bound on floating-point rounding.
 
 Every sum needs t > 0 and the trace and the numbers that form it inside the
 normal floats, nothing more: supported_t gives that interval of t for each n.
@@ -53,7 +51,7 @@ from typing import Callable
 
 from .combinatorics import multichoose_table
 from .errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, ConvergenceError, check_n
-from .special_functions import EM_HEAD_TERMS, U, euler_maclaurin_tail, integrate_decaying
+from .special_functions import HEAD_TERMS, U, abel_plana_tail, integrate_decaying
 
 __all__ = [
     "HeatTraceSample",
@@ -76,9 +74,9 @@ _RANGE_MARGIN = math.log(64.0)  # headroom of every quantity _range_excess keeps
 class HeatTraceSample:
     """One evaluation of a heat-trace sum.
 
-    error_bound covers truncation (tail or quadrature and Euler-Maclaurin
-    remainder) and floating-point rounding.  terms_used counts every
-    evaluation of a term: summed terms, quadrature nodes and contour samples.
+    error_bound covers truncation (the stopped tail or the tail's two
+    quadratures) and floating-point rounding.  terms_used counts every
+    evaluation of a term: summed terms and quadrature nodes.
     """
 
     n: int
@@ -91,22 +89,18 @@ class HeatTraceSample:
 def _range_excess(n: int, t: float) -> list[tuple[float, str, float]]:
     """(excess, name, log) of each quantity the heat sums need as a normal float at (n, t).
 
-    With headroom _RANGE_MARGIN, the q = 1 term of split_q and both split tails'
-    disk majorants stay below the largest float; the denominator (1 - e^(-2t))^n,
-    the first weight and t^n times the q = 1 term above the smallest normal
-    one.  The trace lies between the first weight and 3.3 times the q = 1 term.
-    The excess, in logs, is <= 0 inside; the first four fall as t grows.
+    With headroom _RANGE_MARGIN, the q = 1 term of split_q stays below the
+    largest float; the denominator (1 - e^(-2t))^n, the first weight and t^n
+    times the q = 1 term above the smallest normal one.  The trace lies
+    between the first weight and 3.3 times the q = 1 term.  The excess, in
+    logs, is <= 0 inside; the first two fall as t grows, the last two rise.
     """
     log_denom = n * math.log(-math.expm1(-2.0 * t))
     log_first = math.log(n - 1) - 2.0 * t * (n - 1) - log_denom
     top, bottom = _LOG_FLOAT_MAX - _RANGE_MARGIN, _LOG_FLOAT_MIN + _RANGE_MARGIN
-    log_q = _log_majorant(n, t, 2.0 * t * (n - 1), 1 + EM_HEAD_TERMS)
-    log_w = _log_majorant(n, t, 2.0 * t, n - 1 + EM_HEAD_TERMS)
     log_scaled = n * math.log(t) + log_first
     return [
         (log_first - top, "the q = 1 term", log_first),
-        (log_q - top, "the split_q tail majorant", log_q),
-        (log_w - top, "the split_w tail majorant", log_w),
         (bottom - log_denom, "the denominator (1 - e^(-2t))^n", log_denom),
         (bottom + 2.0 * t * (n - 1), "the first weight e^(-2t(n-1))", -2.0 * t * (n - 1)),
         (bottom - log_scaled, "t^n times the trace", log_scaled),
@@ -132,7 +126,7 @@ def supported_t(n: int) -> tuple[float, float] | None:
                 return good  # good and bad are adjacent floats
             good, bad = (mid, bad) if inside(mid, end) else (good, mid)
 
-    small_t, large_t = slice(4), slice(4, None)
+    small_t, large_t = slice(2), slice(2, None)
     # twice the largest t at which the first weight is inside
     high = edge(large_t, sys.float_info.min, (_RANGE_MARGIN - _LOG_FLOAT_MIN) / (n - 1))
     if not inside(high, small_t):
@@ -214,18 +208,6 @@ def _eval_rel(n: int, x: float) -> float:
     return (16 * n + 4 * x + 64) * U
 
 
-def _log_majorant(n: int, t: float, rate: float, a: int) -> float:
-    """Log of a bound of |f(z)| over Re z >= a/2, |z| <= 3a/2, for either split term.
-
-    Both terms are P(z) e^(-rate z) / (1 - e^(-2tz))^n with
-    P(z) = prod_{i=1}^{n-2} (z +- i) / (n-2)!, so |P(z)| <= binom(|z|+n-2, n-2);
-    |e^(-rate z)| = e^(-rate Re z) and |1 - e^(-2tz)| >= 1 - e^(-2t Re z).
-    """
-    z = 1.5 * a + n - 2
-    log_binom = math.lgamma(z + 1) - math.lgamma(n - 1) - math.lgamma(z - n + 3)
-    return log_binom - 0.5 * rate * a - n * math.log(-math.expm1(-t * a))
-
-
 def _split_sum(
     label: str,
     n: int,
@@ -236,34 +218,33 @@ def _split_sum(
     rate: float,
     node_cap: int,
 ) -> HeatTraceSample:
-    """sum_{k >= start} term(n, t, k): exact head plus Euler-Maclaurin tail.
+    """sum_{k >= start} term(n, t, k): exact head plus Abel-Plana tail.
 
     rate is the decay rate of the term in k; rho(k) = ((k + alpha)/(k + beta))
     e^(-rate), with (alpha, beta) = shifts, decreases in k and bounds every
     later term(k+1)/term(k).  Once rho(k) < 1 the tail after term k is at
     most term * rho / (1 - rho), and the sum stops when that is below
     _REL_TOL * partial.  Terms that at least halve per index (rate >= log 2)
-    are summed on to that stop, as the tail's disk majorant would not
-    certify it.  Otherwise euler_maclaurin_tail adds the terms from
-    a = start + EM_HEAD_TERMS on, its integral to a quarter of the stop's
-    share of partial or of the term at the first k >= a with rho(k) < 1,
-    about the largest, whichever is larger; the integrand's stated rounding
-    at u is that of one term, _eval_rel(n, rate (a + u)).
+    are summed on to that stop.  Otherwise abel_plana_tail adds the terms
+    from a = start + HEAD_TERMS on, both its integrals to a quarter of the
+    stop's share of partial or of the term at the first k >= a with
+    rho(k) < 1, about the largest, whichever is larger; the stated rounding
+    of a term at modulus r is _eval_rel(n, rate r).
 
-    n bounds the work; t enters only the integral's.  The head has at most
-    max(EM_HEAD_TERMS, 2n + 110) terms: where e^(-rate) <= 1/2, rho <= 3/4
+    n bounds the work; t enters only the integrals'.  The head has at most
+    max(HEAD_TERMS, 2n + 110) terms: where e^(-rate) <= 1/2, rho <= 3/4
     from the (2n-4)-th term of either sum on, and 108 terms later the tail
     bound is below _REL_TOL times that term, which partial holds.  The tail
-    adds one term at a, the contour's max(64, 4m) points with
-    m = max(6, (n+1)//2), and the integral's nodes, at most node_cap
-    (ConvergenceError past it).  Its geometric panels, about log2(1/t), take
-    both sums from 2 740 evaluations at (n, t) = (2, 1e-6) to 49 428 at 6e-154.
+    adds one term and the two integrals' nodes, each at most node_cap
+    (ConvergenceError past it).  The first integral's geometric panels, about
+    log2(1/t), take both sums from 3 410 evaluations at (n, t) = (2, 1e-6)
+    to 50 194 at 6e-154.
     """
     alpha, beta = shifts
     decay = math.exp(-rate)
     head = []
     partial = 0.0
-    a = start + EM_HEAD_TERMS
+    a = start + HEAD_TERMS
     for k in range(start, a if rate < math.log(2.0) else sys.maxsize):
         value = term(n, t, k)
         head.append(value)
@@ -280,21 +261,15 @@ def _split_sum(
     # n and mid t; at a real index it takes the overflow-free path.
     peak = max(a, math.floor((alpha * decay - beta) / -math.expm1(-rate)) + 1)
     tol = 0.25 * _REL_TOL * max(partial, term(n, t, float(peak)))
+    c = a - 0.5
     try:
         quad = integrate_decaying(
-            lambda u: term(n, t, a + u), rate, tol=tol, poly_degree=n - 2, node_cap=node_cap,
-            eval_rel=lambda u: _eval_rel(n, rate * (a + u)),
+            lambda u: term(n, t, c + u), rate, tol=tol, poly_degree=n - 2, node_cap=node_cap,
+            eval_rel=lambda u: _eval_rel(n, rate * (c + u)),
         )
-        # disk_max bounds |f| for Re z >= a/2, |z| <= 3a/2: on the disk of
-        # radius a/2 around a, and, times (x/a)^(n-2), on the circle of
-        # radius x/2 around any x >= a.
-        parts, tail_bound, evaluations = euler_maclaurin_tail(
-            lambda z: term(n, t, z),
-            a,
-            disk_max=math.exp(_log_majorant(n, t, rate, a)),
-            growth=n - 2,
-            integral=quad,
-            eval_rel=lambda c: _eval_rel(n, c * rate * a),
+        parts, tail_bound, evaluations = abel_plana_tail(
+            lambda z: term(n, t, z), a, integral=quad, poly_degree=n - 2,
+            eval_rel=lambda r: _eval_rel(n, rate * r), node_cap=node_cap,
         )
     except ConvergenceError as err:
         raise ConvergenceError(f"{label} tail at n={n}, t={t}: {err}") from err

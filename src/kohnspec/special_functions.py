@@ -8,8 +8,8 @@ Covers exactly what the spectral computations need and nothing more:
 * integrate_decaying: adaptive Gauss-Legendre panels on [0, T] plus a
   certified analytic bound for the [T, inf) tail of integrands with a known
   exponential decay rate,
-* euler_maclaurin_tail: the tail sum_{k >= a} f(k) of a series whose term is
-  analytic on Re z > 0, with a Cauchy-certified remainder.
+* abel_plana_tail: the tail sum_{k >= a} f(k) of a series whose term is
+  analytic on Re z >= a - 1/2, as two such integrals.
 
 Everything here is deterministic: fixed node sets, fixed refinement order,
 no randomness, so repeated calls return bit-identical results.
@@ -34,14 +34,12 @@ __all__ = [
     "folded_excess",
     "QuadratureResult",
     "integrate_decaying",
-    "EM_HEAD_TERMS",
-    "euler_maclaurin_tail",
+    "HEAD_TERMS",
+    "abel_plana_tail",
 ]
 
 U = 2.0**-53  # unit roundoff of a float
-EM_HEAD_TERMS = 64  # terms a caller sums exactly before the Euler-Maclaurin tail
-EM_ORDER = 6  # Bernoulli corrections; raised where the R_m bound needs more
-CONTOUR_POINTS = 64  # trapezoid nodes for the derivatives at a
+HEAD_TERMS = 64  # terms a caller sums exactly before the Abel-Plana tail
 _PANEL_REL = 1e-14  # the relative agreement a GL16/GL32 panel pair can reach
 
 
@@ -237,9 +235,10 @@ def integrate_decaying(
     this one, or within floor = max(_PANEL_REL, eval_rel(b)) of the panel's
     own value: the share follows the size of the integral once that passes
     tol, and no panel is asked for digits its rounding does not hold.  The
-    estimate adds the sum's rounding, (eval_rel(T) + (35 + nodes_used // 48) U)
-    times the accepted panels' moduli, |value| if one-signed: 32 weights and
-    a half width per panel, one addition each, two roundings for a prefactor.
+    estimate adds the sum's rounding: eval_rel(b), the largest of the panel's
+    nodes, times each accepted panel's modulus, and (35 + nodes_used // 48) U
+    times their sum, |value| if one-signed: 32 weights and a half width per
+    panel, one addition each, two roundings for a prefactor.
     tol is absolute; complex-valued integrands are supported transparently.
     Raises ValueError unless decay_rate and tol are positive and finite and
     poly_degree is a nonnegative integer, ConvergenceError when node_cap
@@ -299,7 +298,7 @@ def integrate_decaying(
     stack = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
     stack.reverse()
     value: float | complex = 0.0
-    moduli = panel_error = 0.0
+    moduli = booked = panel_error = 0.0
     while stack:
         a, b = stack.pop()
         if nodes_used + 48 > node_cap:
@@ -308,13 +307,15 @@ def integrate_decaying(
         fine = _panel(integrand, a, b, _GL32)
         nodes_used += 48
         diff = abs(fine - coarse)
-        floor = max(_PANEL_REL, eval_rel(b))
+        rel = eval_rel(b)
+        floor = max(_PANEL_REL, rel)
         if (
             diff <= 0.5 * max(tol, floor * abs(value + fine)) * (b - a) / T
             or diff <= floor * abs(fine)
         ):
             value = value + fine
             moduli += abs(fine)
+            booked += rel * abs(fine)
             # |truth - fine| can match |fine - coarse| when a panel is
             # accepted at the rounding floor, so the heuristic gets a
             # safety factor before it is reported as a bound.
@@ -326,86 +327,59 @@ def integrate_decaying(
 
     if not cmath.isfinite(value):
         raise OverflowError(f"the integral's sum is not finite: {value}")
-    rounding = (eval_rel(T) + (35 + nodes_used // 48) * U) * moduli
+    rounding = booked + (35 + nodes_used // 48) * U * moduli
     return QuadratureResult(value, panel_error + tail_bound + rounding, nodes_used, T)
 
 
-def euler_maclaurin_tail(
-    term: Callable[[float | complex], float | complex],
+def abel_plana_tail(
+    term: Callable[[complex], complex],
     a: int,
     *,
-    disk_max: float,
-    growth: int,
     integral: QuadratureResult,
+    poly_degree: int,
     eval_rel: Callable[[float], float],
-) -> tuple[list[float], float, int]:
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> tuple[list[float | complex], float, int]:
     """sum_{k >= a} term(k) as (parts to add, error bound, evaluations), a >= 1.
 
-    The Euler-Maclaurin sum
+    The midpoint Abel-Plana formula (F. W. J. Olver, Asymptotics and Special
+    Functions, ch. 8 sec. 3; DLMF 2.10(i)), with c = a - 1/2:
 
-        integral_a^inf f + f(a)/2 - sum_{j<=m} B_2j/(2j)! f^(2j-1)(a) + R_m
+        integral_c^inf f(x) dx - i integral_0^inf (f(c+iy) - f(c-iy)) / (e^(2 pi y) + 1) dy,
 
-    with exact Bernoulli numbers and the odd derivatives from a trapezoid
-    rule on the circle of radius a/8 around a.  The term must be analytic
-    on Re z > 0 and accept real and complex arguments.  The caller states:
-
-    * disk_max, a bound of |f| on the disk of radius a/2 around a, and
-      growth, such that disk_max * (x/a)**growth bounds |f| on the circle of
-      radius x/2 around every x >= a; Cauchy estimates on those circles
-      bound R_m and the contour's aliasing;
-    * integral, the integral over [a, inf) from integrate_decaying, whose
-      error estimate includes its rounding;
-    * eval_rel(c), the relative rounding of one evaluation of the term at
-      points of modulus up to c * a.
-
-    The parts are f(a)/2, the m Bernoulli corrections and the integral; the
-    bound adds the quadrature's error estimate, R_m, the aliasing bound and
-    the rounding of the other parts.  The evaluations are the term's, 1 + points
-    with points = max(CONTOUR_POINTS, 4m) and m = max(EM_ORDER,
-    (growth + 3) // 2), plus the integral's nodes.  ConvergenceError if the
-    bound is not finite (a disk_max past the float range).
+    for f analytic on Re z >= c with |f(c + iy)| at most a polynomial of
+    degree poly_degree in y.  The caller states integral, the first part from
+    integrate_decaying, and eval_rel(r), the relative rounding of one
+    evaluation of the term at modulus r.  The second part integrates the
+    complex f(c + iy)/(e^(2 pi y) + 1), whose weight adds 4 pi y + 4
+    roundings, by integrate_decaying at decay rate 2 pi and tol U |integral|,
+    so its panels and rounding are measured against |f|.  For a real term
+    f(c - iy) = conj f(c + iy), and that part is twice the imaginary part of
+    the one integral; a complex integral marks a complex term, which takes
+    f(c - iy) as well.  The bound adds the integrals' error estimates, the
+    evaluations are their nodes; ConvergenceError if the bound is not finite.
     """
-    m = max(EM_ORDER, (growth + 3) // 2)  # 2m - 1 - growth >= 1 keeps the R_m majorant integrable
-    points = max(CONTOUR_POINTS, 4 * m)
-    f_a = term(a)
-    r = 0.125 * a
-    radius = 0.5 * a
-    # Each Bernoulli number meets powers of a that leave the float range on
-    # their own at large a or m (n >= about 165 for the heat sums), so every
-    # such product is formed from exact rationals and rounded once.
-    bernoullis = [bernoulli(2 * j) for j in range(1, m + 1)]
-    # B_2j / (2j r^(2j-1)): the weight of the coefficient f^(2j-1)(a) r^(2j-1) / (2j-1)!
-    scales = [float(b / (2 * j * Fraction(a, 8) ** (2 * j - 1))) for j, b in enumerate(bernoullis, 1)]
+    c = a - 0.5
 
-    # Taylor coefficients f^(k)(a) r^k / k! by the trapezoid rule on |z - a| = r.
-    samples = [term(a + r * cmath.exp(2j * math.pi * i / points)) for i in range(points)]
-    roots = [cmath.exp(-2j * math.pi * i / points) for i in range(points)]
-    parts = [0.5 * f_a]
-    for j, scale in enumerate(scales, start=1):
-        k = 2 * j - 1
-        coeff = math.fsum((f * roots[k * i % points]).real for i, f in enumerate(samples)) / points
-        parts.append(-scale * coeff)
-    deriv_scale = sum(map(abs, scales))  # scales the coefficients' errors
+    def side(sign: float) -> QuadratureResult:
+        def integrand(y: float) -> complex:
+            weight = math.exp(-math.tau * y)
+            return term(complex(c, sign * y)) * (weight / (1.0 + weight))
 
-    parts.append(integral.value)
+        return integrate_decaying(
+            integrand, math.tau, tol=U * abs(integral.value), poly_degree=poly_degree, node_cap=node_cap,
+            eval_rel=lambda y: eval_rel(math.hypot(c, y)) + (2.0 * math.tau * y + 4.0) * U,
+        )
 
-    # R_m: |B_2m|/(2m)! int_a^inf |f^(2m)|, with f^(2m)(x) bounded by the
-    # Cauchy estimate on the circle of radius x/2, which lies in Re z >= x/2.
-    # Aliasing: coefficient k is off by at most M R^-k s / (1 - s) with
-    # s = (r/R)^points and M = max |f| on the disk of radius R = a/2.
-    shrink = (r / radius) ** points
-    remainder = (
-        float(abs(bernoullis[-1]) * Fraction(2, a) ** (2 * m)) * disk_max * a / (2 * m - 1 - growth)
-    )
-    alias_sum = float(
-        sum(abs(b) / (2 * j) * Fraction(2, a) ** (2 * j - 1) for j, b in enumerate(bernoullis, 1))
-    )
-    aliasing = disk_max * shrink / (1.0 - shrink) * alias_sum
-    rounding = (
-        eval_rel(1) * 0.5 * f_a
-        + (eval_rel(1.125) + points * U) * max(abs(f) for f in samples) * deriv_scale
-    )
-    bound = integral.error_estimate + remainder + aliasing + rounding
+    upper = side(1.0)
+    if isinstance(integral.value, complex):
+        lower = side(-1.0)
+        correction = -1j * (upper.value - lower.value)
+        error = upper.error_estimate + lower.error_estimate
+        nodes = upper.nodes_used + lower.nodes_used
+    else:
+        correction, error, nodes = 2.0 * upper.value.imag, 2.0 * upper.error_estimate, upper.nodes_used
+    bound = integral.error_estimate + error
     if not math.isfinite(bound):
-        raise ConvergenceError(f"the error bound is {bound} (disk_max {disk_max:.3g})")
-    return parts, bound, 1 + points + integral.nodes_used
+        raise ConvergenceError(f"the error bound is {bound}")
+    return [integral.value, correction], bound, integral.nodes_used + nodes

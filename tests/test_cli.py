@@ -235,7 +235,7 @@ def test_heat_large_n_small_t_answers_or_names_range(capsys, n):
     "n, t",
     [
         (1000, "0.3"), (1200, "0.29"), (1400, "0.25"), (1400, "0.26"), (2, "1e300"),
-        (930, "0.35"), (1000, "0.345"), (800, "0.33"), (500, "0.3"), (500, "0.8"),
+        (930, "0.35"), (1000, "0.345"), (800, "0.33"), (500, "0.13"), (500, "0.8"),
     ],
 )
 def test_heat_outside_its_range_exits_1_naming_it(capsys, n, t):
@@ -376,6 +376,11 @@ def test_out_that_cannot_be_written_exits_1_naming_it(capsys, tmp_path, where, r
 # Euler's reflection formula: f, g and pole moved in their last digits (the
 # pole at q = 1 is now 1/24 to the last bit, and at q = -0.5 its zero imaginary
 # part lost its sign), and the residual and coeff_check built from them.
+# The coeff and heat entries were re-pinned when an Abel-Plana tail replaced
+# the Euler-Maclaurin one: series-direct's bound fell (4.770e-17 to 4.235e-17
+# at n = 3) and the differences built from it; at t = 0.1 split_q and split_w
+# moved by 1 ulp, their bounds from 6.7683e-13 to 6.8075e-13, and the scaled
+# trace and abs_diff built from them; the direct sum did not move.
 _PINNED_STDOUT = {
     ("count --n 2 --lambda 30 --modes", "table"): "4668eb09ca029bc9831c05082d204f9bb883fb887e50f4fdada9666bbc573c11",
     ("count --n 2 --lambda 30 --modes", "csv"): "2a0f85bf31c828b40b8fba7fb840ef552639453df90a74105d7a57d27b7b6139",
@@ -383,12 +388,12 @@ _PINNED_STDOUT = {
     ("stanton --n 3 --grid=-0.5:1.5:5", "table"): "00138720809b3d596d5b7c713241f85344908167f0f0a81e2cc49cc8cd6ac58d",
     ("stanton --n 3 --grid=-0.5:1.5:5", "csv"): "953e34023d3126084951dbd2956351f0cfb8675fb245313c2e28d49aa672fd8b",
     ("stanton --n 3 --grid=-0.5:1.5:5", "json"): "30b644cd83d3f494e82663273cdbf43c8121475f866af56af28b6c3b9a48228e",
-    ("coeff --n 3 --method all", "table"): "e648d11bf5ecb9989fa3bef2e1898ba74fa5ce49efabdae1666ea9c8f97407be",
-    ("coeff --n 3 --method all", "csv"): "b9b4ece292469671ff24318e5b5afa1ed486387b326114194875e6aa28355972",
-    ("coeff --n 3 --method all", "json"): "65960858141722c8b542406fee12178f19df1e735860cdb3ee479d40fb84fef8",
-    ("heat --n 2 --t 0.1,0.5 --verify", "table"): "386105ff651afb1bd76acf5fd10d5368846aeff116b0a32698f37eb423e75073",
-    ("heat --n 2 --t 0.1,0.5 --verify", "csv"): "9cba538c44e6e8d4f008ac012954388c8eb1bbbb4a902fc028617b7f8b232043",
-    ("heat --n 2 --t 0.1,0.5 --verify", "json"): "4260f024b569d394dcde54405151af5a273656fe0b6d257458d039fb2d02e1b8",
+    ("coeff --n 3 --method all", "table"): "7bedf8dfefd44cdec27cd89f81ee1ef5d599916da941815a912ad9e3da6ebe4f",
+    ("coeff --n 3 --method all", "csv"): "18f1d7e50c357658713903738e51caa25af3a1950612705c0c4090a4405009d4",
+    ("coeff --n 3 --method all", "json"): "3553e8cf9f8e5c24dc2af27485d682af92a4a8011b590cc20042e5e7673b227d",
+    ("heat --n 2 --t 0.1,0.5 --verify", "table"): "ee8683a508b7c6405c88cf8aea643b44d6ec99169d9c1309d713a74475fd4f8e",
+    ("heat --n 2 --t 0.1,0.5 --verify", "csv"): "3edcecb4bb5c5afb31025e327a0fe24ae30253659f045d7bec5090ab637a902c",
+    ("heat --n 2 --t 0.1,0.5 --verify", "json"): "c5fef43e596e62c161a707fc18fdb0084d69f7741e3bf7fc23ece70121511701",
 }
 
 

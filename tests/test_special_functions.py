@@ -14,8 +14,8 @@ from kohnspec.special_functions import (
     QuadratureResult,
     _log_tail_weight,
     U,
+    abel_plana_tail,
     bernoulli,
-    euler_maclaurin_tail,
     folded_excess,
     folded_power,
     integrate_decaying,
@@ -143,12 +143,14 @@ def test_integrate_decaying_tolerance_halving_consistent():
 
 def test_integrate_decaying_width_share_follows_the_integral():
     # far above tol the panels are held to 1e-14 of the integral, not to tol;
-    # the estimate adds the sum's rounding from the stated rounding at T
+    # the estimate books each panel's rounding at the panel's own right end,
+    # so it follows the mass near 0: at the truncation point (T = 867) the
+    # stated rounding (x + 2) U is 9.6e-14, and the estimate 6.3e-15
     r = integrate_decaying(
         lambda x: 1e300 * math.exp(-x), 1.0, tol=1e-10, poly_degree=0, eval_rel=_exp_rel(1, 2)
     )
-    rounding = (r.truncation_point + 2 + 35 + r.nodes_used // 48) * U * r.value
-    assert abs(r.value - 1e300) <= r.error_estimate <= 1e-14 * 1e300 + rounding
+    assert abs(r.value - 1e300) <= r.error_estimate <= 1e-14 * 1e300
+    assert r.error_estimate <= 0.1 * (r.truncation_point + 2) * U * r.value
     assert r.nodes_used <= 1_000
 
 
@@ -202,14 +204,17 @@ def test_integrate_decaying_validates_arguments():
 
 
 # Value, bound (float.hex) and node count of the engine's callers outside
-# heat, pinned as regressions.
+# heat, pinned as regressions.  Three bounds moved by 1-2 ulp when the
+# rounding came to be booked panel by panel: eval_rel is constant here, so
+# eval_rel times each panel's modulus, summed, rounds differently from
+# eval_rel times their sum.
 _PINNED_CALLERS = [
-    ("integral_coefficient", 20, "0x1.2020530cacd54p-77", "0x1.2f10d3e91bf99p-123", 416),
+    ("integral_coefficient", 20, "0x1.2020530cacd54p-77", "0x1.2f10d3e91bf9ap-123", 416),
     ("integral_intermediate", 20, "0x1.2020530cacd4bp-77", "0x1.3c9fff294e7f2p-123", 416),
-    ("integral_coefficient", 70, "0x1.932c907058e14p-397", "0x1.51a3b822a54e4p-441", 544),
+    ("integral_coefficient", 70, "0x1.932c907058e14p-397", "0x1.51a3b822a54e5p-441", 544),
     ("integral_intermediate", 70, "0x1.932c907058e14p-397", "0x1.36fb1a34f4432p-441", 544),
     ("integral_coefficient", 145, "0x1.47f499c8783c1p-975", "0x1.5e34b421b9030p-1019", 680),
-    ("integral_intermediate", 145, "0x1.47f499c8783c2p-975", "0x1.5dad2ad996236p-1019", 680),
+    ("integral_intermediate", 145, "0x1.47f499c8783c2p-975", "0x1.5dad2ad996234p-1019", 680),
 ]
 
 
@@ -230,16 +235,19 @@ def test_integral_routes_are_pinned(route, n, value, bound, nodes):
 # it, and panels are accepted at it (fewer nodes at n = 40, where the
 # 50-digit relative error of stanton_coefficient moved from 2.4e-5 to 3.8e-5
 # and of continued_coefficient from 2.8e-10 to 8.2e-10, within the
-# estimates, 2.0e-4 and 9.0e-9 of the integrals).
+# estimates, 2.0e-4 and 9.0e-9 of the integrals).  The estimates fell again,
+# by 12-36% (at n = 40 to 1.3e-4 and 6.8e-9 of the integrals, still above
+# those errors), when the rounding came to be booked at each panel's own
+# eval_rel(b) rather than at eval_rel(T): the phase's share grows with x.
 _PINNED_CONTINUATION = [
     ("stanton_coefficient", 10, 1.3 + 0.7j,
-     "-0x1.2f29993125315p-34", "0x1.f788ae7678368p-35", "0x1.557bc76b35bb7p-33", 384),
+     "-0x1.2f29993125315p-34", "0x1.f788ae7678368p-35", "0x1.1eae9f0e31cb4p-33", 384),
     ("continued_coefficient", 10, 1.3 + 0.7j,
-     "-0x1.384037ffebfd2p-40", "-0x1.f798cf0adcfa4p-38", "0x1.83428af3da045p-39", 384),
+     "-0x1.384037ffebfd2p-40", "-0x1.f798cf0adcfa4p-38", "0x1.54252849b7572p-39", 384),
     ("stanton_coefficient", 40, 2 + 3j,
-     "0x1.95a49695686e2p-262", "-0x1.961bb0e245c71p-264", "0x1.74edfd8b9ab67p+66", 1824),
+     "0x1.95a49695686e2p-262", "-0x1.961bb0e245c71p-264", "0x1.d99761b1c72abp+65", 1824),
     ("continued_coefficient", 40, 2 + 3j,
-     "0x1.b5b1e8bc7619ap-268", "0x1.7e436c866f75fp-266", "0x1.03f4458e810b0p+47", 1144),
+     "0x1.b5b1e8bc7619ap-268", "0x1.7e436c866f75fp-266", "0x1.88588e2c213bep+46", 1144),
 ]
 
 
@@ -368,25 +376,75 @@ def test_gauss_legendre_table_against_mpmath(rule):
             assert abs(w - w_ref) <= 1e-13 * w_ref
 
 
-def _em_tail_of_inverse_square(a, disk_max):
-    """euler_maclaurin_tail of 1/z^2 from a, with its integral 1/a in closed form."""
-    return euler_maclaurin_tail(
+def _tail_of_inverse_square(a, integral_error=None):
+    """abel_plana_tail of 1/z^2 from a, with its integral 1/c, c = a - 1/2, in closed form."""
+    c = a - 0.5
+    return abel_plana_tail(
         lambda z: 1.0 / (z * z),
         a,
-        disk_max=disk_max,
-        growth=-2,
-        integral=QuadratureResult(1.0 / a, U / a, 0, 0.0),
-        eval_rel=lambda c: 4 * U,
+        integral=QuadratureResult(1.0 / c, U / c if integral_error is None else integral_error, 0, 0.0),
+        poly_degree=0,
+        eval_rel=lambda r: 4 * U,
     )
 
 
+@pytest.mark.parametrize("a", [1, 65, 1000])
+def test_abel_plana_tail_of_inverse_squares_is_the_trigamma(a):
+    # sum_{k >= a} 1/k^2 = psi'(a), from the shortest head on
+    parts, bound, evaluations = _tail_of_inverse_square(a)
+    with mp.workdps(50):
+        want = mp.psi(1, a)
+        assert abs(mp.fsum(map(mp.mpf, parts)) - want) <= bound <= 4e-15 * want
+    assert evaluations <= 1_000
+
+
+@pytest.mark.parametrize("a, beta", [(1, 0.01), (1, 1.0), (65, 0.3), (1000, 0.5)])
+def test_abel_plana_tail_of_a_geometric_sum(a, beta):
+    # sum_{k >= a} e^(-beta k) = e^(-beta a) / (1 - e^(-beta)); the integral
+    # is e^(-beta c) / beta, whose rounded exponent beta c costs beta c U
+    c = a - 0.5
+    integral = math.exp(-beta * c) / beta
+    parts, bound, _ = abel_plana_tail(
+        lambda z: cmath.exp(-beta * z),
+        a,
+        integral=QuadratureResult(integral, (beta * c + 3) * U * integral, 0, 0.0),
+        poly_degree=0,
+        eval_rel=lambda r: (beta * r + 2) * U,
+    )
+    with mp.workdps(50):
+        want = mp.exp(-beta * a) / -mp.expm1(-beta)
+        assert abs(mp.fsum(map(mp.mpf, parts)) - want) <= bound <= 1e-13 * want
+
+
+@pytest.mark.parametrize("z", [0.5 + 0.5j, 2 + 3j])
+@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("a", [1, 65])
+def test_abel_plana_tail_of_complex_terms_is_the_hurwitz_zeta(a, n, z):
+    # sum_{k >= a} (k + z)^(-n) = zeta(n, a + z): a complex term, whose
+    # second integral needs f(c - iy) as well as f(c + iy).  Along Re w = c
+    # the term is up to 100 times the sum at (1, 10, 0.5+0.5i), and so is its rounding
+    c = a - 0.5
+    integral = (c + z) ** (1 - n) / (n - 1)
+    parts, bound, _ = abel_plana_tail(
+        lambda w: (w + z) ** -n,
+        a,
+        integral=QuadratureResult(integral, 4 * n * U * abs(integral), 0, 0.0),
+        poly_degree=0,
+        eval_rel=lambda r: 4 * n * U,
+    )
+    with mp.workdps(50):
+        want = mp.zeta(n, a + mp.mpc(z))
+        got = mp.fsum(map(mp.mpc, parts))
+        assert abs(got - want) <= bound <= 2e-13 * abs(want)
+
+
 @pytest.mark.parametrize("a, largest_bound", [(3, 1e-3), (8, 1e-8), (1001, 1e-18)])
-def test_euler_maclaurin_tail_raises_where_its_bound_is_not_finite(a, largest_bound):
-    # |1/z^2| <= 4/a^2 on Re z >= a/2: a finite majorant gives the Hurwitz
-    # zeta(2, a), also from the shortest and a long head (a = 3 and 1001)
-    parts, bound, _ = _em_tail_of_inverse_square(a, 4.0 / a**2)
+def test_abel_plana_tail_raises_where_its_bound_is_not_finite(a, largest_bound):
+    # a finite integral bound gives the Hurwitz zeta(2, a), also from the
+    # shortest and a long head (a = 3 and 1001)
+    parts, bound, _ = _tail_of_inverse_square(a)
     with mp.workdps(50):
         assert abs(mp.fsum(map(mp.mpf, parts)) - mp.zeta(2, a)) <= bound < largest_bound
-    # a majorant past the float range makes the bound inf (or nan from 0 * inf); neither is returned
+    # an integral whose bound is past the float range makes the bound inf; it is not returned
     with pytest.raises(ConvergenceError, match="error bound is inf"):
-        _em_tail_of_inverse_square(a, math.inf)
+        _tail_of_inverse_square(a, math.inf)
