@@ -32,11 +32,14 @@ from functools import partial
 from .errors import DEFAULT_NODE_CAP, ConvergenceError, check_n
 from .special_functions import (
     HEAD_TERMS,
+    PiMultiple,
     U,
     abel_plana_tail,
     folded_excess,
     folded_power,
     integrate_decaying,
+    scaled_product,
+    scaled_rational,
     zeta_even,
 )
 
@@ -74,8 +77,8 @@ class ZetaCombination:
     terms: tuple[tuple[int, int], ...]
 
     def value(self) -> float:
-        total = math.fsum(c * zeta_even(k).value for c, k in self.terms)
-        return _times_fraction(self.scale, total)
+        # each term's rational part, scale included, rounds once
+        return math.fsum(PiMultiple(self.scale * c * zeta_even(k).rational, k).value for c, k in self.terms)
 
     def __str__(self) -> str:
         body = " + ".join(f"{c}*zeta({k})" for c, k in self.terms)
@@ -129,15 +132,8 @@ def series_zeta(n: int) -> CoefficientEstimate:
 
 
 def _times_fraction(factor: Fraction, x: float) -> float:
-    """factor * x rounded to a float, formed as ldexp(mantissa * x, e) with factor = mantissa * 2^e.
-
-    float(factor) alone leaves the normal range at large n (the integral
-    prefactors from n = 92 and 99, series-zeta's scale from about n = 96), while
-    the product does not.  Where float(factor) is a normal float this is
-    float(factor) * x to the bit.
-    """
-    e = factor.numerator.bit_length() - factor.denominator.bit_length()
-    return math.ldexp(float(factor / Fraction(2) ** e) * x, e)
+    """factor * x through the extended-range kernel: float(factor) * x where that is normal."""
+    return scaled_product((x,), start=scaled_rational(factor.numerator, factor.denominator))
 
 
 def _integrand_rel(n: int) -> float:
@@ -146,10 +142,7 @@ def _integrand_rel(n: int) -> float:
     The n-th (or (n-1)-th) power of a quotient of rounded values costs 2n U;
     a further n U covers the rounding of the node itself, which moves the
     integrand by |x f'/f| U, about sqrt(n) U where the integrand carries its
-    mass; 16 U covers the remaining exponentials, sums and products.  The
-    kernels' one-power path rounds its base four times (4n U and more) but
-    runs only where rate x >= 700 or (x/E)^n passes the float range, which
-    within the routes' ranges of n is on terms below 1e-100 of the integral.
+    mass; 16 U covers the remaining exponentials, sums and products.
     """
     return (3 * n + 16) * U
 

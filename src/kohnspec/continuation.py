@@ -24,9 +24,10 @@ The integrands are formed from special_functions.folded_power/folded_excess,
 exact at tau -> 0 and at large tau and overflowing only where their values
 do.  As vol(S^(2n-1)) = 2 pi^n / m!, the prefactor is binom(m, q) / m!
 times 2 / (2^n n!): the binomial over m! is a finite product by Euler's
-reflection formula, and the rest is rational.  n = 2 is rejected: m = 1
-leaves no strip between the first poles and the continuation degenerates;
-so is n beyond errors.MAX_N["continuation"].
+reflection formula, formed with its e^(pi |im q|) in the extended-range
+kernel (special_functions.scaled_product), and the rest is rational.  n = 2
+is rejected: m = 1 leaves no strip between the first poles and the
+continuation degenerates; so is n beyond errors.MAX_N["continuation"].
 
 Near the q = 0 pole the direct-integral evaluator loses its decay margin, so
 stanton_coefficient refuses |q| < NEAR_POLE_RADIUS; continued_coefficient is
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DEFAULT_NODE_CAP, ConvergenceError, check_n
-from .special_functions import U, folded_excess, folded_power, integrate_decaying
+from .special_functions import PI_LO, U, folded_excess, folded_power, integrate_decaying, scaled_product
 
 __all__ = [
     "NEAR_POLE_RADIUS",
@@ -93,11 +94,10 @@ def _reciprocal_gammas(m: int, q: complex, *divisors: float | complex) -> comple
     With k the integer in [0, m] nearest re q and u = q - k, Euler's
     reflection Gamma(1+u) Gamma(1-u) = pi u / sin(pi u) leaves the finite
     product sinc(u) / (prod_{i<k} (q - i) prod_{k<i<=m} (i - q)): no log-gamma,
-    exactly the integer binomial's factors at integer q, and no factor vanishes
-    on the strip -1 < re q < m.  sin(pi u) is e^L times a bounded factor,
-    L = pi |im q| carried past float precision, and e^L enters in powers of
-    e^128 kept apart while each factor divides, so OverflowError only where
-    the value passes the float range.
+    the integer binomial's factors at integer q, none vanishing on the strip
+    -1 < re q < m.  sin(pi u) is e^L, L = pi |im q| carried past float
+    precision, times a bounded factor; e^L and the divisions meet in the
+    extended-range kernel: OverflowError only where the value passes the floats.
     """
     j = round(q.real)
     k = min(max(j, 0), m)
@@ -105,34 +105,19 @@ def _reciprocal_gammas(m: int, q: complex, *divisors: float | complex) -> comple
     x, y = q.real - j, abs(q.imag)  # sin(pi u) = (-1)^(j-k) sin(pi (x + i im q))
     big_l = math.pi * y
     # the rounding of math.pi * y, exactly, plus (pi - math.pi) y
-    small_l = float(Fraction(math.pi) * Fraction(y) - Fraction(big_l))
-    small_l += 1.2246467991473532e-16 * y
+    small_l = float(Fraction(math.pi) * Fraction(y) - Fraction(big_l)) + PI_LO * y
     t = -math.expm1(-2.0 * big_l)  # 1 - e^(-2L)
     bounded = complex(
         math.sin(math.pi * x) * (2.0 - t), math.copysign(math.cos(math.pi * x) * t, q.imag)
     )
     value = (-0.5 if (j - k) % 2 else 0.5) * bounded / (math.pi * u) if u else complex(1.0)
-    if value == 0:  # q is a pole of Gamma(q+1) or Gamma(m-q+1)
-        return value
-    powers, rest = divmod(big_l, 128.0)  # both exact
-    value *= math.exp(rest) * math.exp(small_l)
-    powers = int(powers)
-    step = math.exp(128.0)
-    # value * step^powers stays the running quotient, |value| in [1, step);
-    # the leading 1.0 brings the start into that range
-    for d in (1.0, *(q - i for i in range(k)), *(i - q for i in range(k + 1, m + 1)), *divisors):
-        value /= d
-        while step <= abs(value) < math.inf:
-            value, powers = value / step, powers + 1
-        while abs(value) < 1.0:
-            value, powers = value * step, powers - 1
-    while powers > 0 and cmath.isfinite(value):
-        value, powers = value * step, powers - 1
-    while powers < 0 and value:
-        value, powers = value / step, powers + 1
-    if not cmath.isfinite(value):
-        raise OverflowError(f"1/(Gamma(q+1) Gamma({m}-q+1)) at q = {q} leaves the float range")
-    return value
+    try:  # e^small_l is 1 + small_l to within small_l^2 < 1e-20
+        return scaled_product(
+            divisors=(*(q - i for i in range(k)), *(i - q for i in range(k + 1, m + 1)), *divisors),
+            exp=big_l, start=(value * (1.0 + small_l), 0),
+        )
+    except OverflowError:
+        raise OverflowError(f"1/(Gamma(q+1) Gamma({m}-q+1)) at q = {q} leaves the float range") from None
 
 
 def _integrate(evaluator: str, point: StripPoint, integrand, decay: float, node_cap: int):

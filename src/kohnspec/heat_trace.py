@@ -7,21 +7,17 @@ splits, via the two-term multiplicity split, into two single sums:
     split_w:  sum_{w >= n-1} binom(w-1, n-2)  * s       / (1 - s)^n,  s = exp(-2tw)
 
 (p has been summed in closed form in each piece; w = p + n - 1 in the
-second).  The direct double sum is kept as an independent cross-check; it
-forms every term, its multiplicity from one exact table A[k] = binom(n+k-1, k)
-as A[p] A[q] - A[p-1] A[q-1], in Dirichlet's hyperbola order, and its number
-of terms grows like (1/t) log(1/t).
+second).  The direct double sum over exact multiplicities is kept as an
+independent cross-check; its number of terms grows like (1/t) log(1/t).
 
 Every sum here stops on one rule: its tail below _REL_TOL times its own
 partial sum, which, as a sum of positive terms, is a lower bound of the value
 (a split tail integral may take its largest term instead, a lower bound too).
 
 Both split sums go through one helper, _split_sum, at a cost bounded by n
-and log(1/t).  It adds the first HEAD_TERMS terms exactly (math.fsum).  If
-a geometric tail bound certifies the rest before then (large t), it stops
-there; terms that at least halve per index are summed on until it does.
-Otherwise the tail from a = start + HEAD_TERMS on is the midpoint Abel-Plana
-sum (special_functions.abel_plana_tail), with c = a - 1/2,
+and log(1/t): an exact head, stopped by a geometric tail bound at large t,
+else from a = start + HEAD_TERMS on the midpoint Abel-Plana sum
+(special_functions.abel_plana_tail), with c = a - 1/2,
 
     integral_c^inf f(x) dx + 2 Im integral_0^inf f(c + iy) / (e^(2 pi y) + 1) dy,
 
@@ -33,16 +29,10 @@ estimates, plus a first-order bound on floating-point rounding.
 
 Every sum needs t > 0 and the trace and the numbers that form it inside the
 normal floats, nothing more: supported_t gives that interval of t for each n.
-
-Denominators 1 - exp(-2tq) are formed with expm1, also at complex
-arguments, so the small-t limit (t/(1 - e^(-at)))^n -> a^(-n) survives in
-floating point; that is what makes the scaled trace t**n * G(t) stable down
-to the lower end of that interval.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import sys
@@ -51,7 +41,14 @@ from typing import Callable
 
 from .combinatorics import multichoose_table
 from .errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, ConvergenceError, check_n
-from .special_functions import HEAD_TERMS, U, abel_plana_tail, integrate_decaying
+from .special_functions import (
+    HEAD_TERMS,
+    U,
+    abel_plana_tail,
+    integrate_decaying,
+    scaled_product,
+    scaled_rational,
+)
 
 __all__ = [
     "HeatTraceSample",
@@ -150,52 +147,34 @@ def _validate(n: int, t: float) -> None:
     raise ValueError(f"heat at n = {n}, t = {t}: {reason}; {supported}")
 
 
-def _binom_exp(z, k: int, x):
-    """binom(z, k) * exp(-x) for integer k >= 0, real or complex z and x.
+def _term_function(n: int, t: float, offset: int, rate: float) -> Callable:
+    """z -> binom(z + offset, n - 2) e^(-rate z) / (1 - e^(-2tz))^n, for int, real or complex z, Re z > 0.
 
-    The binomial is exact for integer z, else the polynomial in z; that
-    polynomial is multiplied into exp(-x) factor by factor, so no partial
-    product overflows where the result does not (at t = 1e-6 and n ~ 50,
-    binom(z, n-2) alone passes 1e308 on the tail's range while the term does
-    not).  A subnormal exp(-x) (split_w near the largest supported t) enters
-    as k + 1 equal factors, one per step; the partial products' logs are then
-    concave in the step, so none underflows unless the result does.
+    The binomial, exact for an int z, else 1/(n-2)! times the z + offset - i
+    over i < n - 2, meets e^(-rate z) in the extended-range kernel
+    (special_functions.scaled_product): no partial product leaves the floats
+    where the term does not.  1 - e^(-2tz) comes from expm1, also at complex z,
+    so the small-t limit (t/(1 - e^(-at)))^n -> a^(-n) survives.
     """
-    exp = cmath.exp if isinstance(x, complex) else math.exp
-    if x.real > -_LOG_FLOAT_MIN:
-        acc = step = exp(-x / (k + 1))
-        for i in range(k):
-            acc = acc * (z - i) / (i + 1) * step
-        return acc
-    if isinstance(z, int):
-        return float(math.comb(z, k)) * math.exp(-x)
-    acc = exp(-x)
-    for i in range(k):
-        acc = acc * (z - i) / (i + 1)
-    return acc
+    k, neg_rate, neg_t2, expm1 = n - 2, -rate, -2.0 * t, math.expm1
+    inverse_factorial = scaled_rational(1, math.factorial(k))
+    shifts = [float(offset - i) for i in range(k)]
+    many = k > 8  # a list comprehension costs a frame, map a call per factor
 
+    def term(z):
+        y = neg_t2 * z
+        if isinstance(z, int):
+            binom = scaled_product(exp=neg_rate * z, start=scaled_rational(math.comb(z + offset, k)))
+        else:
+            factors = [z + shift for shift in shifts] if many else map(z.__add__, shifts)
+            binom = scaled_product(factors, exp=neg_rate * z, start=inverse_factorial)
+            if isinstance(z, complex):
+                # 1 - e^y = 2 sin^2(Im y / 2) - expm1(Re y) cos(Im y) - i e^(Re y) sin(Im y)
+                real = 2.0 * math.sin(0.5 * y.imag) ** 2 - expm1(y.real) * math.cos(y.imag)
+                return binom / complex(real, -math.exp(y.real) * math.sin(y.imag)) ** n
+        return binom / (-expm1(y)) ** n
 
-def _expm1(z):
-    """e^z - 1 without cancellation near 0, for real or complex z."""
-    if not isinstance(z, complex):
-        return math.expm1(z)
-    half_sin = math.sin(0.5 * z.imag)
-    return complex(
-        math.expm1(z.real) * math.cos(z.imag) - 2.0 * half_sin * half_sin,
-        math.exp(z.real) * math.sin(z.imag),
-    )
-
-
-def _split_q_term(n: int, t: float, q):
-    """q-th term of the split_q sum, stable at small t*q; q may be real or complex, Re q > 0."""
-    denom = -_expm1(-2.0 * t * q)
-    return _binom_exp(n + q - 2, n - 2, 2.0 * t * q * (n - 1)) / denom**n
-
-
-def _split_w_term(n: int, t: float, w):
-    """w-th term of the split_w sum (zero for w < n - 1); w may be real or complex, Re w > 0."""
-    denom = -_expm1(-2.0 * t * w)
-    return _binom_exp(w - 1, n - 2, 2.0 * t * w) / denom**n
+    return term
 
 
 def _eval_rel(n: int, x: float) -> float:
@@ -209,16 +188,10 @@ def _eval_rel(n: int, x: float) -> float:
 
 
 def _split_sum(
-    label: str,
-    n: int,
-    t: float,
-    term: Callable,
-    start: int,
-    shifts: tuple[int, int],
-    rate: float,
+    label: str, n: int, t: float, term: Callable, start: int, shifts: tuple[int, int], rate: float,
     node_cap: int,
 ) -> HeatTraceSample:
-    """sum_{k >= start} term(n, t, k): exact head plus Abel-Plana tail.
+    """sum_{k >= start} term(k): exact head plus Abel-Plana tail.
 
     rate is the decay rate of the term in k; rho(k) = ((k + alpha)/(k + beta))
     e^(-rate), with (alpha, beta) = shifts, decreases in k and bounds every
@@ -231,14 +204,11 @@ def _split_sum(
     rho(k) < 1, about the largest, whichever is larger; the stated rounding
     of a term at modulus r is _eval_rel(n, rate r).
 
-    n bounds the work; t enters only the integrals'.  The head has at most
-    max(HEAD_TERMS, 2n + 110) terms: where e^(-rate) <= 1/2, rho <= 3/4
-    from the (2n-4)-th term of either sum on, and 108 terms later the tail
-    bound is below _REL_TOL times that term, which partial holds.  The tail
-    adds one term and the two integrals' nodes, each at most node_cap
-    (ConvergenceError past it).  The first integral's geometric panels, about
-    log2(1/t), take both sums from 3 410 evaluations at (n, t) = (2, 1e-6)
-    to 50 194 at 6e-154.
+    The head has at most max(HEAD_TERMS, 2n + 110) terms: where
+    e^(-rate) <= 1/2, rho <= 3/4 from the (2n-4)-th term on, and 108 terms
+    later the tail bound is below _REL_TOL times that term.  The tail adds one
+    term and the two integrals' nodes, each at most node_cap (ConvergenceError
+    past it); the first integral's geometric panels grow like log2(1/t).
     """
     alpha, beta = shifts
     decay = math.exp(-rate)
@@ -246,7 +216,7 @@ def _split_sum(
     partial = 0.0
     a = start + HEAD_TERMS
     for k in range(start, a if rate < math.log(2.0) else sys.maxsize):
-        value = term(n, t, k)
+        value = term(k)
         head.append(value)
         partial += value
         rho = ((k + alpha) / (k + beta)) * decay
@@ -260,15 +230,15 @@ def _split_sum(
     # One more term is a lower bound of the sum too, far above the head at large
     # n and mid t; at a real index it takes the overflow-free path.
     peak = max(a, math.floor((alpha * decay - beta) / -math.expm1(-rate)) + 1)
-    tol = 0.25 * _REL_TOL * max(partial, term(n, t, float(peak)))
+    tol = 0.25 * _REL_TOL * max(partial, term(float(peak)))
     c = a - 0.5
     try:
         quad = integrate_decaying(
-            lambda u: term(n, t, c + u), rate, tol=tol, poly_degree=n - 2, node_cap=node_cap,
+            lambda u: term(c + u), rate, tol=tol, poly_degree=n - 2, node_cap=node_cap,
             eval_rel=lambda u: _eval_rel(n, rate * (c + u)),
         )
         parts, tail_bound, evaluations = abel_plana_tail(
-            lambda z: term(n, t, z), a, integral=quad, poly_degree=n - 2,
+            term, a, integral=quad, poly_degree=n - 2,
             eval_rel=lambda r: _eval_rel(n, rate * r), node_cap=node_cap,
         )
     except ConvergenceError as err:
@@ -287,16 +257,8 @@ def trace_split_q(n: int, t: float, *, node_cap: int = DEFAULT_NODE_CAP) -> Heat
     tail integral would need more than node_cap nodes.
     """
     _validate(n, t)
-    return _split_sum(
-        "split_q",
-        n,
-        t,
-        _split_q_term,
-        1,
-        (n - 1, 1),
-        2.0 * t * (n - 1),
-        node_cap,
-    )
+    rate = 2.0 * t * (n - 1)
+    return _split_sum("split_q", n, t, _term_function(n, t, n - 2, rate), 1, (n - 1, 1), rate, node_cap)
 
 
 def trace_split_w(n: int, t: float, *, node_cap: int = DEFAULT_NODE_CAP) -> HeatTraceSample:
@@ -306,24 +268,10 @@ def trace_split_w(n: int, t: float, *, node_cap: int = DEFAULT_NODE_CAP) -> Heat
     rho(w) = (w/(w-n+2)) * exp(-2t) and decay rate 2t.
     """
     _validate(n, t)
-    return _split_sum(
-        "split_w",
-        n,
-        t,
-        _split_w_term,
-        n - 1,
-        (0, 2 - n),
-        2.0 * t,
-        node_cap,
-    )
+    return _split_sum("split_w", n, t, _term_function(n, t, -1, 2.0 * t), n - 1, (0, 2 - n), 2.0 * t, node_cap)
 
 
-def trace_direct(
-    n: int,
-    t: float,
-    *,
-    term_cap: int = DEFAULT_TERM_CAP,
-) -> HeatTraceSample:
+def trace_direct(n: int, t: float, *, term_cap: int = DEFAULT_TERM_CAP) -> HeatTraceSample:
     """The raw double sum over (q, w = p + n - 1), exact multiplicities, as a cross-check.
 
     Every term is formed from its multiplicity A[p] A[q] - A[p-1] A[q-1] (one
@@ -346,17 +294,15 @@ def trace_direct(
     below _REL_TOL/2 of the partial sum, and term_cap is checked before each
     line, and the part of the table it needs, is formed.
 
-    Each line is formed in bulk at its own power of two 2^(j-s): every
-    multiplicity is divided by 2^s, which puts it below 2^960, and every weight
-    is e^(j log 2 - x) for its exponent x, with j log 2 at most the line's
-    first exponent.  So no term overflows, and math.fsum sums the line exactly
-    before one rounding.  A term's relative error is at most (2x + 2j + 4) U
-    (x, j log 2, their difference, exp to 1 ulp, the division, the product);
-    an underflow adds at most 2^(b-s-1073) in the line's units, b the bit
-    length of c times the line's last table entry.  The bound is the tails,
-    the corner, (2 x_max + 2j + 6) U of each line, (length + 2) 2^(b-j-1073)
-    per line for underflows (at least 2^-1073, which covers scaling the line
-    back), and U of the total.  The number of terms grows like (1/t) log(1/t).
+    A line is formed in chunks whose weights span at most e^700, each weight
+    e^(-2t x0) e^(-2t (x - x0)) for the chunk's first exponent x0, the first
+    factor from the extended-range kernel, and multiplicities over 2^s below
+    2^700: no weight is subnormal, and math.fsum sums the chunk exactly.  A
+    term errs by (y + 3) U, y = 2tx, plus 2^-1074 of the chunk's units if
+    subnormal (only where s > 0).  The bound is the tails, the corner,
+    (y + 7) U of each chunk for its last y, (length + 1) 2^(s+k-1073) per
+    chunk, 2^k <= e^(-2t x0) (at least 2^-1073, for scaling it back), and U
+    of the total.
     """
     _validate(n, t)
     t2, ln2 = 2.0 * t, math.log(2.0)
@@ -381,7 +327,7 @@ def trace_direct(
     rows = ((q, q, n - 1, 0) for q in range(1, big_q + 1))  # (i, m, k0, start), c = A[i]
     columns = ((p, p + n - 1, 0, big_q + 1) for p in range(big_w - n + 2))
     log_share = log_quarter - math.log(big_q + big_w - n + 2)
-    exp = math.exp
+    exp, decay = math.exp, -t2
     values, bound, terms, reach, table = [], exp(log_corner(big_q)), 0, 0.0, [1]
     for i, m, k0, start in itertools.chain(rows, columns):
         multichoose_table(n, i + 1, table)
@@ -397,21 +343,18 @@ def trace_direct(
         if end == start:
             continue
         multichoose_table(n, end, table)
-        bits = (c * table[end - 1]).bit_length()
-        s = max(bits - 960, 0)
-        j = int(rate * (start + k0) / ln2)
-        scale, shift = 1 << s, j * ln2
-        prev = table[start - 1 : end - 1] if start else [0, *table[: end - 1]]
-        exponents = range(m * (start + k0), m * (end + k0), m)
-        line = math.fsum(
-            [
-                (c * a - c_prev * b) / scale * exp(shift - t2 * x)
-                for a, b, x in zip(table[start:end], prev, exponents)
-            ]
-        )
-        values.append(math.ldexp(line, s - j))
-        underflow = math.ldexp(end - start + 2, max(bits - j, 0) - 1073)
-        bound += (2.0 * reach + 2 * j + 6) * U * values[-1] + underflow
+        width = max(1, int(700.0 / rate))  # terms per chunk
+        for lo in range(start, end, width):
+            hi = min(lo + width, end)
+            s = max((c * table[hi - 1]).bit_length() - 700, 0)
+            scale = 1 << s
+            prev = table[lo - 1 : hi - 1] if lo else [0, *table[: hi - 1]]
+            weighted = zip(table[lo:hi], prev, range(0, m * (hi - lo), m))
+            chunk = math.fsum([(c * a - c_prev * b) / scale * exp(decay * d) for a, b, d in weighted])
+            first = t2 * (m * (lo + k0))
+            values.append(scaled_product(start=(chunk, s), exp=-first))
+            underflow = math.ldexp(hi - lo + 1, max(s + math.floor(-first / ln2), 0) - 1073)
+            bound += (t2 * (m * (hi - 1 + k0)) + 7) * U * values[-1] + underflow
     total = math.fsum(values)
     return HeatTraceSample(n, t, total, bound + U * total, terms)
 
@@ -448,13 +391,15 @@ def scaled_trace(n: int, t: float) -> float:
 
 
 def scale_by_t_power(n: int, t: float, total: float) -> float:
-    """t**n * total, accurate also where t**n alone is a subnormal float.
-
-    A subnormal power keeps only a few digits, so there its two halves enter
-    in turn.  ValueError where a nonzero product is not a normal float.
+    """t**n * total for n <= 1021, also where t**n alone is not a normal float: with
+    t = f 2^e, f in [1/2, 1), f^n times total's mantissa is a normal float, and
+    the kernel adds the exponents.  ValueError where a nonzero product is not one.
     """
-    head = n if float(t) ** n >= sys.float_info.min else n // 2
-    scaled = float(t) ** head * total * float(t) ** (n - head)
+    (fraction, exponent), (mantissa, shift) = math.frexp(t), math.frexp(total)
+    try:
+        scaled = scaled_product(start=(fraction**n * mantissa, shift + n * exponent))
+    except OverflowError:
+        scaled = math.inf
     if total and not sys.float_info.min <= abs(scaled) <= sys.float_info.max:
         log = n * math.log(t) + math.log(abs(total))
         raise ValueError(f"t^n G(t) at n = {n}, t = {t} is about e^{log:.3g}, not a normal float")

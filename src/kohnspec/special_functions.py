@@ -3,6 +3,7 @@
 Covers exactly what the spectral computations need and nothing more:
 
 * even zeta values as exact rational multiples of pi powers (Bernoulli route),
+* scaled_product: an extended-range kernel for products that leave the floats,
 * log(1 - e^(-2x)) and the half-line integrands' kernels (x/E)^m e^(-rate x)
   and x^m (E^(-m) - 1) e^(-rate x), E = 1 - e^(-2x), overflow-free in range,
 * integrate_decaying: adaptive Gauss-Legendre panels on [0, T] plus a
@@ -27,6 +28,7 @@ from .errors import DEFAULT_NODE_CAP, ConvergenceError
 
 __all__ = [
     "PiMultiple",
+    "scaled_product",
     "bernoulli",
     "zeta_even",
     "log1mexp2",
@@ -41,6 +43,7 @@ __all__ = [
 U = 2.0**-53  # unit roundoff of a float
 HEAD_TERMS = 64  # terms a caller sums exactly before the Abel-Plana tail
 _PANEL_REL = 1e-14  # the relative agreement a GL16/GL32 panel pair can reach
+PI_LO = 1.2246467991473532e-16  # pi - math.pi, to about 1e-32
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,77 @@ class PiMultiple:
 
     @property
     def value(self) -> float:
-        return float(self.rational) * math.pi**self.pi_power
+        # the rational part rounds once; pi^k = math.pi^k e^(k PI_LO / math.pi) to first order
+        k, start = self.pi_power, scaled_rational(self.rational.numerator, self.rational.denominator)
+        return scaled_product((math.pi**k, math.exp(k * (PI_LO / math.pi))), start=start)
+
+
+# The extended-range kernel.  Cody and Waite's two-part ln 2, as in fdlibm's
+# exp: _LN2_HI has 32 significant bits, so k * _LN2_HI is exact for |k| < 2^21.
+_LN2, _LN2_HI, _LN2_LO = math.log(2.0), 6.93147180369123816490e-01, 1.90821492927058770002e-10
+_BAND = (2.0**-480, 2.0**480)  # the mantissas' band
+
+
+def scaled_product(factors=(), divisors=(), exp=0.0, start=(1.0, 0)) -> float | complex:
+    """prod(factors) / prod(divisors) * e^exp * m 2^e, (m, e) = start, as a float or complex.
+
+    The extended-range kernel (Smith, Lozier and Olver, ACM TOMS 7, 1981), a
+    float or complex mantissa with an int exponent: e^exp enters as 2^k e^r,
+    r = exp - k ln 2 against the two-part ln 2 (Cody and Waite, Software Manual
+    for the Elementary Functions, 1980), k = 0 for |Re exp| < 88.  Each factor
+    multiplies, each divisor divides, and a mantissa leaving 2^(+-480) returns
+    to [1/2, 1) by an exact power of two: one comparison per factor.  Factors
+    and divisors lie within 2^(+-540), m within 2^(+-800) if exp is given.
+    Rounding, relative: U = 2^-53 per real factor or divisor, 3 U per complex
+    one, the rounding of exp plus 2 U for e^exp, nothing for the scalings
+    unless the value is subnormal (2^-1075 absolute per part).  OverflowError
+    past the largest float; 0 for Re exp <= -2^19.
+    """
+    mantissa, exponent = start
+    if exp:
+        re, k = exp.real, 0
+        if not -88.0 < re < 88.0:
+            if not -(2.0**19) < re < 2.0**19:  # past it k * _LN2_HI may round; e^exp is 2^(+-756 000)
+                if re > 0.0:
+                    raise OverflowError(f"e^{re:.6g} is past the extended range")
+                return 0.0 * mantissa
+            k = round(re / _LN2)
+            re = (re - k * _LN2_HI) - k * _LN2_LO
+        mantissa *= cmath.exp(complex(re, exp.imag)) if isinstance(exp, complex) else math.exp(re)
+        exponent += k
+    low, high = _BAND
+    if not low <= abs(mantissa) <= high:
+        mantissa, exponent = _renormalised(mantissa, exponent)
+    for factor in factors:
+        mantissa *= factor
+        if not low <= abs(mantissa) <= high:
+            mantissa, exponent = _renormalised(mantissa, exponent)
+    for divisor in divisors:
+        mantissa /= divisor
+        if not low <= abs(mantissa) <= high:
+            mantissa, exponent = _renormalised(mantissa, exponent)
+    return _ldexp(mantissa, exponent) if exponent else mantissa
+
+
+def scaled_rational(num: int, den: int = 1) -> tuple[float, int]:
+    """num/den > 0 as a start (m, e) for scaled_product, rounded once: e = 0 inside 2^(+-480)."""
+    exponent = num.bit_length() - den.bit_length()
+    if -480 < exponent < 480:
+        return num / den, 0
+    return (num << max(-exponent, 0)) / (den << max(exponent, 0)), exponent
+
+
+def _renormalised(mantissa, exponent: int) -> tuple[float | complex, int]:
+    if not cmath.isfinite(mantissa):
+        raise OverflowError("a partial product passed the float range")
+    shift = math.frexp(abs(mantissa))[1]
+    return _ldexp(mantissa, -shift), exponent + shift
+
+
+def _ldexp(mantissa, exponent: int) -> float | complex:  # exact unless the result is subnormal
+    if isinstance(mantissa, complex):
+        return complex(math.ldexp(mantissa.real, exponent), math.ldexp(mantissa.imag, exponent))
+    return math.ldexp(mantissa, exponent)
 
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
@@ -102,11 +175,13 @@ _LOG_SAFE = 700.0  # e^-y is a normal float for y below this
 
 
 def folded_power(x: float, m: int, rate: float) -> float:
-    """(x/E)^m e^(-rate x) for x > 0, m >= 1 and rate >= 0, with E = 1 - e^(-2x) from expm1.
+    """(x/E)^m e^(-rate x) for x > 0, 1 <= m <= 800 and rate >= 0, with E = 1 - e^(-2x) from expm1.
 
-    The product of the two factors where both are normal floats, else one
-    m-th power of the bounded base (x/E) e^(-rate x/m); so OverflowError only
-    where the value itself passes the float range.
+    The product of the two factors where both are normal floats, else f^m,
+    x/E = f 2^e with f in [1/2, 1), times e^(-rate x) through the
+    extended-range kernel: OverflowError only where the value passes the
+    float range.  Either way within (2m + 5) U, plus rate x U where rate x is
+    not exact (x/E rounds twice, raised to the m-th power).
     """
     base = x / -math.expm1(-2.0 * x)
     if rate * x < _LOG_SAFE:
@@ -114,7 +189,8 @@ def folded_power(x: float, m: int, rate: float) -> float:
             return base**m * math.exp(-rate * x)
         except OverflowError:  # base**m alone passes the float range
             pass
-    return (base * math.exp(-rate * x / m)) ** m
+    fraction, exponent = math.frexp(base)
+    return scaled_product(exp=-rate * x, start=(fraction**m, exponent * m))
 
 
 def folded_excess(x: float, m: int, rate: float) -> float:

@@ -10,7 +10,7 @@ from kohnspec.coefficients import series_zeta
 from kohnspec.combinatorics import dim_hpq
 from kohnspec.errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, MAX_N, ConvergenceError
 from kohnspec.heat_trace import (
-    _split_q_term,
+    _term_function,
     scale_by_t_power,
     scaled_trace,
     supported_t,
@@ -170,7 +170,8 @@ def test_scaled_trace_approaches_its_limit():
 def test_split_q_term_stable_at_tiny_t():
     # e^(-2t)/(1 - e^(-2t))^2 ~ 1/(2t)^2; the expm1 form must not collapse
     t = 1e-12
-    assert _split_q_term(2, t, 1) * t**2 == pytest.approx(0.25, rel=1e-3)
+    split_q_term = _term_function(2, t, 0, 2.0 * t)
+    assert split_q_term(1) * t**2 == pytest.approx(0.25, rel=1e-3)
 
 
 # ------------------------------------------------- mpmath oracle sweep
@@ -234,14 +235,14 @@ def _oracle_trace_50(n, t):
         return mp.fsum(_oracle_split(n, t, which, head=1000, order=8, dps=50, degree=5) for which in "qw")
 
 
-def _oracle_plain_sum(n, t, which):
-    """One split sum at 20 digits by plain summation, cheap at large n and moderate t.
+def _oracle_plain_sum(n, t, which, dps=ORACLE_DPS):
+    """One split sum at dps digits (20 by default) by plain summation, cheap at large n and moderate t.
 
     Each binomial follows from the last by its exact ratio.  Past the peak
     the term ratio is at most rho(k) = (binomial ratio) * e^(-rate), which
     falls in k, so the sum stops once term * rho / (1 - rho) < 1e-22 * sum.
     """
-    with mp.workdps(ORACLE_DPS):
+    with mp.workdps(dps):
         tt = mp.mpf(t)
         if which == "q":
             k, coef, rate = 1, mp.mpf(n - 1), 2 * tt * (n - 1)
@@ -315,23 +316,26 @@ def test_direct_bound_covers_rounding(n, t):
 # (split_w at (500, 0.32), 1.4e-14 relative), each within its new bound of
 # the 50-digit oracle; bounds moved by 0.62x to 1.0x; counts rose by
 # 311-335 at n <= 40 (the second integral) and fell at n = 300..500.
+# They were re-pinned again when e^(-x) and the binomial came to meet in the
+# extended-range kernel: values moved by 0 ulp, except 1 at (400, 0.3) and
+# 15 at (500, 0.32) for split_w; bounds by a factor 0.9957 to 1.0015.
 _PINNED_SPLIT_SUMS = [
     (trace_split_q, 2, 0.5, "0x1.2fc510cfdb188p+0", "0x1.7602304a273f0p-44", 30),
     (trace_split_w, 2, 0.5, "0x1.2fc510cfdb188p+0", "0x1.7602304a273f0p-44", 30),
     (trace_split_q, 3, 1e-06, "0x1.3c13df10d71b6p+58", "0x1.11dcafffd5310p+13", 1657),
     (trace_split_w, 3, 1e-06, "0x1.895d768c0115dp+55", "0x1.b15c3d0c5793ep+9", 1713),
-    (trace_split_q, 5, 0.01, "0x1.429b7a2285bd5p+30", "0x1.a37b0474b5b8dp-16", 1001),
-    (trace_split_w, 5, 0.01, "0x1.029f6268b733cp+24", "0x1.6d9e247a72502p-22", 1161),
-    (trace_split_q, 8, 0.001, "0x1.770d1c9ae3d62p+74", "0x1.26414cf23ee7fp+29", 1057),
-    (trace_split_w, 8, 0.001, "0x1.e90403431347ap+62", "0x1.143c621e1e5c6p+18", 1265),
+    (trace_split_q, 5, 0.01, "0x1.429b7a2285bd5p+30", "0x1.a37b0237eaaa8p-16", 1001),
+    (trace_split_w, 5, 0.01, "0x1.029f6268b733cp+24", "0x1.6db69b0322bf0p-22", 1161),
+    (trace_split_q, 8, 0.001, "0x1.770d1c9ae3d62p+74", "0x1.26414ce411eb7p+29", 1057),
+    (trace_split_w, 8, 0.001, "0x1.e90403431347ap+62", "0x1.14a7617ef2f00p+18", 1265),
     (trace_split_q, 40, 0.0001, "0x1.ba28340e945e6p+496", "0x1.314a5a497e9bbp+453", 1185),
-    (trace_split_w, 40, 0.0001, "0x1.292c20bf3cec7p+479", "0x1.254808055e862p+436", 1497),
+    (trace_split_w, 40, 0.0001, "0x1.292c20bf3cec7p+479", "0x1.25480c055e862p+436", 1497),
     (trace_split_q, 300, 0.2, "0x1.e9de8a5bf7868p+315", "0x1.3f86fce2998c1p+275", 1),
-    (trace_split_w, 300, 0.2, "0x1.148c74066a9c9p+306", "0x1.bfb8ec62abcc6p+265", 1377),
+    (trace_split_w, 300, 0.2, "0x1.148c74066a9c9p+306", "0x1.bf88ec42abcc7p+265", 1377),
     (trace_split_q, 400, 0.3, "0x1.73ca55a193bfdp+122", "0x1.50df198d153a9p+82", 1),
-    (trace_split_w, 400, 0.3, "0x1.ae828530af339p+112", "0x1.e5867338d443bp+72", 1281),
+    (trace_split_w, 400, 0.3, "0x1.ae828530af338p+112", "0x1.e4a96338d42fap+72", 1281),
     (trace_split_q, 500, 0.32, "0x1.a3e36a16d6b0dp+88", "0x1.dedaeccd32cefp+48", 1),
-    (trace_split_w, 500, 0.32, "0x1.974f87feda836p+78", "0x1.1aec3c9a7d282p+39", 1281),
+    (trace_split_w, 500, 0.32, "0x1.974f87feda845p+78", "0x1.19b6949a7d291p+39", 1281),
 ]
 
 
@@ -351,8 +355,8 @@ _BENCH_VERIFY = [(3, 0.001115), (3, 0.002859), (5, 0.00202), (8, 0.002929)]
 
 @pytest.mark.parametrize("n, t", _BENCH_VERIFY + [(n, t) for n in (2, 3, 8) for t in (0.05, 0.5, 10.0)])
 def test_direct_against_a_50_digit_oracle(n, t):
-    # every line is summed exactly, so the bound is the stop's 1e-13/2 plus
-    # each term's rounding, near (2x + 2j + 6) 2^-53 of its line
+    # every chunk of a line is summed exactly, so the bound is the stop's
+    # 1e-13/2 plus each term's rounding, near (y + 7) 2^-53 of its chunk
     got = trace_direct(n, t)
     with mp.workdps(50):
         assert abs(mp.mpf(got.value) - _oracle_trace_50(n, t)) <= got.error_bound, got
@@ -363,7 +367,7 @@ def test_direct_against_a_50_digit_oracle(n, t):
 def test_direct_where_multiplicities_or_weights_leave_the_float_range(n, t):
     # the multiplicities pass 1e308 (the trace is about e^456 at (200, 0.05))
     # and at (582, 0.4884) the weights fall below 1e-308 while the terms do
-    # not: each line is scaled by its own power of two
+    # not: each chunk of a line is formed at its own scale
     got = trace_direct(n, t)
     with mp.workdps(30):
         ref = _oracle_plain_sum(n, t, "q") + _oracle_plain_sum(n, t, "w")
@@ -375,39 +379,44 @@ def test_direct_where_multiplicities_or_weights_leave_the_float_range(n, t):
 # hyperbola order with exact line sums: the bench --verify inputs, small n over
 # three decades of t, and larger n up to the largest, where multiplicities
 # and weights leave the float range.  The rows the two tests above share were
-# taken after those held them within their bounds of the oracles.
+# taken after those held them within their bounds of the oracles.  They were
+# re-pinned when each line came to be formed in chunks, each at its scale from
+# the extended-range kernel: values moved by 0-32 ulp at n <= 53, by 83 ulp
+# at (150, 0.02), 18 at (200, 0.05), 111 at (200, 0.8) and 281 at
+# (582, 0.4884) (from 8.8e-14 to 2.9e-14 off the oracle there); bounds fell
+# by a factor 0.22 to 0.90; term counts did not move.
 _PINNED_DIRECT = [
-    (3, 0.001115, '0x1.1a8253cf4b553p+28', '0x1.831d96729c670p-17', 160650),
-    (3, 0.002859, '0x1.0b838817a4022p+24', '0x1.31018199b046ep-21', 55769),
-    (5, 0.00202, '0x1.e5a77dee63d26p+41', '0x1.be809477a0889p-3', 79417),
-    (8, 0.002929, '0x1.188261d274d9fp+62', '0x1.0e7dbecdf9ac0p+18', 49775),
-    (2, 0.05, '0x1.3f11f5226336bp+8', '0x1.50e1d039b7d85p-38', 2298),
-    (2, 0.5, '0x1.2fc510cfdb26bp+1', '0x1.7a29b1403550cp-45', 142),
-    (2, 10.0, '0x1.1b48657c9a817p-28', '0x1.956de79c5985cp-74', 3),
-    (3, 0.05, '0x1.810aa86e2b250p+11', '0x1.440fbcb477e67p-34', 2027),
-    (3, 0.5, '0x1.9a6fbb7a85d3ep+0', '0x1.e01a2011dd45cp-46', 116),
-    (3, 10.0, '0x1.d635b711e6a56p-57', '0x1.025873bf3dd7bp-101', 2),
-    (4, 0.05, '0x1.0b9f4bb2914ddp+15', '0x1.5b01ff394cdacp-30', 1919),
-    (4, 0.5, '0x1.2d80c2ac46b6ep+0', '0x1.7b0837df4165bp-46', 105),
-    (4, 10.0, '0x1.5ae191d691002p-85', '0x1.010857c20db64p-129', 2),
-    (5, 0.05, '0x1.7b82ddcc9526cp+18', '0x1.672c44897d928p-27', 1859),
-    (5, 0.5, '0x1.b3a2398d8ad9bp-1', '0x1.3b0ad76be88cap-46', 98),
-    (5, 10.0, '0x1.dfcfd257f3fb4p-114', '0x1.bf8cd15fcd595p-158', 2),
-    (6, 0.05, '0x1.0b10f8817320dp+22', '0x1.0f2ae06622637p-23', 1810),
-    (6, 0.5, '0x1.31b1558554a13p-1', '0x1.b2910be275adcp-47', 94),
-    (6, 10.0, '0x1.3e91753ae31bfp-142', '0x1.66445a91a8e7ep-186', 2),
-    (7, 0.05, '0x1.727e45c0ffdddp+25', '0x1.89755bc372afdp-20', 1771),
-    (7, 0.5, '0x1.a1e7baac6f731p-2', '0x1.a49704fe582bcp-47', 88),
-    (7, 10.0, '0x1.9b45b45153e6cp-171', '0x1.0ebab9a1b0982p-214', 2),
-    (8, 0.05, '0x1.fa3be93d9146fp+28', '0x1.c581c132d038ep-16', 1731),
-    (8, 0.5, '0x1.17a9500eb9417p-2', '0x1.23347ef2121b4p-47', 86),
-    (8, 10.0, '0x1.040f107dc64e0p-199', '0x1.874bc01a3f0cep-243', 2),
-    (30, 0.05, '0x1.65bc01164952fp+102', '0x1.251c0d8f8d9d4p+58', 1319),
-    (53, 0.01, '0x1.10294bcc4a32bp+304', '0x1.7e9104cdc256ap+259', 6450),
-    (150, 0.02, '0x1.6d5c019ff01c2p+699', '0x1.1512e879a24fdp+656', 6467),
-    (200, 0.05, '0x1.89734b8fb700bp+657', '0x1.70b0ce958fcb0p+614', 3160),
-    (200, 0.8, '0x1.4845f3c4fb2b6p-387', '0x1.5babf9e7648f0p-429', 125),
-    (582, 0.4884, '0x1.12257eda8be87p-413', '0x1.0f686a1119f2ap-454', 552),
+    (3, 0.001115, '0x1.1a8253cf4b553p+28', '0x1.54920abc67cccp-17', 160650),
+    (3, 0.002859, '0x1.0b838817a4022p+24', '0x1.054c6bff5b385p-21', 55769),
+    (5, 0.00202, '0x1.e5a77dee63d26p+41', '0x1.911b90a050f63p-3', 79417),
+    (8, 0.002929, '0x1.188261d274d9fp+62', '0x1.e080fe33b98a2p+17', 49775),
+    (2, 0.05, '0x1.3f11f5226336bp+8', '0x1.ded7b15df11f4p-39', 2298),
+    (2, 0.5, '0x1.2fc510cfdb26bp+1', '0x1.13f85d13dff84p-45', 142),
+    (2, 10.0, '0x1.1b48657c9a81dp-28', '0x1.aa9e3231183acp-76', 3),
+    (3, 0.05, '0x1.810aa86e2b250p+11', '0x1.05a510c08691dp-34', 2027),
+    (3, 0.5, '0x1.9a6fbb7a85d3ep+0', '0x1.49480d127fee0p-46', 116),
+    (3, 10.0, '0x1.d635b711e6a5ap-57', '0x1.f5d8d8b25b1fap-104', 2),
+    (4, 0.05, '0x1.0b9f4bb2914dep+15', '0x1.2d037bdf39272p-30', 1919),
+    (4, 0.5, '0x1.2d80c2ac46b6ep+0', '0x1.f644afa21bb14p-47', 105),
+    (4, 10.0, '0x1.5ae191d691015p-85', '0x1.df091af4d2671p-132', 2),
+    (5, 0.05, '0x1.7b82ddcc9526cp+18', '0x1.21d6fc8c9fd66p-27', 1859),
+    (5, 0.5, '0x1.b3a2398d8ad9ap-1', '0x1.acdcaceb904c9p-47', 98),
+    (5, 10.0, '0x1.dfcfd257f3faap-114', '0x1.96fe291da80a7p-160', 2),
+    (6, 0.05, '0x1.0b10f8817320dp+22', '0x1.b7907dacef8c5p-24', 1810),
+    (6, 0.5, '0x1.31b1558554a15p-1', '0x1.14d848f213f18p-47', 94),
+    (6, 10.0, '0x1.3e91753ae31c8p-142', '0x1.409172e2fe847p-188', 2),
+    (7, 0.05, '0x1.727e45c0ffddcp+25', '0x1.3eb1d72169fd1p-20', 1771),
+    (7, 0.5, '0x1.a1e7baac6f731p-2', '0x1.324a88f60b383p-47', 88),
+    (7, 10.0, '0x1.9b45b45153e8cp-171', '0x1.def9e777f2a2bp-217', 2),
+    (8, 0.05, '0x1.fa3be93d9146ep+28', '0x1.8e2bc31b30d24p-16', 1731),
+    (8, 0.5, '0x1.17a9500eb9416p-2', '0x1.9e2a15a9235ebp-48', 86),
+    (8, 10.0, '0x1.040f107dc64c8p-199', '0x1.582044fa6f176p-245', 2),
+    (30, 0.05, '0x1.65bc01164952cp+102', '0x1.bc3e4ab253699p+57', 1319),
+    (53, 0.01, '0x1.10294bcc4a322p+304', '0x1.e6771d3cc8dcep+258', 6450),
+    (150, 0.02, '0x1.6d5c019ff0215p+699', '0x1.6291f52ec831dp+655', 6467),
+    (200, 0.05, '0x1.89734b8fb701dp+657', '0x1.b4ea10f6df55ap+613', 3160),
+    (200, 0.8, '0x1.4845f3c4fb247p-387', '0x1.d55792f137439p-431', 125),
+    (582, 0.4884, '0x1.12257eda8bfa0p-413', '0x1.5f5ae1b96a435p-456', 552),
 ]
 
 
@@ -580,14 +589,26 @@ def test_heat_answers_inside_its_interval_and_names_it_outside(n, t):
         assert got.error_bound <= 1e-11 * got.value, (which, got)
     if n >= 200:
         # the direct sum: its multiplicities pass 1e308 and, near the upper
-        # end, its weights fall below the normal floats; neither is an error.
-        # Past n = 640 its bound books an underflow allowance per line that
-        # can pass the value itself (8e13 times it at n = 748), so there it is
-        # held only to cover its error
+        # end, its line's weights span more than the float range; neither is
+        # an error.  Each chunk of a line keeps its weights normal, so the
+        # bound stays near the rounding at every n, 748 included
         direct = trace_direct(n, t)
         assert abs(mp.mpf(direct.value) - refs["q"] - refs["w"]) <= direct.error_bound
-        if n <= 640:
-            assert direct.error_bound <= 1e-11 * direct.value, direct
+        assert direct.error_bound <= 1e-11 * direct.value, direct
+
+
+@pytest.mark.parametrize("n, t", [(700, 0.25), (748, 0.2474)])
+def test_direct_at_the_largest_n_against_a_50_digit_sum(n, t):
+    # a line's weights span more than the float range here; formed in chunks
+    # at their own scales, the direct sum is within 1e-12 of the value (it was
+    # off by 3.5e-13 and 4.1e-9 when subnormal weights met multiplicities up
+    # to 2^960) and its bound within 1e-11
+    direct = trace_direct(n, t)
+    with mp.workdps(50):
+        ref = _oracle_plain_sum(n, t, "q", dps=50) + _oracle_plain_sum(n, t, "w", dps=50)
+        assert abs(mp.mpf(direct.value) - ref) <= 1e-12 * ref
+        assert abs(mp.mpf(direct.value) - ref) <= direct.error_bound
+    assert direct.error_bound <= 1e-11 * direct.value
 
 
 def test_scale_by_t_power_names_a_product_outside_the_normal_floats():

@@ -20,6 +20,8 @@ from kohnspec.special_functions import (
     folded_power,
     integrate_decaying,
     log1mexp2,
+    scaled_product,
+    scaled_rational,
     zeta_even,
 )
 
@@ -239,15 +241,18 @@ def test_integral_routes_are_pinned(route, n, value, bound, nodes):
 # by 12-36% (at n = 40 to 1.3e-4 and 6.8e-9 of the integrals, still above
 # those errors), when the rounding came to be booked at each panel's own
 # eval_rel(b) rather than at eval_rel(T): the phase's share grows with x.
+# The values were re-pinned when e^(pi |im q|) and the binomial's divisions
+# came to meet in the extended-range kernel: 1-4 ulp in either part; the
+# estimates and node counts did not move.
 _PINNED_CONTINUATION = [
     ("stanton_coefficient", 10, 1.3 + 0.7j,
-     "-0x1.2f29993125315p-34", "0x1.f788ae7678368p-35", "0x1.1eae9f0e31cb4p-33", 384),
+     "-0x1.2f29993125314p-34", "0x1.f788ae7678366p-35", "0x1.1eae9f0e31cb4p-33", 384),
     ("continued_coefficient", 10, 1.3 + 0.7j,
-     "-0x1.384037ffebfd2p-40", "-0x1.f798cf0adcfa4p-38", "0x1.54252849b7572p-39", 384),
+     "-0x1.384037ffebfcep-40", "-0x1.f798cf0adcfa2p-38", "0x1.54252849b7572p-39", 384),
     ("stanton_coefficient", 40, 2 + 3j,
-     "0x1.95a49695686e2p-262", "-0x1.961bb0e245c71p-264", "0x1.d99761b1c72abp+65", 1824),
+     "0x1.95a49695686e6p-262", "-0x1.961bb0e245c73p-264", "0x1.d99761b1c72abp+65", 1824),
     ("continued_coefficient", 40, 2 + 3j,
-     "0x1.b5b1e8bc7619ap-268", "0x1.7e436c866f75fp-266", "0x1.88588e2c213bep+46", 1144),
+     "0x1.b5b1e8bc7619dp-268", "0x1.7e436c866f763p-266", "0x1.88588e2c213bep+46", 1144),
 ]
 
 
@@ -313,8 +318,8 @@ _KERNEL_X = [10.0 ** (k / 2) for k in range(-20, 8)]  # 1e-10 .. 3162, log-space
 def test_folded_kernels_against_mpmath():
     # Both kernels for m = 1..145, a few rates and log-spaced x, wherever their
     # values lie within e^(+-700): the plain product and the one-power path
-    # alike within (4m + 2 (|rate| + 2) x + 16) U, which counts the m-th power
-    # of a base rounded four times and the rounding of the exponent -rate x.
+    # alike within (4m + 2 (|rate| + 2) x + 16) U, an envelope of folded_power's
+    # stated (2m + 5) U, h's rounding and the rounding of the exponent -rate x.
     # Past e^710 (beyond the largest float) each raises OverflowError instead.
     # The reference builds the powers by exact-enough products at 320 digits
     # and E^(-m) - 1 by expm1 and log1p, which stay accurate as E -> 1.
@@ -448,3 +453,105 @@ def test_abel_plana_tail_raises_where_its_bound_is_not_finite(a, largest_bound):
     # an integral whose bound is past the float range makes the bound inf; it is not returned
     with pytest.raises(ConvergenceError, match="error bound is inf"):
         _tail_of_inverse_square(a, math.inf)
+
+
+# The extended-range kernel against 50-digit mpmath.
+
+
+def _rel_error(got, want) -> float:
+    with mp.workdps(50):
+        return float(abs(mp.mpmathify(got) - want) / abs(want))
+
+
+@pytest.mark.parametrize("size", [1e200, 1e-200, 3e150 + 4e150j, 1e-150 - 2e-150j])
+def test_kernel_products_whose_partial_products_pass_the_float_range(size):
+    # 40 factors of modulus ~1e200 (or 1e-200) and 40 divisors of the same:
+    # the partial products reach 1e+-8000, the value is near 1, and each
+    # factor or divisor rounds once (3 U where complex)
+    factors = [size * (1.0 + i / 97.0) for i in range(40)]
+    divisors = [size * (1.0 + i / 89.0) for i in range(40)]
+    got = scaled_product(factors, divisors, start=(complex(1.5), 0) if isinstance(size, complex) else (1.5, 0))
+    with mp.workdps(50):
+        want = mp.mpf(1.5) * mp.fprod(mp.mpmathify(f) for f in factors) / mp.fprod(mp.mpmathify(d) for d in divisors)
+    per_step = 3 if isinstance(size, complex) else 1
+    assert _rel_error(got, want) <= (80 * per_step + 1) * U
+
+
+@pytest.mark.parametrize("x", [-1e4, -3000.5, -745.2, -200.0, -0.3, 0.7, 150.0, 700.1, 3000.5, 1e4])
+def test_kernel_exponential_factors_at_any_size(x):
+    # e^x enters as 2^k e^r, r against the two-part ln 2: about 2 U at any |x|
+    # for an exact x (these are); factors of 1e-+300 bring the value near 1,
+    # one rounding each
+    count = round(abs(x) / 690.0)
+    factor = 1e-300 if x > 0 else 1e300
+    with mp.workdps(50):
+        want = mp.exp(mp.mpf(x)) * mp.mpf(factor) ** count
+        got = scaled_product([factor] * count, exp=x)
+        assert _rel_error(got, want) <= (count + 3) * U
+        # a complex exponent rotates the mantissa
+        want = mp.exp(mp.mpc(x, 2.0)) * mp.mpf(factor) ** count
+        got = scaled_product([factor] * count, exp=complex(x, 2.0))
+        assert _rel_error(got, want) <= (3 * count + 8) * U
+
+
+def test_kernel_limits_of_its_exponent():
+    assert scaled_product(exp=-(2.0**18)) == 0.0
+    assert scaled_product(exp=-(2.0**19)) == 0.0
+    with pytest.raises(OverflowError):
+        scaled_product(exp=2.0**18)
+    with pytest.raises(OverflowError, match="past the extended range"):
+        scaled_product(exp=2.0**19)
+    with pytest.raises(OverflowError):
+        scaled_product((1e300, 1e300, 1e300))  # the value passes the largest float
+
+
+def test_kernel_rational_entry_rounds_once():
+    for num, den in [(1, 3), (10**400, 7), (3, 10**400), (2**600 + 1, 3**300)]:
+        mantissa, exponent = scaled_rational(num, den)
+        with mp.workdps(50):
+            want = mp.mpf(num) / den / mp.mpf(2) ** exponent
+            assert abs(mp.mpf(mantissa) - want) <= U * want
+        assert exponent == 0 or 0.5 <= mantissa < 2.0
+
+
+@pytest.mark.parametrize("m", [20, 82, 145])
+def test_folded_power_one_power_path_within_its_rounding(m):
+    # rate x >= 700 takes the one-power path: f^m with x/E = f 2^e times e^(-rate x)
+    # through the kernel; the plain path's (2m + 5) U holds there too (it
+    # erred by up to 1 322 U when it raised (x/E) e^(-rate x / m) to the m-th power)
+    worst = 0.0
+    for x in (350.0, 360.5, 400.25, 512.0, 700.0, 1000.5, 2000.0):
+        with mp.workdps(50):
+            xm = mp.mpf(x)
+            want = (xm / -mp.expm1(-2 * xm)) ** m * mp.exp(-2 * xm)
+        if want < mp.mpf(2.0**-1022):
+            continue
+        worst = max(worst, _rel_error(folded_power(x, m, 2.0), want) / U)
+    assert 0 < worst <= 2 * m + 5
+
+
+def test_scale_by_t_power_near_the_lowest_t_at_the_largest_n():
+    # at n = 748 near supported_t's lower end t^n is about 2^-1508, far below
+    # the floats, while its product with a total near 1e300 is not: f^n
+    # (t = f 2^e) is a normal float and the exponents add in the kernel
+    from kohnspec.errors import MAX_N
+    from kohnspec.heat_trace import scale_by_t_power, supported_t
+
+    n = MAX_N["heat"][0]
+    low, _ = supported_t(n)
+    for t in (low, low * (1 + 1e-4)):
+        for total in (3.0e300, 1.2345e290):
+            with mp.workdps(50):
+                want = mp.mpf(t) ** n * mp.mpf(total)
+            assert _rel_error(scale_by_t_power(n, t, total), want) <= 4 * U
+
+
+def test_pole_term_on_the_strip_grid():
+    # binom(m, q) / m! from Euler's reflection formula, e^(pi |im q|) and the
+    # divisions in the kernel: within 8.6e-15 of 50-digit mpmath at n <= 82
+    for n in (3, 4, 10, 40, 60, 82):
+        m = n - 1
+        for q in (0.5 + 0.5j, 2 + 3j, 0.05, m - 0.05, 1, 2, -0.5 + 0.3j, -0.9, m / 2 + 1j, m - 0.5 + 2j):
+            with mp.workdps(50):
+                want = mp.binomial(m, mp.mpc(q)) * mp.mpc(q) ** (-n) / (mp.factorial(m) * n * mp.mpf(2) ** n)
+            assert _rel_error(continuation.pole_term(continuation.StripPoint(n, q)), want) <= 8.6e-15, (n, q)
