@@ -32,7 +32,6 @@ from functools import partial
 from .errors import DEFAULT_NODE_CAP, ConvergenceError, check_n
 from .special_functions import (
     HEAD_TERMS,
-    PiMultiple,
     U,
     abel_plana_tail,
     folded_excess,
@@ -78,7 +77,8 @@ class ZetaCombination:
 
     def value(self) -> float:
         # each term's rational part, scale included, rounds once
-        return math.fsum(PiMultiple(self.scale * c * zeta_even(k).rational, k).value for c, k in self.terms)
+        num, den = self.scale.numerator, self.scale.denominator
+        return math.fsum(zeta_even(k).times(c * num, den) for c, k in self.terms)
 
     def __str__(self) -> str:
         body = " + ".join(f"{c}*zeta({k})" for c, k in self.terms)

@@ -94,10 +94,11 @@ def _reciprocal_gammas(m: int, q: complex, *divisors: float | complex) -> comple
     With k the integer in [0, m] nearest re q and u = q - k, Euler's
     reflection Gamma(1+u) Gamma(1-u) = pi u / sin(pi u) leaves the finite
     product sinc(u) / (prod_{i<k} (q - i) prod_{k<i<=m} (i - q)): no log-gamma,
-    the integer binomial's factors at integer q, none vanishing on the strip
-    -1 < re q < m.  sin(pi u) is e^L, L = pi |im q| carried past float
-    precision, times a bounded factor; e^L and the divisions meet in the
-    extended-range kernel: OverflowError only where the value passes the floats.
+    exactly the integer binomial's factors at integer q, and no factor vanishes
+    on the strip -1 < re q < m.  sin(pi u) is e^L times a bounded factor,
+    L = pi |im q| carried past float precision, and e^L and the divisions meet
+    in the extended-range kernel, so OverflowError only where the value passes
+    the float range.
     """
     j = round(q.real)
     k = min(max(j, 0), m)
@@ -105,17 +106,18 @@ def _reciprocal_gammas(m: int, q: complex, *divisors: float | complex) -> comple
     x, y = q.real - j, abs(q.imag)  # sin(pi u) = (-1)^(j-k) sin(pi (x + i im q))
     big_l = math.pi * y
     # the rounding of math.pi * y, exactly, plus (pi - math.pi) y
-    small_l = float(Fraction(math.pi) * Fraction(y) - Fraction(big_l)) + PI_LO * y
+    small_l = float(Fraction(math.pi) * Fraction(y) - Fraction(big_l))
+    small_l += PI_LO * y
     t = -math.expm1(-2.0 * big_l)  # 1 - e^(-2L)
     bounded = complex(
         math.sin(math.pi * x) * (2.0 - t), math.copysign(math.cos(math.pi * x) * t, q.imag)
     )
     value = (-0.5 if (j - k) % 2 else 0.5) * bounded / (math.pi * u) if u else complex(1.0)
-    try:  # e^small_l is 1 + small_l to within small_l^2 < 1e-20
+    try:  # e^small_l is 1 + small_l to within small_l^2 < 1e-20; + 0j clears a -0 part
         return scaled_product(
             divisors=(*(q - i for i in range(k)), *(i - q for i in range(k + 1, m + 1)), *divisors),
             exp=big_l, start=(value * (1.0 + small_l), 0),
-        )
+        ) + 0j
     except OverflowError:
         raise OverflowError(f"1/(Gamma(q+1) Gamma({m}-q+1)) at q = {q} leaves the float range") from None
 

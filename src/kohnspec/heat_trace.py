@@ -7,17 +7,21 @@ splits, via the two-term multiplicity split, into two single sums:
     split_w:  sum_{w >= n-1} binom(w-1, n-2)  * s       / (1 - s)^n,  s = exp(-2tw)
 
 (p has been summed in closed form in each piece; w = p + n - 1 in the
-second).  The direct double sum over exact multiplicities is kept as an
-independent cross-check; its number of terms grows like (1/t) log(1/t).
+second).  The direct double sum is kept as an independent cross-check; it
+forms every term, its multiplicity from one exact table A[k] = binom(n+k-1, k)
+as A[p] A[q] - A[p-1] A[q-1], in Dirichlet's hyperbola order, and its number
+of terms grows like (1/t) log(1/t).
 
 Every sum here stops on one rule: its tail below _REL_TOL times its own
 partial sum, which, as a sum of positive terms, is a lower bound of the value
 (a split tail integral may take its largest term instead, a lower bound too).
 
 Both split sums go through one helper, _split_sum, at a cost bounded by n
-and log(1/t): an exact head, stopped by a geometric tail bound at large t,
-else from a = start + HEAD_TERMS on the midpoint Abel-Plana sum
-(special_functions.abel_plana_tail), with c = a - 1/2,
+and log(1/t).  It adds the first HEAD_TERMS terms exactly (math.fsum).  If
+a geometric tail bound certifies the rest before then (large t), it stops
+there; terms that at least halve per index are summed on until it does.
+Otherwise the tail from a = start + HEAD_TERMS on is the midpoint Abel-Plana
+sum (special_functions.abel_plana_tail), with c = a - 1/2,
 
     integral_c^inf f(x) dx + 2 Im integral_0^inf f(c + iy) / (e^(2 pi y) + 1) dy,
 
@@ -29,6 +33,11 @@ estimates, plus a first-order bound on floating-point rounding.
 
 Every sum needs t > 0 and the trace and the numbers that form it inside the
 normal floats, nothing more: supported_t gives that interval of t for each n.
+
+Denominators 1 - exp(-2tq) are formed with expm1, also at complex
+arguments, so the small-t limit (t/(1 - e^(-at)))^n -> a^(-n) survives in
+floating point; that is what makes the scaled trace t**n * G(t) stable down
+to the lower end of that interval.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from operator import add
 from typing import Callable
 
 from .combinatorics import multichoose_table
@@ -147,34 +157,35 @@ def _validate(n: int, t: float) -> None:
     raise ValueError(f"heat at n = {n}, t = {t}: {reason}; {supported}")
 
 
-def _term_function(n: int, t: float, offset: int, rate: float) -> Callable:
-    """z -> binom(z + offset, n - 2) e^(-rate z) / (1 - e^(-2tz))^n, for int, real or complex z, Re z > 0.
+def _term_functions(n: int, t: float, offset: int, rate: float) -> tuple[Callable, Callable]:
+    """(exact, term): z -> binom(z + offset, n - 2) e^(-rate z) / (1 - e^(-2tz))^n, Re z > 0.
 
-    The binomial, exact for an int z, else 1/(n-2)! times the z + offset - i
-    over i < n - 2, meets e^(-rate z) in the extended-range kernel
+    exact takes an int z and its binomial exactly; term takes a real or
+    complex z, the binomial as 1/(n-2)! times the z + offset - i over
+    i < n - 2.  Either meets e^(-rate z) in the extended-range kernel
     (special_functions.scaled_product): no partial product leaves the floats
-    where the term does not.  1 - e^(-2tz) comes from expm1, also at complex z,
-    so the small-t limit (t/(1 - e^(-at)))^n -> a^(-n) survives.
+    where the term does not.
     """
-    k, neg_rate, neg_t2, expm1 = n - 2, -rate, -2.0 * t, math.expm1
+    k, neg_rate, neg_t2 = n - 2, -rate, -2.0 * t
+    exp, expm1, sin, cos, repeat = math.exp, math.expm1, math.sin, math.cos, itertools.repeat
     inverse_factorial = scaled_rational(1, math.factorial(k))
     shifts = [float(offset - i) for i in range(k)]
-    many = k > 8  # a list comprehension costs a frame, map a call per factor
+
+    def exact(i: int) -> float:
+        binom = scaled_product((), (), neg_rate * i, scaled_rational(math.comb(i + offset, k)))
+        return binom / (-expm1(neg_t2 * i)) ** n
 
     def term(z):
         y = neg_t2 * z
-        if isinstance(z, int):
-            binom = scaled_product(exp=neg_rate * z, start=scaled_rational(math.comb(z + offset, k)))
-        else:
-            factors = [z + shift for shift in shifts] if many else map(z.__add__, shifts)
-            binom = scaled_product(factors, exp=neg_rate * z, start=inverse_factorial)
-            if isinstance(z, complex):
-                # 1 - e^y = 2 sin^2(Im y / 2) - expm1(Re y) cos(Im y) - i e^(Re y) sin(Im y)
-                real = 2.0 * math.sin(0.5 * y.imag) ** 2 - expm1(y.real) * math.cos(y.imag)
-                return binom / complex(real, -math.exp(y.real) * math.sin(y.imag)) ** n
+        binom = scaled_product(map(add, repeat(z), shifts), (), neg_rate * z, inverse_factorial)
+        if isinstance(z, complex):
+            # 1 - e^y = 2 sin^2(Im y / 2) - expm1(Re y) cos(Im y) - i e^(Re y) sin(Im y)
+            half = sin(0.5 * y.imag)
+            real = 2.0 * half * half - expm1(y.real) * cos(y.imag)
+            return binom / complex(real, -exp(y.real) * sin(y.imag)) ** n
         return binom / (-expm1(y)) ** n
 
-    return term
+    return exact, term
 
 
 def _eval_rel(n: int, x: float) -> float:
@@ -188,10 +199,16 @@ def _eval_rel(n: int, x: float) -> float:
 
 
 def _split_sum(
-    label: str, n: int, t: float, term: Callable, start: int, shifts: tuple[int, int], rate: float,
+    label: str,
+    n: int,
+    t: float,
+    terms: tuple[Callable, Callable],
+    start: int,
+    shifts: tuple[int, int],
+    rate: float,
     node_cap: int,
 ) -> HeatTraceSample:
-    """sum_{k >= start} term(k): exact head plus Abel-Plana tail.
+    """sum_{k >= start} term(k), terms = (term at an int, term): exact head plus Abel-Plana tail.
 
     rate is the decay rate of the term in k; rho(k) = ((k + alpha)/(k + beta))
     e^(-rate), with (alpha, beta) = shifts, decreases in k and bounds every
@@ -204,19 +221,23 @@ def _split_sum(
     rho(k) < 1, about the largest, whichever is larger; the stated rounding
     of a term at modulus r is _eval_rel(n, rate r).
 
-    The head has at most max(HEAD_TERMS, 2n + 110) terms: where
-    e^(-rate) <= 1/2, rho <= 3/4 from the (2n-4)-th term on, and 108 terms
-    later the tail bound is below _REL_TOL times that term.  The tail adds one
-    term and the two integrals' nodes, each at most node_cap (ConvergenceError
-    past it); the first integral's geometric panels grow like log2(1/t).
+    n bounds the work; t enters only the integrals'.  The head has at most
+    max(HEAD_TERMS, 2n + 110) terms: where e^(-rate) <= 1/2, rho <= 3/4
+    from the (2n-4)-th term of either sum on, and 108 terms later the tail
+    bound is below _REL_TOL times that term, which partial holds.  The tail
+    adds one term and the two integrals' nodes, each at most node_cap
+    (ConvergenceError past it).  The first integral's geometric panels, about
+    log2(1/t), take both sums from 3 410 evaluations at (n, t) = (2, 1e-6)
+    to 50 194 at 6e-154.
     """
+    exact, term = terms
     alpha, beta = shifts
     decay = math.exp(-rate)
     head = []
     partial = 0.0
     a = start + HEAD_TERMS
     for k in range(start, a if rate < math.log(2.0) else sys.maxsize):
-        value = term(k)
+        value = exact(k)
         head.append(value)
         partial += value
         rho = ((k + alpha) / (k + beta)) * decay
@@ -257,8 +278,16 @@ def trace_split_q(n: int, t: float, *, node_cap: int = DEFAULT_NODE_CAP) -> Heat
     tail integral would need more than node_cap nodes.
     """
     _validate(n, t)
-    rate = 2.0 * t * (n - 1)
-    return _split_sum("split_q", n, t, _term_function(n, t, n - 2, rate), 1, (n - 1, 1), rate, node_cap)
+    return _split_sum(
+        "split_q",
+        n,
+        t,
+        _term_functions(n, t, n - 2, 2.0 * t * (n - 1)),
+        1,
+        (n - 1, 1),
+        2.0 * t * (n - 1),
+        node_cap,
+    )
 
 
 def trace_split_w(n: int, t: float, *, node_cap: int = DEFAULT_NODE_CAP) -> HeatTraceSample:
@@ -268,10 +297,24 @@ def trace_split_w(n: int, t: float, *, node_cap: int = DEFAULT_NODE_CAP) -> Heat
     rho(w) = (w/(w-n+2)) * exp(-2t) and decay rate 2t.
     """
     _validate(n, t)
-    return _split_sum("split_w", n, t, _term_function(n, t, -1, 2.0 * t), n - 1, (0, 2 - n), 2.0 * t, node_cap)
+    return _split_sum(
+        "split_w",
+        n,
+        t,
+        _term_functions(n, t, -1, 2.0 * t),
+        n - 1,
+        (0, 2 - n),
+        2.0 * t,
+        node_cap,
+    )
 
 
-def trace_direct(n: int, t: float, *, term_cap: int = DEFAULT_TERM_CAP) -> HeatTraceSample:
+def trace_direct(
+    n: int,
+    t: float,
+    *,
+    term_cap: int = DEFAULT_TERM_CAP,
+) -> HeatTraceSample:
     """The raw double sum over (q, w = p + n - 1), exact multiplicities, as a cross-check.
 
     Every term is formed from its multiplicity A[p] A[q] - A[p-1] A[q-1] (one
@@ -302,7 +345,7 @@ def trace_direct(n: int, t: float, *, term_cap: int = DEFAULT_TERM_CAP) -> HeatT
     subnormal (only where s > 0).  The bound is the tails, the corner,
     (y + 7) U of each chunk for its last y, (length + 1) 2^(s+k-1073) per
     chunk, 2^k <= e^(-2t x0) (at least 2^-1073, for scaling it back), and U
-    of the total.
+    of the total.  The number of terms grows like (1/t) log(1/t).
     """
     _validate(n, t)
     t2, ln2 = 2.0 * t, math.log(2.0)

@@ -55,15 +55,20 @@ class PiMultiple:
 
     @property
     def value(self) -> float:
-        # the rational part rounds once; pi^k = math.pi^k e^(k PI_LO / math.pi) to first order
-        k, start = self.pi_power, scaled_rational(self.rational.numerator, self.rational.denominator)
+        return self.times(1)
+
+    def times(self, num: int, den: int = 1) -> float:
+        """The value times num/den > 0, the rational part rounded once."""
+        rational = self.rational
+        k, start = self.pi_power, scaled_rational(num * rational.numerator, den * rational.denominator)
+        # pi^k = math.pi^k e^(k PI_LO / math.pi) to first order
         return scaled_product((math.pi**k, math.exp(k * (PI_LO / math.pi))), start=start)
 
 
 # The extended-range kernel.  Cody and Waite's two-part ln 2, as in fdlibm's
 # exp: _LN2_HI has 32 significant bits, so k * _LN2_HI is exact for |k| < 2^21.
 _LN2, _LN2_HI, _LN2_LO = math.log(2.0), 6.93147180369123816490e-01, 1.90821492927058770002e-10
-_BAND = (2.0**-480, 2.0**480)  # the mantissas' band
+_LOW, _HIGH = 2.0**-480, 2.0**480  # the mantissas' band
 
 
 def scaled_product(factors=(), divisors=(), exp=0.0, start=(1.0, 0)) -> float | complex:
@@ -72,38 +77,34 @@ def scaled_product(factors=(), divisors=(), exp=0.0, start=(1.0, 0)) -> float | 
     The extended-range kernel (Smith, Lozier and Olver, ACM TOMS 7, 1981), a
     float or complex mantissa with an int exponent: e^exp enters as 2^k e^r,
     r = exp - k ln 2 against the two-part ln 2 (Cody and Waite, Software Manual
-    for the Elementary Functions, 1980), k = 0 for |Re exp| < 88.  Each factor
-    multiplies, each divisor divides, and a mantissa leaving 2^(+-480) returns
-    to [1/2, 1) by an exact power of two: one comparison per factor.  Factors
-    and divisors lie within 2^(+-540), m within 2^(+-800) if exp is given.
-    Rounding, relative: U = 2^-53 per real factor or divisor, 3 U per complex
-    one, the rounding of exp plus 2 U for e^exp, nothing for the scalings
-    unless the value is subnormal (2^-1075 absolute per part).  OverflowError
-    past the largest float; 0 for Re exp <= -2^19.
+    for the Elementary Functions, 1980), k = 0 for |Re exp| < 88.  A mantissa
+    that has left 2^(+-480) returns to [1/2, 1) by an exact power of two
+    before the next factor multiplies or divisor divides: one comparison per
+    factor.  Factors and divisors lie within 2^(+-540), m within 2^(+-800) if
+    exp is given.  Rounding, relative: U = 2^-53 per real factor or divisor,
+    3 U per complex one, the rounding of exp plus 2 U for e^exp, nothing for
+    the scalings unless the value is subnormal (2^-1075 absolute per part).
+    OverflowError past the largest float; 0 for Re exp <= -2^19.
     """
     mantissa, exponent = start
     if exp:
-        re, k = exp.real, 0
+        re = exp.real
         if not -88.0 < re < 88.0:
             if not -(2.0**19) < re < 2.0**19:  # past it k * _LN2_HI may round; e^exp is 2^(+-756 000)
                 if re > 0.0:
                     raise OverflowError(f"e^{re:.6g} is past the extended range")
                 return 0.0 * mantissa
             k = round(re / _LN2)
-            re = (re - k * _LN2_HI) - k * _LN2_LO
-        mantissa *= cmath.exp(complex(re, exp.imag)) if isinstance(exp, complex) else math.exp(re)
-        exponent += k
-    low, high = _BAND
-    if not low <= abs(mantissa) <= high:
-        mantissa, exponent = _renormalised(mantissa, exponent)
+            exp, exponent = (exp - k * _LN2_HI) - k * _LN2_LO, exponent + k
+        mantissa *= cmath.exp(exp) if exp.__class__ is complex else math.exp(exp)
     for factor in factors:
+        if not _LOW <= abs(mantissa) <= _HIGH:
+            mantissa, exponent = _renormalised(mantissa, exponent)
         mantissa *= factor
-        if not low <= abs(mantissa) <= high:
-            mantissa, exponent = _renormalised(mantissa, exponent)
     for divisor in divisors:
-        mantissa /= divisor
-        if not low <= abs(mantissa) <= high:
+        if not _LOW <= abs(mantissa) <= _HIGH:
             mantissa, exponent = _renormalised(mantissa, exponent)
+        mantissa /= divisor
     return _ldexp(mantissa, exponent) if exponent else mantissa
 
 

@@ -383,19 +383,19 @@ def test_out_that_cannot_be_written_exits_1_naming_it(capsys, tmp_path, where, r
 # trace and abs_diff built from them; the direct sum did not move.
 # The stanton, coeff and heat entries were re-pinned when one extended-range
 # kernel came to keep every product in range: f, g and pole moved by 1-4 ulp
-# (the pole's zero imaginary part at q = -0.5 is -0 again, as the kernel
-# scales by exact powers of two), and residual and coeff_check with
-# them; series-zeta's c(3) moved by 1 ulp, its bound with it, and its
-# differences from the other routes fell from 1.39e-17 to 0; direct_bound
-# fell from 1.529e-12 to 1.189e-12 at t = 0.1 and from 4.198e-14 to
-# 3.064e-14 at t = 0.5, as each chunk now books (y + 7) U.
+# (the pole's zero imaginary part at q = -0.5 still prints 0, not -0), and
+# residual and coeff_check with them; series-zeta's c(3) moved by 1 ulp, its
+# bound with it, and its differences from the other routes fell from
+# 1.39e-17 to 0; direct_bound fell from 1.529e-12 to 1.189e-12 at t = 0.1
+# and from 4.198e-14 to 3.064e-14 at t = 0.5, as each chunk now books
+# (y + 7) U.
 _PINNED_STDOUT = {
     ("count --n 2 --lambda 30 --modes", "table"): "4668eb09ca029bc9831c05082d204f9bb883fb887e50f4fdada9666bbc573c11",
     ("count --n 2 --lambda 30 --modes", "csv"): "2a0f85bf31c828b40b8fba7fb840ef552639453df90a74105d7a57d27b7b6139",
     ("count --n 2 --lambda 30 --modes", "json"): "3de400241d70fc266542d9716ddad09f02ce5842ef2e0c5a9bdb0476e6ba458a",
-    ("stanton --n 3 --grid=-0.5:1.5:5", "table"): "e9dc844a2994ccd48b2bd1a10859b152147194eb5feaafadbb226469a3aa6929",
-    ("stanton --n 3 --grid=-0.5:1.5:5", "csv"): "79527074805dcd9c3dcf4616018eae9c78cd9d732defb531b9f6c9e55e56f6c7",
-    ("stanton --n 3 --grid=-0.5:1.5:5", "json"): "5e438b52fbddcbc43ea6ef0d5884f42d38bb6c427ad4b076272ea8d793e6cec9",
+    ("stanton --n 3 --grid=-0.5:1.5:5", "table"): "8833a2971538a791da532608ec03f9389db3b724047ad220ff61483626d2a3c7",
+    ("stanton --n 3 --grid=-0.5:1.5:5", "csv"): "b5cead1bdd11715c90f8f67a5dd7c21015dd740474a1a7abf14edeaf7e18042f",
+    ("stanton --n 3 --grid=-0.5:1.5:5", "json"): "129b60ee3ec6f307ba0bfe30e2683e0ff5835971b2bb7b40b5cb1f8f623425fd",
     ("coeff --n 3 --method all", "table"): "45f540693494c45e08ec75a8916802e7945fa6b627a053c2420f5d1c240389a4",
     ("coeff --n 3 --method all", "csv"): "f8a6ac936910beacc6f1a4550f27a95d40c1e380b7d75219d1b6857fa36382e3",
     ("coeff --n 3 --method all", "json"): "262453c70b3f9a1dbde1ca3b6366bed7075f78581c3d07990042e1d89ad84c8b",

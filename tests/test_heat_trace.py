@@ -10,7 +10,7 @@ from kohnspec.coefficients import series_zeta
 from kohnspec.combinatorics import dim_hpq
 from kohnspec.errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, MAX_N, ConvergenceError
 from kohnspec.heat_trace import (
-    _term_function,
+    _term_functions,
     scale_by_t_power,
     scaled_trace,
     supported_t,
@@ -170,8 +170,8 @@ def test_scaled_trace_approaches_its_limit():
 def test_split_q_term_stable_at_tiny_t():
     # e^(-2t)/(1 - e^(-2t))^2 ~ 1/(2t)^2; the expm1 form must not collapse
     t = 1e-12
-    split_q_term = _term_function(2, t, 0, 2.0 * t)
-    assert split_q_term(1) * t**2 == pytest.approx(0.25, rel=1e-3)
+    for split_q_term, q in zip(_term_functions(2, t, 0, 2.0 * t), (1, 1.0)):
+        assert split_q_term(q) * t**2 == pytest.approx(0.25, rel=1e-3)
 
 
 # ------------------------------------------------- mpmath oracle sweep
