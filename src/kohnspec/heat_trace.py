@@ -16,12 +16,13 @@ Every sum here stops on one rule: its tail below _REL_TOL times its own
 partial sum, which, as a sum of positive terms, is a lower bound of the value
 (a split tail integral may take its largest term instead, a lower bound too).
 
-Both split sums go through one helper, _split_sum, at a cost bounded by n
-and log(1/t).  It adds the first HEAD_TERMS terms exactly (math.fsum).  If
-a geometric tail bound certifies the rest before then (large t), it stops
-there; terms that at least halve per index are summed on until it does.
-Otherwise the tail from a = start + HEAD_TERMS on is the midpoint Abel-Plana
-sum (special_functions.abel_plana_tail), with c = a - 1/2,
+Both split sums are one helper, _split_sum, at (offset, rate) = (n - 2,
+2t(n - 1)) and (-1, 2t), at a cost bounded by n and log(1/t).  It adds the
+first HEAD_TERMS terms exactly (math.fsum).  If a geometric tail bound
+certifies the rest before then (large t), it stops there; terms that at
+least halve per index are summed on until it does.  Otherwise the tail from
+a = start + HEAD_TERMS on is the midpoint Abel-Plana sum
+(special_functions.abel_plana_tail), with c = a - 1/2,
 
     integral_c^inf f(x) dx + 2 Im integral_0^inf f(c + iy) / (e^(2 pi y) + 1) dy,
 
@@ -198,26 +199,24 @@ def _eval_rel(n: int, x: float) -> float:
     return (16 * n + 4 * x + 64) * U
 
 
-def _split_sum(
-    label: str,
-    n: int,
-    t: float,
-    terms: tuple[Callable, Callable],
-    start: int,
-    shifts: tuple[int, int],
-    rate: float,
-    node_cap: int,
-) -> HeatTraceSample:
-    """sum_{k >= start} term(k), terms = (term at an int, term): exact head plus Abel-Plana tail.
+def _ratio_bound(n: int, offset: int) -> tuple[int, int, int]:
+    """(start, alpha, beta) of the split sum at (n, offset), as _split_sum derives them."""
+    return max(1, n - 2 - offset), offset + 1, offset + 3 - n
 
-    rate is the decay rate of the term in k; rho(k) = ((k + alpha)/(k + beta))
-    e^(-rate), with (alpha, beta) = shifts, decreases in k and bounds every
-    later term(k+1)/term(k).  Once rho(k) < 1 the tail after term k is at
-    most term * rho / (1 - rho), and the sum stops when that is below
-    _REL_TOL * partial.  Terms that at least halve per index (rate >= log 2)
-    are summed on to that stop.  Otherwise abel_plana_tail adds the terms
-    from a = start + HEAD_TERMS on, both its integrals to a quarter of the
-    stop's share of partial or of the term at the first k >= a with
+
+def _split_sum(label: str, n: int, t: float, offset: int, rate: float, node_cap: int) -> HeatTraceSample:
+    """sum_{k >= 1} binom(k + offset, n - 2) e^(-rate k) / (1 - e^(-2tk))^n: exact head plus Abel-Plana tail.
+
+    The sum starts at start = max(1, n - 2 - offset), the first k >= 1 whose
+    binomial is nonzero.  The binomials' ratio is (k + alpha)/(k + beta),
+    (alpha, beta) = (offset + 1, offset + 3 - n), and the denominators only
+    grow, so rho(k) = ((k + alpha)/(k + beta)) e^(-rate), decreasing in k,
+    bounds every later term(k+1)/term(k).  Once rho(k) < 1 the tail after
+    term k is at most term * rho / (1 - rho), and the sum stops when that is
+    below _REL_TOL * partial.  Terms that at least halve per index (rate >=
+    log 2) are summed on to that stop.  Otherwise abel_plana_tail adds the
+    terms from a = start + HEAD_TERMS on, both its integrals to a quarter of
+    the stop's share of partial or of the term at the first k >= a with
     rho(k) < 1, about the largest, whichever is larger; the stated rounding
     of a term at modulus r is _eval_rel(n, rate r).
 
@@ -230,8 +229,8 @@ def _split_sum(
     log2(1/t), take both sums from 3 410 evaluations at (n, t) = (2, 1e-6)
     to 50 194 at 6e-154.
     """
-    exact, term = terms
-    alpha, beta = shifts
+    exact, term = _term_functions(n, t, offset, rate)
+    start, alpha, beta = _ratio_bound(n, offset)
     decay = math.exp(-rate)
     head = []
     partial = 0.0
@@ -270,43 +269,17 @@ def _split_sum(
 
 
 def trace_split_q(n: int, t: float, *, node_cap: int = DEFAULT_NODE_CAP) -> HeatTraceSample:
-    """The q-indexed single sum of the split heat trace.
-
-    Term ratios are bounded by rho(q) = ((n+q-1)/(q+1)) * exp(-2t(n-1)),
-    decreasing in q; the terms decay at rate 2t(n-1).  See _split_sum for
-    the summation, its error bound and its work; ConvergenceError when the
-    tail integral would need more than node_cap nodes.
+    """The q-indexed single sum of the split heat trace, by _split_sum (its summation,
+    error bound and work); ConvergenceError past node_cap nodes in a tail integral.
     """
     _validate(n, t)
-    return _split_sum(
-        "split_q",
-        n,
-        t,
-        _term_functions(n, t, n - 2, 2.0 * t * (n - 1)),
-        1,
-        (n - 1, 1),
-        2.0 * t * (n - 1),
-        node_cap,
-    )
+    return _split_sum("split_q", n, t, n - 2, 2.0 * t * (n - 1), node_cap)
 
 
 def trace_split_w(n: int, t: float, *, node_cap: int = DEFAULT_NODE_CAP) -> HeatTraceSample:
-    """The w-indexed single sum of the split heat trace (w = p + n - 1).
-
-    Same summation as trace_split_q with ratio bound
-    rho(w) = (w/(w-n+2)) * exp(-2t) and decay rate 2t.
-    """
+    """The w-indexed single sum of the split heat trace (w = p + n - 1), as trace_split_q."""
     _validate(n, t)
-    return _split_sum(
-        "split_w",
-        n,
-        t,
-        _term_functions(n, t, -1, 2.0 * t),
-        n - 1,
-        (0, 2 - n),
-        2.0 * t,
-        node_cap,
-    )
+    return _split_sum("split_w", n, t, -1, 2.0 * t, node_cap)
 
 
 def trace_direct(
@@ -436,8 +409,11 @@ def scaled_trace(n: int, t: float) -> float:
 def scale_by_t_power(n: int, t: float, total: float) -> float:
     """t**n * total for n <= 1021, also where t**n alone is not a normal float: with
     t = f 2^e, f in [1/2, 1), f^n times total's mantissa is a normal float, and
-    the kernel adds the exponents.  ValueError where a nonzero product is not one.
+    the kernel adds the exponents.  ValueError past n = 1021, where f^n may be
+    subnormal, and where a nonzero product is not a normal float.
     """
+    if n > 1021:
+        raise ValueError(f"scale_by_t_power needs n <= 1021, got n = {n}")
     (fraction, exponent), (mantissa, shift) = math.frexp(t), math.frexp(total)
     try:
         scaled = scaled_product(start=(fraction**n * mantissa, shift + n * exponent))

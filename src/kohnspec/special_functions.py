@@ -2,7 +2,7 @@
 
 Covers exactly what the spectral computations need and nothing more:
 
-* even zeta values as exact rational multiples of pi powers (Bernoulli route),
+* even zeta values as exact rational multiples of pi powers (tangent numbers),
 * scaled_product: an extended-range kernel for products that leave the floats,
 * log(1 - e^(-2x)) and the half-line integrands' kernels (x/E)^m e^(-rate x)
   and x^m (E^(-m) - 1) e^(-rate x), E = 1 - e^(-2x), overflow-free in range,
@@ -129,36 +129,48 @@ def _ldexp(mantissa, exponent: int) -> float | complex:  # exact unless the resu
     return math.ldexp(mantissa, exponent)
 
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
+_tangent_numbers: list[int] = []  # T_1, T_2, ...: tan x = sum_i T_i x^(2i-1) / (2i-1)!
+
+
+def _tangent(i: int) -> int:
+    """T_i, i >= 1, from a table rebuilt to max(i, 2 len) entries by Brent and Harvey's
+    integer recurrence (arXiv:1108.0286, Algorithm TangentNumbers), O(len^2) operations.
+    """
+    if len(_tangent_numbers) < i:
+        size = max(i, 2 * len(_tangent_numbers))
+        table = [1] * size
+        for k in range(1, size):
+            table[k] = k * table[k - 1]
+        for k in range(1, size):
+            for j in range(k, size):
+                table[j] = (j - k) * table[j - 1] + (j - k + 2) * table[j]
+        _tangent_numbers[:] = table
+    return _tangent_numbers[i - 1]
 
 
 def bernoulli(k: int) -> Fraction:
     """Exact k-th Bernoulli number, B_1 = -1/2 convention.
 
-    Recurrence: sum_{j=0}^{m} binom(m+1, j) B_j = 0 for m >= 1.
+    B_2i = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)) from the tangent numbers T_i.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    while len(_bernoulli_cache) <= k:
-        m = len(_bernoulli_cache)
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * _bernoulli_cache[j]
-        _bernoulli_cache.append(-acc / (m + 1))
-    return _bernoulli_cache[k]
+    if k < 2 or k % 2:
+        return Fraction(-1, 2) if k == 1 else Fraction(int(k == 0))
+    i = k // 2
+    return Fraction((-1) ** (i - 1) * k * _tangent(i), 4**i * (4**i - 1))
 
 
 def zeta_even(k: int) -> PiMultiple:
-    """zeta(k) for even k >= 2, as an exact rational multiple of pi**k.
+    """zeta(k) for even k = 2i >= 2, as an exact rational multiple of pi**k.
 
-    Closed form: zeta(k) = (-1)**(k/2 + 1) * B_k * (2 pi)**k / (2 * k!),
-    so the rational part is (-1)**(k/2 + 1) * B_k * 2**(k-1) / k!.
+    Closed form: zeta(2i) = |B_2i| (2 pi)^(2i) / (2 (2i)!), so the rational
+    part is T_i / (2 (4^i - 1) (2i - 1)!) in the tangent numbers.
     """
     if k < 2 or k % 2:
         raise ValueError(f"zeta_even needs even k >= 2, got {k}")
-    sign = -1 if (k // 2 + 1) % 2 else 1
-    rational = sign * bernoulli(k) * Fraction(2 ** (k - 1), math.factorial(k))
-    return PiMultiple(rational, k)
+    i = k // 2
+    return PiMultiple(Fraction(_tangent(i), 2 * (4**i - 1) * math.factorial(k - 1)), k)
 
 
 def log1mexp2(x: float) -> float:
@@ -182,8 +194,11 @@ def folded_power(x: float, m: int, rate: float) -> float:
     x/E = f 2^e with f in [1/2, 1), times e^(-rate x) through the
     extended-range kernel: OverflowError only where the value passes the
     float range.  Either way within (2m + 5) U, plus rate x U where rate x is
-    not exact (x/E rounds twice, raised to the m-th power).
+    not exact (x/E rounds twice, raised to the m-th power).  ValueError for m
+    outside [1, 800], where f^m may leave the normal floats.
     """
+    if not 1 <= m <= 800:
+        raise ValueError(f"folded_power needs 1 <= m <= 800, got m = {m}")
     base = x / -math.expm1(-2.0 * x)
     if rate * x < _LOG_SAFE:
         try:
@@ -195,7 +210,7 @@ def folded_power(x: float, m: int, rate: float) -> float:
 
 
 def folded_excess(x: float, m: int, rate: float) -> float:
-    """x^m (E^(-m) - 1) e^(-rate x) for x > 0, m >= 1 and rate >= -2, with E = 1 - e^(-2x).
+    """x^m (E^(-m) - 1) e^(-rate x) for x > 0, 1 <= m <= 800 and rate >= -2, with E = 1 - e^(-2x).
 
     folded_power(x, m, rate + 2) times h = (1 - E^m)/e^(-2x) = sum_{k<m} E^k,
     which lies in [1, m] and is m to double precision from x = 25 on.  h comes

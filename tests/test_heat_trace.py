@@ -2,6 +2,7 @@ import functools
 import math
 import sys
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -10,6 +11,7 @@ from kohnspec.coefficients import series_zeta
 from kohnspec.combinatorics import dim_hpq
 from kohnspec.errors import DEFAULT_NODE_CAP, DEFAULT_TERM_CAP, MAX_N, ConvergenceError
 from kohnspec.heat_trace import (
+    _ratio_bound,
     _term_functions,
     scale_by_t_power,
     scaled_trace,
@@ -18,7 +20,7 @@ from kohnspec.heat_trace import (
     trace_split_q,
     trace_split_w,
 )
-from kohnspec.special_functions import HEAD_TERMS
+from kohnspec.special_functions import HEAD_TERMS, U
 
 HEAT_MAX_N = MAX_N["heat"][0]
 
@@ -172,6 +174,27 @@ def test_split_q_term_stable_at_tiny_t():
     t = 1e-12
     for split_q_term, q in zip(_term_functions(2, t, 0, 2.0 * t), (1, 1.0)):
         assert split_q_term(q) * t**2 == pytest.approx(0.25, rel=1e-3)
+
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 40, 124, 500])
+def test_split_sum_ratio_bound_holds_from_its_start(n):
+    # each split sum is binom(k + offset, n - 2) e^(-rate k) / (1 - e^(-2tk))^n;
+    # rho(k) = ((k + alpha)/(k + beta)) e^(-rate) must bound term(k+1)/term(k)
+    # from start, the first k >= 1 with a nonzero binomial, on
+    low, high = supported_t(n)
+    for t in (low, math.sqrt(low) * math.sqrt(high), high):
+        for offset, rate in ((n - 2, 2.0 * t * (n - 1)), (-1, 2.0 * t)):
+            start, alpha, beta = _ratio_bound(n, offset)
+            assert math.comb(start + offset, n - 2) != 0
+            assert all(math.comb(k + offset, n - 2) == 0 for k in range(1, start))
+            with mp.workdps(30):
+                decay, t2 = mp.exp(-mp.mpf(rate)), 2 * mp.mpf(t)
+                for k in [*range(start, start + 200), 10**3, 10**4, 10**5, 10**6]:
+                    binom = Fraction(math.comb(k + 1 + offset, n - 2), math.comb(k + offset, n - 2))
+                    denom = (mp.expm1(-t2 * k) / mp.expm1(-t2 * (k + 1))) ** n
+                    ratio = mp.mpf(binom.numerator) / binom.denominator * denom * decay
+                    assert ratio <= mp.mpf(k + alpha) / (k + beta) * decay, (n, t, offset, k)
 
 
 # ------------------------------------------------- mpmath oracle sweep
@@ -609,6 +632,16 @@ def test_direct_at_the_largest_n_against_a_50_digit_sum(n, t):
         assert abs(mp.mpf(direct.value) - ref) <= 1e-12 * ref
         assert abs(mp.mpf(direct.value) - ref) <= direct.error_bound
     assert direct.error_bound <= 1e-11 * direct.value
+
+
+def test_scale_by_t_power_rejects_n_past_its_domain():
+    # past n = 1021 f^n (t = f 2^e) may be subnormal: at n = 1050 the product
+    # would lose 3.4e-8 of its value, so it names the bound instead
+    with pytest.raises(ValueError, match=r"n <= 1021, got n = 1050"):
+        scale_by_t_power(1050, 0.5001, 2.0**500)
+    with mp.workdps(40):
+        want = mp.mpf(0.5001) ** 1021 * mp.mpf(2) ** 500
+        assert abs(scale_by_t_power(1021, 0.5001, 2.0**500) - want) <= 4 * U * want
 
 
 def test_scale_by_t_power_names_a_product_outside_the_normal_floats():

@@ -51,6 +51,9 @@ def test_bernoulli_table():
         assert bernoulli(k) == want
     for k in (3, 5, 7, 9, 11):
         assert bernoulli(k) == 0
+    # the tangent-number table against mpmath's bernfrac, independent of it
+    for k in range(301):
+        assert bernoulli(k) == Fraction(*mp.bernfrac(k)), k
 
 
 def test_zeta_even_exact_rationals():
@@ -58,6 +61,8 @@ def test_zeta_even_exact_rationals():
     assert zeta_even(2).pi_power == 2
     assert zeta_even(4).rational == Fraction(1, 90)
     assert zeta_even(8).rational == Fraction(1, 9450)
+    for k in range(2, 301, 2):  # zeta(k) = |B_k| (2 pi)^k / (2 k!)
+        assert zeta_even(k).rational == abs(bernoulli(k)) * Fraction(2 ** (k - 1), math.factorial(k))
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12])
@@ -528,6 +533,17 @@ def test_folded_power_one_power_path_within_its_rounding(m):
             continue
         worst = max(worst, _rel_error(folded_power(x, m, 2.0), want) / U)
     assert 0 < worst <= 2 * m + 5
+
+
+def test_folded_power_rejects_m_outside_its_domain():
+    # past m = 800 f^m (x/E = f 2^e) may leave the kernel's range: at m = 2000
+    # the value is 1.27e10 while f^m is below the smallest subnormal float
+    for m in (0, 801, 2000):
+        with pytest.raises(ValueError, match=f"1 <= m <= 800, got m = {m}"):
+            folded_power(2.0, m, 700.0)
+    with mp.workdps(50):
+        want = (2 / -mp.expm1(-4)) ** 800 * mp.exp(-700)
+    assert _rel_error(folded_power(2.0, 800, 350.0), want) <= (2 * 800 + 5) * U
 
 
 def test_scale_by_t_power_near_the_lowest_t_at_the_largest_n():
