@@ -167,40 +167,21 @@ def series_direct(n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> CoefficientEst
 
     The head is q = 1..HEAD_TERMS (64), each P(q) the sum of two exact
     math.comb integers, divided by q**n in one correctly rounded int/int
-    division.  The tail from a = HEAD_TERMS + 1 is
-    special_functions.abel_plana_tail on the product-form term; its first
-    integral, from c = a - 1/2, takes the substitution x = c e^s, under which
-    the q^-2 decay becomes e^-s.  Each integral takes at most node_cap nodes
-    (ConvergenceError past it).  Everything is added by one fsum.  Binomials
-    never come from the polynomial expansion of series_zeta.
+    division.  The tail from a = HEAD_TERMS + 1 is abel_plana_tail on the
+    product-form term, in at most node_cap evaluations.  One fsum adds all.
+    Binomials never come from the polynomial expansion of series_zeta.
 
-    work is the head's length.  The bound adds the tail's bound (both
-    quadratures and their rounding) to the rounding of the head, the fsum
-    and the prefactor.
+    work counts the head and the tail's evaluations.  The bound adds the
+    tail's to the rounding of the head, the fsum and the prefactor.
     """
     check_n(n, "series-direct")
     a = HEAD_TERMS + 1
-    c = a - 0.5
     # Both products carry n - 2 factors of a few roundings each, and on
-    # Re z >= c their sum never cancels to below half their moduli.
+    # Re z >= a - 1/2 their sum never cancels to below half their moduli.
     eval_rel = (16 * n + 64) * U
-    # x^2 f(x) decreases to 2/(n-2)!, so the tail integral is at least
-    # 2/((n-2)! c): tol is a relative U of it.
-    tol = U * 2.0 / (math.factorial(n - 2) * c)
-
-    def integrand(s: float) -> float:
-        x = c * math.exp(s)
-        return _series_term(n, x) * x
-
     try:
-        # A node s moves x by (s + 2) U relatively, and |d log(x f) / d log x| <= n - 1.
-        quad = integrate_decaying(
-            integrand, 1.0, tol=tol, poly_degree=0, node_cap=node_cap,
-            eval_rel=lambda s: eval_rel + (n - 1) * (s + 2.0) * U,
-        )
-        parts, tail_bound, _ = abel_plana_tail(
-            lambda z: _series_term(n, z), a, integral=quad, poly_degree=0,
-            eval_rel=lambda r: eval_rel, node_cap=node_cap,
+        parts, tail_bound, evaluations = abel_plana_tail(
+            partial(_series_term, n), a, eval_rel=lambda r: eval_rel, node_cap=node_cap
         )
     except ConvergenceError as err:
         raise ConvergenceError(f"series-direct at n={n}: {err}") from err
@@ -216,7 +197,7 @@ def series_direct(n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> CoefficientEst
         method="series-direct",
         value=_times_fraction(prefactor, total),
         error_bound=_times_fraction(prefactor, tail_bound + rounding),
-        work=HEAD_TERMS,
+        work=HEAD_TERMS + evaluations,
     )
 
 

@@ -18,7 +18,7 @@ __all__ = [
 
 DEFAULT_LINE_CAP = 100_000_000  # spectral lines (enumerate_modes) or blocks (count)
 DEFAULT_TERM_CAP = 10_000_000  # terms of the direct heat double sum (trace_direct)
-DEFAULT_NODE_CAP = 200_000  # quadrature nodes per integral, tail integrals included
+DEFAULT_NODE_CAP = 200_000  # quadrature nodes per integral; all of an Abel-Plana tail's evaluations
 
 # The largest n each route answers within its bound, with the reason it stops
 # there.  Every route takes n >= 2; one not named here has no fixed largest n.

@@ -13,24 +13,16 @@ as A[p] A[q] - A[p-1] A[q-1], in Dirichlet's hyperbola order, and its number
 of terms grows like (1/t) log(1/t).
 
 Every sum here stops on one rule: its tail below _REL_TOL times its own
-partial sum, which, as a sum of positive terms, is a lower bound of the value
-(a split tail integral may take its largest term instead, a lower bound too).
+partial sum, which, as a sum of positive terms, is a lower bound of the value.
 
 Both split sums are one helper, _split_sum, at (offset, rate) = (n - 2,
-2t(n - 1)) and (-1, 2t), at a cost bounded by n and log(1/t).  It adds the
-first HEAD_TERMS terms exactly (math.fsum).  If a geometric tail bound
-certifies the rest before then (large t), it stops there; terms that at
-least halve per index are summed on until it does.  Otherwise the tail from
-a = start + HEAD_TERMS on is the midpoint Abel-Plana sum
-(special_functions.abel_plana_tail), with c = a - 1/2,
-
-    integral_c^inf f(x) dx + 2 Im integral_0^inf f(c + iy) / (e^(2 pi y) + 1) dy,
-
-both integrals from integrate_decaying.  The terms are analytic for
-Re z > 0 (the poles of 1/(1 - e^(-2tz)) lie on the imaginary axis) and grow
-like |y|^(n-2) along Re z = c, so the formula holds with no remainder: the
-reported error bound is the stopped tail, or the two quadratures' error
-estimates, plus a first-order bound on floating-point rounding.
+2t(n - 1)) and (-1, 2t), at a cost bounded by n and log log(1/t): an exact
+head, then, unless a geometric bound stops it first, the midpoint Abel-Plana
+sum of the tail (special_functions.abel_plana_tail).  The terms are analytic
+for Re z > 0 (the poles of 1/(1 - e^(-2tz)) lie on the imaginary axis) and
+grow like |y|^(n-2) along Re z = a - 1/2, so the formula holds with no
+remainder: the reported error bound is the stopped tail, or the tail's
+error estimate, plus a first-order bound on floating-point rounding.
 
 Every sum needs t > 0 and the trace and the numbers that form it inside the
 normal floats, nothing more: supported_t gives that interval of t for each n.
@@ -56,7 +48,6 @@ from .special_functions import (
     HEAD_TERMS,
     U,
     abel_plana_tail,
-    integrate_decaying,
     scaled_product,
     scaled_rational,
 )
@@ -82,9 +73,8 @@ _RANGE_MARGIN = math.log(64.0)  # headroom of every quantity _range_excess keeps
 class HeatTraceSample:
     """One evaluation of a heat-trace sum.
 
-    error_bound covers truncation (the stopped tail or the tail's two
-    quadratures) and floating-point rounding.  terms_used counts every
-    evaluation of a term: summed terms and quadrature nodes.
+    error_bound covers truncation (the stopped tail or the Abel-Plana tail's
+    estimate) and rounding; terms_used counts every evaluation of a term.
     """
 
     n: int
@@ -214,20 +204,18 @@ def _split_sum(label: str, n: int, t: float, offset: int, rate: float, node_cap:
     bounds every later term(k+1)/term(k).  Once rho(k) < 1 the tail after
     term k is at most term * rho / (1 - rho), and the sum stops when that is
     below _REL_TOL * partial.  Terms that at least halve per index (rate >=
-    log 2) are summed on to that stop.  Otherwise abel_plana_tail adds the
-    terms from a = start + HEAD_TERMS on, both its integrals to a quarter of
-    the stop's share of partial or of the term at the first k >= a with
-    rho(k) < 1, about the largest, whichever is larger; the stated rounding
-    of a term at modulus r is _eval_rel(n, rate r).
+    log 2) are summed on to that stop; else abel_plana_tail adds the terms
+    from a = start + HEAD_TERMS on, a term at modulus r rounding by
+    _eval_rel(n, rate r), in at most node_cap evaluations.
 
-    n bounds the work; t enters only the integrals'.  The head has at most
-    max(HEAD_TERMS, 2n + 110) terms: where e^(-rate) <= 1/2, rho <= 3/4
-    from the (2n-4)-th term of either sum on, and 108 terms later the tail
-    bound is below _REL_TOL times that term, which partial holds.  The tail
-    adds one term and the two integrals' nodes, each at most node_cap
-    (ConvergenceError past it).  The first integral's geometric panels, about
-    log2(1/t), take both sums from 3 410 evaluations at (n, t) = (2, 1e-6)
-    to 50 194 at 6e-154.
+    n bounds the head at max(HEAD_TERMS, 2n + 110) terms: where e^(-rate) <=
+    1/2, rho <= 3/4 from the (2n-4)-th term of either sum on, and 108 terms
+    later the tail bound is below _REL_TOL times that term.  t enters only the
+    tail's cost, whose rule spans about log log(1/t) in s: both sums take 580
+    evaluations at (n, t) = (2, 0.01), 1 346 at 1e-6, 604 from 1e-50 to
+    6e-154.  A turn of the terms far out, near k = max(1, n-2)/(2t), asks for
+    finer steps while it weighs: split_w takes up to about 4 600 at n = 10-16,
+    t near 1e-18.
     """
     exact, term = _term_functions(n, t, offset, rate)
     start, alpha, beta = _ratio_bound(n, offset)
@@ -247,30 +235,20 @@ def _split_sum(label: str, n: int, t: float, offset: int, rate: float, node_cap:
                 rounding = (_eval_rel(n, rate * k) + U) * total
                 return HeatTraceSample(n, t, total, tail + rounding, len(head))
 
-    # One more term is a lower bound of the sum too, far above the head at large
-    # n and mid t; at a real index it takes the overflow-free path.
-    peak = max(a, math.floor((alpha * decay - beta) / -math.expm1(-rate)) + 1)
-    tol = 0.25 * _REL_TOL * max(partial, term(float(peak)))
-    c = a - 0.5
     try:
-        quad = integrate_decaying(
-            lambda u: term(c + u), rate, tol=tol, poly_degree=n - 2, node_cap=node_cap,
-            eval_rel=lambda u: _eval_rel(n, rate * (c + u)),
-        )
         parts, tail_bound, evaluations = abel_plana_tail(
-            term, a, integral=quad, poly_degree=n - 2,
-            eval_rel=lambda r: _eval_rel(n, rate * r), node_cap=node_cap,
+            term, a, eval_rel=lambda r: _eval_rel(n, rate * r), node_cap=node_cap
         )
     except ConvergenceError as err:
         raise ConvergenceError(f"{label} tail at n={n}, t={t}: {err}") from err
     total = math.fsum([*head, *parts])
     rounding = _eval_rel(n, rate * a) * partial + U * total
-    return HeatTraceSample(n, t, total, tail_bound + rounding, len(head) + 1 + evaluations)
+    return HeatTraceSample(n, t, total, tail_bound + rounding, len(head) + evaluations)
 
 
 def trace_split_q(n: int, t: float, *, node_cap: int = DEFAULT_NODE_CAP) -> HeatTraceSample:
     """The q-indexed single sum of the split heat trace, by _split_sum (its summation,
-    error bound and work); ConvergenceError past node_cap nodes in a tail integral.
+    error bound and work); ConvergenceError past node_cap evaluations in its tail.
     """
     _validate(n, t)
     return _split_sum("split_q", n, t, n - 2, 2.0 * t * (n - 1), node_cap)

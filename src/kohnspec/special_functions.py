@@ -10,7 +10,7 @@ Covers exactly what the spectral computations need and nothing more:
   certified analytic bound for the [T, inf) tail of integrands with a known
   exponential decay rate,
 * abel_plana_tail: the tail sum_{k >= a} f(k) of a series whose term is
-  analytic on Re z >= a - 1/2, as two such integrals.
+  analytic on Re z >= a - 1/2, as two integrals by one exp-sinh trapezoid rule.
 
 Everything here is deterministic: fixed node sets, fixed refinement order,
 no randomness, so repeated calls return bit-identical results.
@@ -423,14 +423,89 @@ def integrate_decaying(
     return QuadratureResult(value, panel_error + tail_bound + rounding, nodes_used, T)
 
 
+_FLOOR = 2.0**-90  # the share of the walk's largest sample below which the walk and the rule's ends stop
+_HALF_PI = 0.5 * math.pi
+
+
+def _exp_sinh(integrand: Callable, cost: int, floor: float, used: int, node_cap: int) -> tuple:
+    """(value, error estimate, evaluations so far) of integral_0^inf F(u) du by one trapezoid rule.
+
+    integrand(u) gives F(u), a modulus M(u) >= |F(u)| and its stated relative
+    rounding at cost evaluations, which node_cap bounds with the used before.
+    A walk samples g = u M(u) at u = 4^j/256 up to a falling sample below
+    _FLOOR g_max; g_max is at u0.  The rule is exp-sinh (Tanaka, Sugihara, Murota
+    and Mori, Numer. Math. 111, 2009; Trefethen and Weideman, SIAM Review 56,
+    2014), u = u0 e^v, v = (pi/2) sinh s, at steps 1/2, 1/4, ... in s with
+    nested nodes, between the walk's samples below _FLOOR g_max nearest u0
+    (g falls like u below the first).  Its error about squares per halving:
+    d min(1, d/d') from the last two changes estimates it.
+    It stops once that is within the booked rounding plus floor and the step
+    resolves every turn of the walk, which coarse levels miss where the map
+    stretches v: a share r = g/g_max > U whose log turns by T > 1/8, a knee or
+    a bump of width sigma = log 4 / sqrt(T), asks for a step in v of at most
+    min(2 pi^2, pi sigma sqrt(2 L)) / L, L = log(r/U).  A node books its stated
+    rounding plus (2 |v| + 4) U, for v, e^v (at unit slope of log(u F) in v)
+    and its weight; the estimate adds that, _FLOOR (sum + g_max) for the
+    dropped ends and U |value|.
+    """
+
+    def spend(count: int, where: str) -> None:
+        nonlocal used
+        if used + count * cost > node_cap:
+            raise ConvergenceError(f"node cap {node_cap} exceeded {where}")
+        used += count * cost
+
+    walk = [0.0]  # walk[j] is g at u = 4^j / 256
+    for j in range(1, 454):
+        spend(1, "while truncating")
+        walk.append(4.0**j / 256.0 * integrand(4.0**j / 256.0)[1])
+        if walk[j] <= _FLOOR * max(walk) and walk[j] < walk[j - 1]:
+            break
+    top, h = max(walk), 0.5
+    if top == 0.0:
+        return 0.0, 0.0, used
+    peak, logs, finest = walk.index(top), [math.log(g) if g else -math.inf for g in walk], h
+    for j in range(2, len(walk) - 1):
+        share, turn = logs[j] - logs[peak] - math.log(U), abs(logs[j - 1] + logs[j + 1] - 2.0 * logs[j])
+        if share > 0.0 and 0.125 < turn < math.inf:
+            step = min(2.0 * math.pi**2, math.pi * math.log(4.0) * math.sqrt(2.0 * share / turn)) / share
+            finest = min(finest, step / math.hypot(_HALF_PI, math.log(4.0) * (j - peak)))
+    dropped = [j for j in range(1, peak) if walk[j] <= _FLOOR * top]
+    low = 4.0 ** (dropped[-1] - peak) if dropped else min(1.0, _FLOOR * top / walk[1]) * 4.0 ** (1 - peak)
+    first = math.floor(math.asinh(math.log(low) / _HALF_PI) / h)
+    last = math.ceil(math.asinh(math.log(4.0) * (len(walk) - 1 - peak) / _HALF_PI) / h)
+    where = f"at [0, {4.0 ** (len(walk) - 1) / 256.0:g}] at step"
+
+    def node(s: float) -> tuple:
+        v = _HALF_PI * math.sinh(s)
+        x = 4.0**peak / 256.0 * math.exp(v)
+        value, modulus, rel = integrand(x)
+        weight = math.cosh(s) * x
+        return weight * value, weight * modulus, weight * modulus * (rel + (2.0 * abs(v) + 4.0) * U)
+
+    def total(i: int) -> float | complex:  # h pi/2 times the nodes' i-th entries, summed exactly
+        parts = [node[i] for node in nodes]
+        if any(isinstance(part, complex) for part in parts):
+            return h * _HALF_PI * complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
+        return h * _HALF_PI * math.fsum(parts)
+
+    spend(last - first + 1, f"{where} {h:g}")
+    nodes = [node(k * h) for k in range(first, last + 1)]
+    value, change = total(0), 0.0
+    while True:
+        h *= 0.5
+        spend(last - first, f"{where} {h:g}")
+        nodes += [node((2 * k + 1) * h) for k in range(first, last)]
+        first, last = 2 * first, 2 * last
+        previous, value, booked = value, total(0), total(2)
+        d = abs(value - previous)
+        estimate, change = d * min(1.0, d / change) if change else d, d
+        if estimate <= booked + floor and h <= finest:
+            return value, estimate + booked + _FLOOR * (total(1) + top) + U * abs(value), used
+
+
 def abel_plana_tail(
-    term: Callable[[complex], complex],
-    a: int,
-    *,
-    integral: QuadratureResult,
-    poly_degree: int,
-    eval_rel: Callable[[float], float],
-    node_cap: int = DEFAULT_NODE_CAP,
+    term: Callable, a: int, *, eval_rel: Callable[[float], float], node_cap: int = DEFAULT_NODE_CAP
 ) -> tuple[list[float | complex], float, int]:
     """sum_{k >= a} term(k) as (parts to add, error bound, evaluations), a >= 1.
 
@@ -439,39 +514,29 @@ def abel_plana_tail(
 
         integral_c^inf f(x) dx - i integral_0^inf (f(c+iy) - f(c-iy)) / (e^(2 pi y) + 1) dy,
 
-    for f analytic on Re z >= c with |f(c + iy)| at most a polynomial of
-    degree poly_degree in y.  The caller states integral, the first part from
-    integrate_decaying, and eval_rel(r), the relative rounding of one
-    evaluation of the term at modulus r.  The second part integrates the
-    complex f(c + iy)/(e^(2 pi y) + 1), whose weight adds 4 pi y + 4
-    roundings, by integrate_decaying at decay rate 2 pi and tol U |integral|,
-    so its panels and rounding are measured against |f|.  For a real term
-    f(c - iy) = conj f(c + iy), and that part is twice the imaginary part of
-    the one integral; a complex integral marks a complex term, which takes
-    f(c - iy) as well.  The bound adds the integrals' error estimates, the
-    evaluations are their nodes; ConvergenceError if the bound is not finite.
+    for f analytic on Re z >= c and small enough at infinity there, both
+    integrals by _exp_sinh, the second to U times the first, within node_cap
+    evaluations in all (ConvergenceError past it or if the bound is not
+    finite).  eval_rel(r) states the relative rounding of one evaluation at
+    modulus r, its argument's included; the second integrand's is measured
+    against |f| and adds 4 pi y + 4 for its weight.  A complex value at a real
+    node marks a complex term, which takes f(c - iy) as well.
     """
     c = a - 0.5
 
-    def side(sign: float) -> QuadratureResult:
-        def integrand(y: float) -> complex:
-            weight = math.exp(-math.tau * y)
-            return term(complex(c, sign * y)) * (weight / (1.0 + weight))
+    def along(u: float) -> tuple:
+        value = term(c + u)
+        return value, abs(value), eval_rel(c + u)
 
-        return integrate_decaying(
-            integrand, math.tau, tol=U * abs(integral.value), poly_degree=poly_degree, node_cap=node_cap,
-            eval_rel=lambda y: eval_rel(math.hypot(c, y)) + (2.0 * math.tau * y + 4.0) * U,
-        )
+    def across(y: float) -> tuple:
+        weight = math.exp(-math.tau * y) / (1.0 + math.exp(-math.tau * y))
+        upper, rel = term(complex(c, y)), eval_rel(math.hypot(c, y)) + (2.0 * math.tau * y + 4.0) * U
+        lower = term(complex(c, -y)) if complex_term else upper.conjugate()
+        return -1j * weight * (upper - lower), weight * (abs(upper) + abs(lower)), rel
 
-    upper = side(1.0)
-    if isinstance(integral.value, complex):
-        lower = side(-1.0)
-        correction = -1j * (upper.value - lower.value)
-        error = upper.error_estimate + lower.error_estimate
-        nodes = upper.nodes_used + lower.nodes_used
-    else:
-        correction, error, nodes = 2.0 * upper.value.imag, 2.0 * upper.error_estimate, upper.nodes_used
-    bound = integral.error_estimate + error
-    if not math.isfinite(bound):
-        raise ConvergenceError(f"the error bound is {bound}")
-    return [integral.value, correction], bound, integral.nodes_used + nodes
+    integral, bound, used = _exp_sinh(along, 1, 0.0, 0, node_cap)
+    complex_term = isinstance(integral, complex)
+    correction, error, used = _exp_sinh(across, 1 + complex_term, U * abs(integral), used, node_cap)
+    if not math.isfinite(bound + error):
+        raise ConvergenceError(f"the error bound is {bound + error}")
+    return [integral, correction if complex_term else correction.real], bound + error, used

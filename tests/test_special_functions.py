@@ -386,16 +386,9 @@ def test_gauss_legendre_table_against_mpmath(rule):
             assert abs(w - w_ref) <= 1e-13 * w_ref
 
 
-def _tail_of_inverse_square(a, integral_error=None):
-    """abel_plana_tail of 1/z^2 from a, with its integral 1/c, c = a - 1/2, in closed form."""
-    c = a - 0.5
-    return abel_plana_tail(
-        lambda z: 1.0 / (z * z),
-        a,
-        integral=QuadratureResult(1.0 / c, U / c if integral_error is None else integral_error, 0, 0.0),
-        poly_degree=0,
-        eval_rel=lambda r: 4 * U,
-    )
+def _tail_of_inverse_square(a, rel=4 * U):
+    """abel_plana_tail of 1/z^2 from a, each evaluation stated to round by rel."""
+    return abel_plana_tail(lambda z: 1.0 / (z * z), a, eval_rel=lambda r: rel)
 
 
 @pytest.mark.parametrize("a", [1, 65, 1000])
@@ -410,17 +403,13 @@ def test_abel_plana_tail_of_inverse_squares_is_the_trigamma(a):
 
 @pytest.mark.parametrize("a, beta", [(1, 0.01), (1, 1.0), (65, 0.3), (1000, 0.5)])
 def test_abel_plana_tail_of_a_geometric_sum(a, beta):
-    # sum_{k >= a} e^(-beta k) = e^(-beta a) / (1 - e^(-beta)); the integral
-    # is e^(-beta c) / beta, whose rounded exponent beta c costs beta c U
-    c = a - 0.5
-    integral = math.exp(-beta * c) / beta
-    parts, bound, _ = abel_plana_tail(
-        lambda z: cmath.exp(-beta * z),
-        a,
-        integral=QuadratureResult(integral, (beta * c + 3) * U * integral, 0, 0.0),
-        poly_degree=0,
-        eval_rel=lambda r: (beta * r + 2) * U,
-    )
+    # sum_{k >= a} e^(-beta k) = e^(-beta a) / (1 - e^(-beta)); a term's
+    # rounded exponent beta z costs beta |z| U.  The term is real at a real z,
+    # so the second integral takes only f(c + iy)
+    def term(z):
+        return cmath.exp(-beta * z) if isinstance(z, complex) else math.exp(-beta * z)
+
+    parts, bound, _ = abel_plana_tail(term, a, eval_rel=lambda r: (beta * r + 2) * U)
     with mp.workdps(50):
         want = mp.exp(-beta * a) / -mp.expm1(-beta)
         assert abs(mp.fsum(map(mp.mpf, parts)) - want) <= bound <= 1e-13 * want
@@ -433,29 +422,22 @@ def test_abel_plana_tail_of_complex_terms_is_the_hurwitz_zeta(a, n, z):
     # sum_{k >= a} (k + z)^(-n) = zeta(n, a + z): a complex term, whose
     # second integral needs f(c - iy) as well as f(c + iy).  Along Re w = c
     # the term is up to 100 times the sum at (1, 10, 0.5+0.5i), and so is its rounding
-    c = a - 0.5
-    integral = (c + z) ** (1 - n) / (n - 1)
-    parts, bound, _ = abel_plana_tail(
-        lambda w: (w + z) ** -n,
-        a,
-        integral=QuadratureResult(integral, 4 * n * U * abs(integral), 0, 0.0),
-        poly_degree=0,
-        eval_rel=lambda r: 4 * n * U,
-    )
+    parts, bound, _ = abel_plana_tail(lambda w: (w + z) ** -n, a, eval_rel=lambda r: 4 * n * U)
     with mp.workdps(50):
         want = mp.zeta(n, a + mp.mpc(z))
         got = mp.fsum(map(mp.mpc, parts))
         assert abs(got - want) <= bound <= 2e-13 * abs(want)
 
 
-@pytest.mark.parametrize("a, largest_bound", [(3, 1e-3), (8, 1e-8), (1001, 1e-18)])
+@pytest.mark.parametrize("a, largest_bound", [(3, 1e-3), (8, 1e-8), (1001, 2e-18)])
 def test_abel_plana_tail_raises_where_its_bound_is_not_finite(a, largest_bound):
-    # a finite integral bound gives the Hurwitz zeta(2, a), also from the
-    # shortest and a long head (a = 3 and 1001)
+    # a finite stated rounding gives the Hurwitz zeta(2, a), also from the
+    # shortest and a long head (a = 3 and 1001); at 1001 the bound is about
+    # 11 U of the value: 4 U stated per term, its node and weight, and the sum
     parts, bound, _ = _tail_of_inverse_square(a)
     with mp.workdps(50):
         assert abs(mp.fsum(map(mp.mpf, parts)) - mp.zeta(2, a)) <= bound < largest_bound
-    # an integral whose bound is past the float range makes the bound inf; it is not returned
+    # a stated rounding past the float range makes the bound inf; it is not returned
     with pytest.raises(ConvergenceError, match="error bound is inf"):
         _tail_of_inverse_square(a, math.inf)
 
