@@ -166,22 +166,18 @@ def series_direct(n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> CoefficientEst
     """The series (1/(2**n n!)) sum_q P(q)/q**n: an exact head and a certified tail.
 
     The head is q = 1..HEAD_TERMS (64), each P(q) the sum of two exact
-    math.comb integers, divided by q**n in one correctly rounded int/int
-    division.  The tail from a = HEAD_TERMS + 1 is abel_plana_tail on the
-    product-form term, in at most node_cap evaluations.  One fsum adds all.
-    Binomials never come from the polynomial expansion of series_zeta.
-
-    work counts the head and the tail's evaluations.  The bound adds the
-    tail's to the rounding of the head, the fsum and the prefactor.
+    math.comb integers divided by q**n in one correctly rounded division; the
+    tail from a = HEAD_TERMS + 1 is abel_plana_tail on the product-form term,
+    in at most node_cap evaluations, which work counts with the head.  One
+    fsum adds all.  Binomials never come from series_zeta's expansion.
     """
     check_n(n, "series-direct")
     a = HEAD_TERMS + 1
-    # Both products carry n - 2 factors of a few roundings each, and on
-    # Re z >= a - 1/2 their sum never cancels to below half their moduli.
-    eval_rel = (16 * n + 64) * U
     try:
+        # Both products carry n - 2 factors of a few roundings each, and on
+        # Re z >= a - 1/2 their sum never cancels to below half their moduli.
         parts, tail_bound, evaluations = abel_plana_tail(
-            partial(_series_term, n), a, eval_rel=lambda r: eval_rel, node_cap=node_cap
+            partial(_series_term, n), a, eval_rel=lambda r: (16 * n + 64) * U, node_cap=node_cap
         )
     except ConvergenceError as err:
         raise ConvergenceError(f"series-direct at n={n}: {err}") from err

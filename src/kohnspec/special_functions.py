@@ -10,7 +10,7 @@ Covers exactly what the spectral computations need and nothing more:
   certified analytic bound for the [T, inf) tail of integrands with a known
   exponential decay rate,
 * abel_plana_tail: the tail sum_{k >= a} f(k) of a series whose term is
-  analytic on Re z >= a - 1/2, as two integrals by one exp-sinh trapezoid rule.
+  analytic on Re z >= a - 1/2, as two integrals by one trapezoid rule.
 
 Everything here is deterministic: fixed node sets, fixed refinement order,
 no randomness, so repeated calls return bit-identical results.
@@ -44,6 +44,7 @@ U = 2.0**-53  # unit roundoff of a float
 HEAD_TERMS = 64  # terms a caller sums exactly before the Abel-Plana tail
 _PANEL_REL = 1e-14  # the relative agreement a GL16/GL32 panel pair can reach
 PI_LO = 1.2246467991473532e-16  # pi - math.pi, to about 1e-32
+_FLOOR = 2.0**-60  # the share of its largest sample below which _trapezoid's walk and ends stop
 
 
 @dataclass(frozen=True)
@@ -423,31 +424,27 @@ def integrate_decaying(
     return QuadratureResult(value, panel_error + tail_bound + rounding, nodes_used, T)
 
 
-_FLOOR = 2.0**-90  # the share of the walk's largest sample below which the walk and the rule's ends stop
-_HALF_PI = 0.5 * math.pi
-
-
-def _exp_sinh(integrand: Callable, cost: int, floor: float, used: int, node_cap: int) -> tuple:
+def _trapezoid(integrand: Callable, cost: int, floor: float, used: int, node_cap: int) -> tuple:
     """(value, error estimate, evaluations so far) of integral_0^inf F(u) du by one trapezoid rule.
 
     integrand(u) gives F(u), a modulus M(u) >= |F(u)| and its stated relative
     rounding at cost evaluations, which node_cap bounds with the used before.
-    A walk samples g = u M(u) at u = 4^j/256 up to a falling sample below
-    _FLOOR g_max; g_max is at u0.  The rule is exp-sinh (Tanaka, Sugihara, Murota
-    and Mori, Numer. Math. 111, 2009; Trefethen and Weideman, SIAM Review 56,
-    2014), u = u0 e^v, v = (pi/2) sinh s, at steps 1/2, 1/4, ... in s with
-    nested nodes, between the walk's samples below _FLOOR g_max nearest u0
-    (g falls like u below the first).  Its error about squares per halving:
-    d min(1, d/d') from the last two changes estimates it.
-    It stops once that is within the booked rounding plus floor and the step
-    resolves every turn of the walk, which coarse levels miss where the map
-    stretches v: a share r = g/g_max > U whose log turns by T > 1/8, a knee or
-    a bump of width sigma = log 4 / sqrt(T), asks for a step in v of at most
-    min(2 pi^2, pi sigma sqrt(2 L)) / L, L = log(r/U).  A node books its stated
-    rounding plus (2 |v| + 4) U, for v, e^v (at unit slope of log(u F) in v)
-    and its weight; the estimate adds that, _FLOOR (sum + g_max) for the
-    dropped ends and U |value|.
+    The rule runs in s after u = u0 e^v, v = 2s + s^3/8, exact at its nested
+    steps 1/2, 1/4, ..., 2^-13, which spans far ends in few nodes as exp-sinh
+    does (Tanaka, Sugihara, Murota and Mori, Numer. Math. 111, 2009).  A walk
+    over u = 4^j/256 finds u0, where g = u M(u) peaks, the ends, where g falls
+    below _FLOOR g(u0) (like u below the walk), and each turn: a share
+    r = g/g(u0) > U whose log bends by T > 1/8 asks for a step in v of at most
+    min(2 pi^2, pi sigma sqrt(2 L)) / L, sigma = log 4 / sqrt(T), L = log(r/U).
+    The rule stops once d min(1, d/d'), from its last two changes, is within
+    the booked rounding plus floor.  A node books its stated rounding plus 3 U:
+    e^v (u0 is a power of two), moving the weight u as it moves the argument,
+    and the weight's two products.  The estimate adds _FLOOR (sum + g(u0)) and U |value|.
     """
+
+    def s_at(v: float) -> float:  # the s with 2s + s^3/8 = v, by Cardano's formula
+        r = math.sqrt(16.0 * v * v + (16.0 / 3.0) ** 3)
+        return (r + 4.0 * v) ** (1.0 / 3.0) - (r - 4.0 * v) ** (1.0 / 3.0)
 
     def spend(count: int, where: str) -> None:
         nonlocal used
@@ -469,30 +466,28 @@ def _exp_sinh(integrand: Callable, cost: int, floor: float, used: int, node_cap:
         share, turn = logs[j] - logs[peak] - math.log(U), abs(logs[j - 1] + logs[j + 1] - 2.0 * logs[j])
         if share > 0.0 and 0.125 < turn < math.inf:
             step = min(2.0 * math.pi**2, math.pi * math.log(4.0) * math.sqrt(2.0 * share / turn)) / share
-            finest = min(finest, step / math.hypot(_HALF_PI, math.log(4.0) * (j - peak)))
+            finest = min(finest, step / (2.0 + 0.375 * s_at(math.log(4.0) * (j - peak)) ** 2))
     dropped = [j for j in range(1, peak) if walk[j] <= _FLOOR * top]
     low = 4.0 ** (dropped[-1] - peak) if dropped else min(1.0, _FLOOR * top / walk[1]) * 4.0 ** (1 - peak)
-    first = math.floor(math.asinh(math.log(low) / _HALF_PI) / h)
-    last = math.ceil(math.asinh(math.log(4.0) * (len(walk) - 1 - peak) / _HALF_PI) / h)
+    first = math.floor(s_at(math.log(low)) / h)
+    last = math.ceil(s_at(math.log(4.0) * (len(walk) - 1 - peak)) / h)
     where = f"at [0, {4.0 ** (len(walk) - 1) / 256.0:g}] at step"
 
     def node(s: float) -> tuple:
-        v = _HALF_PI * math.sinh(s)
-        x = 4.0**peak / 256.0 * math.exp(v)
+        x = 4.0**peak / 256.0 * math.exp(2.0 * s + s * s * s / 8.0)
         value, modulus, rel = integrand(x)
-        weight = math.cosh(s) * x
-        return weight * value, weight * modulus, weight * modulus * (rel + (2.0 * abs(v) + 4.0) * U)
+        weight = (2.0 + 0.375 * s * s) * x
+        return weight * value, weight * modulus, weight * modulus * (rel + 3.0 * U)
 
-    def total(i: int) -> float | complex:  # h pi/2 times the nodes' i-th entries, summed exactly
+    def total(i: int) -> float | complex:  # h times the nodes' i-th entries, summed exactly
         parts = [node[i] for node in nodes]
-        if any(isinstance(part, complex) for part in parts):
-            return h * _HALF_PI * complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
-        return h * _HALF_PI * math.fsum(parts)
+        real = h * math.fsum(p.real for p in parts)
+        return complex(real, h * math.fsum(p.imag for p in parts)) if complex in map(type, parts) else real
 
     spend(last - first + 1, f"{where} {h:g}")
     nodes = [node(k * h) for k in range(first, last + 1)]
     value, change = total(0), 0.0
-    while True:
+    while h > 2.0**-13:
         h *= 0.5
         spend(last - first, f"{where} {h:g}")
         nodes += [node((2 * k + 1) * h) for k in range(first, last)]
@@ -502,6 +497,7 @@ def _exp_sinh(integrand: Callable, cost: int, floor: float, used: int, node_cap:
         estimate, change = d * min(1.0, d / change) if change else d, d
         if estimate <= booked + floor and h <= finest:
             return value, estimate + booked + _FLOOR * (total(1) + top) + U * abs(value), used
+    raise ConvergenceError(f"no agreement {where} {h:g}")
 
 
 def abel_plana_tail(
@@ -514,13 +510,13 @@ def abel_plana_tail(
 
         integral_c^inf f(x) dx - i integral_0^inf (f(c+iy) - f(c-iy)) / (e^(2 pi y) + 1) dy,
 
-    for f analytic on Re z >= c and small enough at infinity there, both
-    integrals by _exp_sinh, the second to U times the first, within node_cap
-    evaluations in all (ConvergenceError past it or if the bound is not
-    finite).  eval_rel(r) states the relative rounding of one evaluation at
-    modulus r, its argument's included; the second integrand's is measured
-    against |f| and adds 4 pi y + 4 for its weight.  A complex value at a real
-    node marks a complex term, which takes f(c - iy) as well.
+    for f analytic on Re z >= c and small enough at infinity there, both by
+    _trapezoid, the second to U times the first, in at most node_cap
+    evaluations (ConvergenceError past it or if the bound is not finite).
+    eval_rel(r) states the relative rounding of one evaluation at modulus r,
+    its argument c + u's (u rounds once) included; the second integrand's adds
+    4 pi y + 4 for its weight.  A complex value at a real node marks a complex
+    term, which takes f(c - iy) too.
     """
     c = a - 0.5
 
@@ -534,9 +530,9 @@ def abel_plana_tail(
         lower = term(complex(c, -y)) if complex_term else upper.conjugate()
         return -1j * weight * (upper - lower), weight * (abs(upper) + abs(lower)), rel
 
-    integral, bound, used = _exp_sinh(along, 1, 0.0, 0, node_cap)
+    integral, bound, used = _trapezoid(along, 1, 0.0, 0, node_cap)
     complex_term = isinstance(integral, complex)
-    correction, error, used = _exp_sinh(across, 1 + complex_term, U * abs(integral), used, node_cap)
+    correction, error, used = _trapezoid(across, 1 + complex_term, U * abs(integral), used, node_cap)
     if not math.isfinite(bound + error):
         raise ConvergenceError(f"the error bound is {bound + error}")
     return [integral, correction if complex_term else correction.real], bound + error, used

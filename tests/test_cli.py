@@ -82,7 +82,7 @@ def test_coeff_all_failure_exits_2(capsys, monkeypatch):
 def test_coeff_series_direct_work(capsys):
     code, out, _ = run(capsys, "coeff", "--n", "2", "--method", "series-direct", "--format", "json")
     assert code == 0
-    assert json.loads(out)["rows"][0]["work"] == 302  # the head's 64 terms and the tail's 238 evaluations
+    assert json.loads(out)["rows"][0]["work"] == 351  # the head's 64 terms and the tail's 287 evaluations
 
 
 def test_count_summary(capsys):
@@ -389,9 +389,9 @@ def test_out_that_cannot_be_written_exits_1_naming_it(capsys, tmp_path, where, r
 # 1.39e-17 to 0; direct_bound fell from 1.529e-12 to 1.189e-12 at t = 0.1
 # and from 4.198e-14 to 3.064e-14 at t = 0.5, as each chunk now books
 # (y + 7) U.
-# The coeff and heat entries were re-pinned when one exp-sinh trapezoid rule
-# came to form both Abel-Plana integrals: series-direct's work came to count
-# its tail (64 to 302 at n = 3) and its bound fell (4.235e-17 to 3.906e-17),
+# The coeff and heat entries were re-pinned when one trapezoid rule came to
+# form both Abel-Plana integrals: series-direct's work came to count its
+# tail (64 to 351 at n = 3) and its bound fell (4.235e-17 to 3.879e-17),
 # and the differences built from it; at t = 0.1 split_q and split_w moved in
 # their last digits, their bounds from 6.807e-13 to 6.396e-13, and abs_diff
 # from 7.1e-14 to 1.6e-13; the direct sum did not move.
@@ -402,12 +402,12 @@ _PINNED_STDOUT = {
     ("stanton --n 3 --grid=-0.5:1.5:5", "table"): "8833a2971538a791da532608ec03f9389db3b724047ad220ff61483626d2a3c7",
     ("stanton --n 3 --grid=-0.5:1.5:5", "csv"): "b5cead1bdd11715c90f8f67a5dd7c21015dd740474a1a7abf14edeaf7e18042f",
     ("stanton --n 3 --grid=-0.5:1.5:5", "json"): "129b60ee3ec6f307ba0bfe30e2683e0ff5835971b2bb7b40b5cb1f8f623425fd",
-    ("coeff --n 3 --method all", "table"): "ec9ae40905b4b9ce061e42f36636da8d90b011e354d856768841aeb57e21de85",
-    ("coeff --n 3 --method all", "csv"): "ebff2916f03445834428dbbc62bc8e858d29506523868a0ccea1f0c281f48310",
-    ("coeff --n 3 --method all", "json"): "e84898ba2d3be7a8361f59419e15d2199303505fdc9f9826fdfae266c7507415",
-    ("heat --n 2 --t 0.1,0.5 --verify", "table"): "2a130db8c174d3d740c36e14693c15b63e1ee26008cc44ebfafc8e0ca121fcdd",
-    ("heat --n 2 --t 0.1,0.5 --verify", "csv"): "4579e0938f29f1df17209d84a7bdbe9020d7955027dfd515d2f743f4d1100d16",
-    ("heat --n 2 --t 0.1,0.5 --verify", "json"): "28ce30e0e93be34d685753bd96ea95355284e0daa0c927f7bd8cd68c39bce32f",
+    ("coeff --n 3 --method all", "table"): "18c686c3da9b8cc5004716dbeafdb9563bdc9ef0dce4d777e546a37951793764",
+    ("coeff --n 3 --method all", "csv"): "22f4179f930a48bd83caf7deb709ad9ac13b834da284dfcff7f5da56163a6d4c",
+    ("coeff --n 3 --method all", "json"): "cd9f945ce1f152012e90fd4e594399b8a155e1f17a2d58fea4365feadcdda48d",
+    ("heat --n 2 --t 0.1,0.5 --verify", "table"): "4cbb22ee410e13106568d194d3d950cc52b86962294c3d6a5515e3bc8ccc0a18",
+    ("heat --n 2 --t 0.1,0.5 --verify", "csv"): "f20b1ba0bbdfb8890faa46fc034d81ebdabc2b84430249b275a35c1f5c60d17c",
+    ("heat --n 2 --t 0.1,0.5 --verify", "json"): "1aa5caa4c6fce091786b777cc1c1c289350e534cf4470d5cd1951812fe3d46a4",
 }
 
 

@@ -120,17 +120,17 @@ def test_series_direct_validates_and_caps():
 # the same correctly rounded divisions as math.comb gives.  The bounds at
 # n = 2, 3 and 10 were re-pinned when an Abel-Plana tail replaced the
 # Euler-Maclaurin one and each factor of the product form became one
-# product by 1/i +- 1/z; they fell, and no value moved.  When one exp-sinh
+# product by 1/i +- 1/z; they fell, and no value moved.  When one trapezoid
 # rule came to form the tail, work came to count the tail's evaluations
-# (64 -> 288..362), the bounds at n = 2, 3 and 10 fell to 0.926x, 0.922x and
+# (64 -> 331..361), the bounds at n = 2, 3 and 10 fell to 0.919x, 0.916x and
 # 0.999998x, and no value moved.
 _PINNED_SERIES_DIRECT = [
-    (2, "0x1.a51a6625307d3p-2", "0x1.0639a68f5fb77p-52", 302),
-    (3, "0x1.18bc4418cafe2p-4", "0x1.6840f7c17a39cp-55", 302),
-    (10, "0x1.4ea2eca834a83p-29", "0x1.4ea35dde33ef2p-80", 301),
-    (56, "0x1.17e9b1ac4b619p-299", "0x1.17e9b1ac4b619p-350", 362),
-    (100, "0x1.d20ea6fd43a1cp-619", "0x1.d20ea6fd43a1cp-670", 323),
-    (144, "0x1.70ee9ef12b970p-967", "0x1.70ee9ef12b970p-1018", 288),
+    (2, "0x1.a51a6625307d3p-2", "0x1.0459008715192p-52", 351),
+    (3, "0x1.18bc4418cafe2p-4", "0x1.65c01a6116bc0p-55", 351),
+    (10, "0x1.4ea2eca834a83p-29", "0x1.4ea35c03bfc92p-80", 350),
+    (56, "0x1.17e9b1ac4b619p-299", "0x1.17e9b1ac4b619p-350", 331),
+    (100, "0x1.d20ea6fd43a1cp-619", "0x1.d20ea6fd43a1cp-670", 361),
+    (144, "0x1.70ee9ef12b970p-967", "0x1.70ee9ef12b970p-1018", 360),
 ]
 
 
