@@ -16,8 +16,8 @@ Every sum here but an Abel-Plana tail stops once its tail is below _REL_TOL
 times its own partial sum, a lower bound of the value.  Both split sums are
 one helper, _split_sum, at (offset, rate) = (n - 2, 2t(n - 1)) and (-1, 2t):
 an exact head, then, unless that stop comes first, the midpoint Abel-Plana
-sum of the tail (special_functions.abel_plana_tail), exact as the terms are
-analytic for Re z > 0 and grow like |y|^(n-2) along Re z = a - 1/2.
+sum of the tail (special_functions.abel_plana_tail), with no remainder: the
+terms' poles lie on Re z = 0 and they grow like |y|^(n-2) along Re z = a - 1/2.
 
 Every sum needs t > 0 and the trace and the numbers that form it inside the
 normal floats, nothing more: supported_t gives that interval of t for each n.

@@ -430,16 +430,16 @@ def _trapezoid(integrand: Callable, cost: int, floor: float, used: int, node_cap
     integrand(u) gives F(u), a modulus M(u) >= |F(u)| and its stated relative
     rounding at cost evaluations, which node_cap bounds with the used before.
     The rule runs in s after u = u0 e^v, v = 2s + s^3/8, exact at its nested
-    steps 1/2, 1/4, ..., 2^-13, which spans far ends in few nodes as exp-sinh
-    does (Tanaka, Sugihara, Murota and Mori, Numer. Math. 111, 2009).  A walk
-    over u = 4^j/256 finds u0, where g = u M(u) peaks, the ends, where g falls
-    below _FLOOR g(u0) (like u below the walk), and each turn: a share
-    r = g/g(u0) > U whose log bends by T > 1/8 asks for a step in v of at most
-    min(2 pi^2, pi sigma sqrt(2 L)) / L, sigma = log 4 / sqrt(T), L = log(r/U).
-    The rule stops once d min(1, d/d'), from its last two changes, is within
+    steps 1/2, 1/4, ..., 2^-13 and, as exp-sinh (Tanaka, Sugihara, Murota and
+    Mori, Numer. Math. 111, 2009), spanning far ends in few nodes.  A walk over
+    u = 4^j/256 finds u0, where g = u M(u) peaks, the ends, where g falls below
+    _FLOOR g(u0) (like u below the walk), and each turn: a share r = g/g(u0) > U
+    whose log bends by T > 1/8 needs a step in v of at most min(2 pi^2,
+    pi sigma sqrt(2 L)) / L, sigma = log 4 / sqrt(T), L = log(r/U).  It stops at
+    the first such step where d min(1, d/d') of its last two changes is within
     the booked rounding plus floor.  A node books its stated rounding plus 3 U:
-    e^v (u0 is a power of two), moving the weight u as it moves the argument,
-    and the weight's two products.  The estimate adds _FLOOR (sum + g(u0)) and U |value|.
+    e^v (u0 is a power of two), moving the weight u with the argument, and the
+    weight's two products; the estimate adds _FLOOR (sum + g(u0)) and U |value|.
     """
 
     def s_at(v: float) -> float:  # the s with 2s + s^3/8 = v, by Cardano's formula
