@@ -19,7 +19,9 @@ agreement (reconcile) is the package's main correctness witness.
 
 In R(q) + (-1)**r R(-q) the coefficient of q**j doubles where r - j is even
 and cancels where it is odd, so only even zeta arguments n - j appear in the
-reference route: the odd ones cancel by construction.
+reference route: the odd ones cancel by construction.  The two integral
+routes and series-direct's tail share special_functions' one half-line
+rule, integrate_decaying, but no integrand.
 """
 
 from __future__ import annotations
@@ -198,21 +200,22 @@ def series_direct(n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> CoefficientEst
 
 
 def _integral_route(
-    method: str, n: int, integrand, poly_degree: int, lower: float, prefactor: Fraction,
-    node_cap: int,
+    method: str, n: int, integrand, prefactor: Fraction, node_cap: int
 ) -> CoefficientEstimate:
-    """prefactor times the integral over [0, inf) of an integrand decaying like e^(-2x).
+    """prefactor times the integral over [0, inf) of a positive integrand, by integrate_decaying.
 
-    lower bounds the integral from below, and the quadrature's absolute
-    tolerance is 1e-14 of it, the relative agreement a GL16/GL32 panel pair
-    can reach: so the tolerance follows the value at every n; the rounding
-    it states is _integrand_rel(n).  A ConvergenceError names the route and n.
+    The rule stops at the rounding the integrand states, _integrand_rel(n),
+    with no absolute floor, so the estimate follows the value at every n.
+    A ConvergenceError names the route and n.
     """
+    rel = _integrand_rel(n)
+
+    def stated(x: float) -> tuple[float, float, float]:
+        value = integrand(x)
+        return value, value, rel
+
     try:
-        quad = integrate_decaying(
-            integrand, 2.0, tol=1e-14 * lower, poly_degree=poly_degree, node_cap=node_cap,
-            eval_rel=lambda x: _integrand_rel(n),
-        )
+        quad = integrate_decaying(stated, tol=0.0, node_cap=node_cap)
     except ConvergenceError as err:
         raise ConvergenceError(f"{method} at n={n}: {err}") from err
     return CoefficientEstimate(
@@ -238,11 +241,8 @@ def integral_coefficient(n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> Coeffic
     def integrand(x: float) -> float:
         return scale * folded_power(x, n, 2.0) * (1.0 + math.exp(-2.0 * (n - 2) * x))
 
-    # x/E > x and the last factor is at least 1, so the integral is at least
-    # that of 2^(n-1) x^n e^(-2x): n!/4.
-    lower = math.factorial(n) / 4
     prefactor = 2 * Fraction(2 * (n - 1), math.factorial(n - 1) * n * 2**n * math.factorial(n))
-    return _integral_route("integral", n, integrand, n, lower, prefactor, node_cap)
+    return _integral_route("integral", n, integrand, prefactor, node_cap)
 
 
 def _intermediate_integrand(n: int, x: float) -> float:
@@ -262,12 +262,9 @@ def integral_intermediate(n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> Coeffi
     prefactor 1/(n! (n-1)!).
     """
     check_n(n, "integral-intermediate")
-    # E^(-m) - 1 >= m e^(-2x) with m = n - 1, so the integral is at least
-    # that of m x^m e^(-2x): m m!/2^(m+1).
-    lower = (n - 1) * math.factorial(n - 1) / 2**n
     prefactor = Fraction(1, math.factorial(n) * math.factorial(n - 1))
     integrand = partial(_intermediate_integrand, n)
-    return _integral_route("integral-intermediate", n, integrand, n - 1, lower, prefactor, node_cap)
+    return _integral_route("integral-intermediate", n, integrand, prefactor, node_cap)
 
 
 def estimate(method: str, n: int, *, node_cap: int = DEFAULT_NODE_CAP) -> CoefficientEstimate:

@@ -22,8 +22,10 @@ origin: continued_coefficient(0) equals the Weyl coefficient c(n).
 
 The integrands are formed from special_functions.folded_power/folded_excess,
 exact at tau -> 0 and at large tau and overflowing only where their values
-do.  As vol(S^(2n-1)) = 2 pi^n / m!, the prefactor is binom(m, q) / m!
-times 2 / (2^n n!): the binomial over m! is a finite product by Euler's
+do, and integrated by special_functions.integrate_decaying, the package's
+one half-line rule, with QUADRATURE_TOL as an absolute floor.  As
+vol(S^(2n-1)) = 2 pi^n / m!, the prefactor is binom(m, q) / m! times
+2 / (2^n n!): the binomial over m! is a finite product by Euler's
 reflection formula, formed with its e^(pi |im q|) in the extended-range
 kernel (special_functions.scaled_product), and the rest is rational.  n = 2
 is rejected: m = 1 leaves no strip between the first poles and the
@@ -55,7 +57,7 @@ __all__ = [
 ]
 
 NEAR_POLE_RADIUS = 0.05
-QUADRATURE_TOL = 1e-10  # absolute tolerance of every continuation integral
+QUADRATURE_TOL = 1e-10  # absolute floor of every continuation integral's error estimate
 
 
 @dataclass(frozen=True)
@@ -122,42 +124,48 @@ def _reciprocal_gammas(m: int, q: complex, *divisors: float | complex) -> comple
         raise OverflowError(f"1/(Gamma(q+1) Gamma({m}-q+1)) at q = {q} leaves the float range") from None
 
 
-def _integrate(evaluator: str, point: StripPoint, integrand, decay: float, node_cap: int):
-    """integrate_decaying over [0, inf) to QUADRATURE_TOL; a failure names the evaluator and point.
+def _integrate(evaluator: str, point: StripPoint, integrand, node_cap: int):
+    """integrate_decaying with QUADRATURE_TOL as its floor; a failure names the evaluator and point.
 
-    The rounding stated at tau is the kernels' (3m + 16) U plus the phase's
-    2 |im q| tau U.  A float-range failure is a ValueError: the kernels
-    overflow only where their values do, so near an edge of the strip, at
-    large n, the integrand itself passes the float range.  A ConvergenceError stays one.
+    A float-range failure is a ValueError: the kernels overflow only where
+    their values do, so near an edge of the strip, at large n, the integrand
+    itself passes the float range.  A ConvergenceError stays one.
     """
     where = f"n = {point.n}, q = {point.q}"
     try:
-        return integrate_decaying(
-            integrand, decay, tol=QUADRATURE_TOL, poly_degree=point.m, node_cap=node_cap,
-            eval_rel=lambda tau: (3 * point.m + 16 + 2.0 * abs(point.q.imag) * tau) * U,
-        )
+        return integrate_decaying(integrand, tol=QUADRATURE_TOL, node_cap=node_cap)
     except OverflowError as err:
         raise ValueError(f"the {evaluator} integrand at {where} leaves the float range") from err
     except ConvergenceError as err:
         raise ConvergenceError(f"{evaluator} at {where}: {err}") from err
 
 
-def _folded_integrand(first, m: int, q: complex, scale: float):
-    """tau -> scale (first(tau, m, 2 re q) e^(-2i im q tau) + (tau/E)^m e^(-2 (m-q) tau)).
+def _folded_integrand(first, m: int, q: complex, shift: int):
+    """tau -> (value, modulus, stated rounding) of the integrand, as integrate_decaying takes it.
 
-    first is folded_power or folded_excess.  A complex q enters as a real rate
-    times a unit phase: with a and b the two real terms and theta = 2 im q tau,
-    the sum is (a + b) cos theta + i (b - a) sin theta.
+    The value is 2^(m-shift) (first(tau, m, 2 re q) e^(-2i im q tau) +
+    (tau/E)^m e^(-2 (m-q) tau)), first folded_power (shift 0) or
+    folded_excess (shift 1).  A complex q enters as a real rate times a unit
+    phase: with a, b >= 0 the two real terms and theta = 2 im q tau, the sum
+    is (a + b) cos theta + i (b - a) sin theta, and the modulus is the parts'
+    2^(m-shift) (a + b).  The rounding stated against it is the kernels'
+    (3m + 16) U, the phase's 2 |im q| tau U and the exponent's rate tau U
+    (folded_power's docstring), rate the larger of the two real rates
+    2 re q + 2 shift and 2 (m - re q).
     """
+    scale = 2.0 ** (m - shift)
     omega = 2.0 * q.imag
     rate = 2.0 * q.real
     other_rate = 2.0 * (m - q.real)
+    per_tau = 2.0 * abs(q.imag) + max(rate + 2.0 * shift, other_rate)
 
-    def integrand(tau: float) -> complex:
+    def integrand(tau: float) -> tuple[complex, float, float]:
         a = first(tau, m, rate)
         b = folded_power(tau, m, other_rate)
         theta = omega * tau
-        return complex(scale * (a + b) * math.cos(theta), scale * (b - a) * math.sin(theta))
+        modulus = scale * (a + b)
+        value = complex(modulus * math.cos(theta), scale * (b - a) * math.sin(theta))
+        return value, modulus, (3 * m + 16 + per_tau * tau) * U
 
     return integrand
 
@@ -165,9 +173,7 @@ def _folded_integrand(first, m: int, q: complex, scale: float):
 def _coefficient(evaluator: str, point: StripPoint, first, shift: int, node_cap: int) -> complex:
     """The body of stanton_coefficient (shift 0) and continued_coefficient (shift 1)."""
     n, q, m = point.n, point.q, point.m
-    integrand = _folded_integrand(first, m, q, 2.0 ** (m - shift))
-    decay = 2.0 * min(q.real + shift, m - q.real)
-    quad = _integrate(evaluator, point, integrand, decay, node_cap)
+    quad = _integrate(evaluator, point, _folded_integrand(first, m, q, shift), node_cap)
     return _reciprocal_gammas(m, q, 2.0 ** (n - 1 - shift) * math.factorial(n)) * quad.value
 
 

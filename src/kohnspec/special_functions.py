@@ -1,4 +1,4 @@
-"""Special-function kernels and a deterministic half-line quadrature engine.
+"""Special-function kernels and a deterministic half-line quadrature rule.
 
 Covers exactly what the spectral computations need and nothing more:
 
@@ -6,11 +6,10 @@ Covers exactly what the spectral computations need and nothing more:
 * scaled_product: an extended-range kernel for products that leave the floats,
 * log(1 - e^(-2x)) and the half-line integrands' kernels (x/E)^m e^(-rate x)
   and x^m (E^(-m) - 1) e^(-rate x), E = 1 - e^(-2x), overflow-free in range,
-* integrate_decaying: adaptive Gauss-Legendre panels on [0, T] plus a
-  certified analytic bound for the [T, inf) tail of integrands with a known
-  exponential decay rate,
+* integrate_decaying: the one half-line rule, a trapezoid rule in an
+  exponential variable, with an error estimate from its last two steps,
 * abel_plana_tail: the tail sum_{k >= a} f(k) of a series whose term is
-  analytic on Re z >= a - 1/2, as two integrals by one trapezoid rule.
+  analytic on Re z >= a - 1/2, as two integrals by that rule.
 
 Everything here is deterministic: fixed node sets, fixed refinement order,
 no randomness, so repeated calls return bit-identical results.
@@ -42,9 +41,8 @@ __all__ = [
 
 U = 2.0**-53  # unit roundoff of a float
 HEAD_TERMS = 64  # terms a caller sums exactly before the Abel-Plana tail
-_PANEL_REL = 1e-14  # the relative agreement a GL16/GL32 panel pair can reach
 PI_LO = 1.2246467991473532e-16  # pi - math.pi, to about 1e-32
-_FLOOR = 2.0**-60  # the share of its largest sample below which _trapezoid's walk and ends stop
+_FLOOR = 2.0**-60  # the share of its largest sample below which integrate_decaying's walk and ends stop
 
 
 @dataclass(frozen=True)
@@ -227,11 +225,11 @@ def folded_excess(x: float, m: int, rate: float) -> float:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value and certified error budget of a half-line integral.
+    """A half-line integral by integrate_decaying: its value, error estimate, evaluations and far end.
 
-    error_estimate = sum of per-panel GL16/GL32 discrepancies (each a
-    conservative stand-in for the accepted panel's true error), the analytic
-    bound on the discarded [truncation_point, inf) tail and the sum's rounding.
+    error_estimate is the rule's estimate from its last two changes plus the
+    rounding the nodes book, an a posteriori figure and not a bound;
+    truncation_point is the rule's last node.
     """
 
     value: float | complex
@@ -240,207 +238,32 @@ class QuadratureResult:
     truncation_point: float
 
 
-# Gauss-Legendre nodes and weights on [-1, 1]: the positive half, ascending.
-# The repr of the leggauss(16) and leggauss(32) tables that README's design
-# notes name, whose nodes are exactly antisymmetric and weights exactly
-# symmetric, so mirroring gives the full tables bit for bit and in order.
-# A literal table, not a Newton solve at import: Newton reproduces the nodes
-# but not every weight to the last bit, and the quadrature sums would move.
-_GL16_HALF = (
-    (0.09501250983763744, 0.18945061045506864),
-    (0.2816035507792589, 0.18260341504492364),
-    (0.45801677765722737, 0.16915651939500265),
-    (0.6178762444026438, 0.1495959888165767),
-    (0.755404408355003, 0.12462897125553407),
-    (0.8656312023878318, 0.0951585116824926),
-    (0.9445750230732326, 0.062253523938647456),
-    (0.9894009349916499, 0.027152459411754176),
-)
-_GL32_HALF = (
-    (0.048307665687738324, 0.09654008851472766),
-    (0.1444719615827965, 0.09563872007927471),
-    (0.23928736225213706, 0.09384439908080451),
-    (0.33186860228212767, 0.09117387869576378),
-    (0.42135127613063533, 0.08765209300440378),
-    (0.5068999089322294, 0.08331192422694671),
-    (0.5877157572407623, 0.07819389578707023),
-    (0.6630442669302152, 0.07234579410884834),
-    (0.7321821187402897, 0.06582222277636168),
-    (0.7944837959679424, 0.058684093478535565),
-    (0.84936761373257, 0.05099805926237609),
-    (0.8963211557660521, 0.042835898022226836),
-    (0.9349060759377397, 0.034273862913021765),
-    (0.9647622555875064, 0.025392065309262024),
-    (0.9856115115452684, 0.016274394730905743),
-    (0.9972638618494816, 0.007018610009470506),
-)
-_GL16 = tuple((-x, w) for x, w in reversed(_GL16_HALF)) + _GL16_HALF
-_GL32 = tuple((-x, w) for x, w in reversed(_GL32_HALF)) + _GL32_HALF
-
-
-def _panel(f: Callable, a: float, b: float, rule) -> float | complex:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    total: float | complex = 0.0
-    for x, w in rule:
-        total = total + w * f(mid + half * x)
-    return half * total
-
-
-def _log_tail_weight(T: float, s: int, d: float) -> float:
-    """log of the exact integral of x**s * exp(-d x) over [T, inf), integer s >= 0, T > 0.
-
-    The closed form exp(-d T) sum_j s!/(s-j)! T^(s-j) / d^(j+1) is evaluated
-    as s log T - d T + log sum_j s!/(s-j)! / (T^j d^(j+1)), so that T^s never
-    appears on its own: the result is finite even where the weight itself
-    leaves the float range.
-    """
-    acc = 0.0
-    term = 1.0 / d
-    for j in range(s + 1):
-        acc += term
-        term *= (s - j) / (T * d)
-    return s * math.log(T) - d * T + math.log(acc)
-
-
 def integrate_decaying(
-    integrand: Callable[[float], float | complex],
-    decay_rate: float,
-    *,
-    tol: float,
-    poly_degree: int,
-    eval_rel: Callable[[float], float],
-    node_cap: int = DEFAULT_NODE_CAP,
+    integrand: Callable[[float], tuple], *, tol: float, node_cap: int = DEFAULT_NODE_CAP
 ) -> QuadratureResult:
-    """Integrate f over [0, inf) for f with |f(x)| <= C * x**poly_degree * exp(-decay_rate * x).
-
-    decay_rate must genuinely lower-bound the exponential decay of |f| and
-    poly_degree upper-bound its polynomial growth; both are used to certify
-    the truncation tail.  C is estimated from samples near the truncation
-    point, so the reported error_estimate is an a posteriori bound, honest
-    whenever the envelope assumption holds.
-
-    The [0, T] part uses adaptive bisection with paired 16/32-point
-    Gauss-Legendre panels.  eval_rel(x), non-decreasing, is the caller's
-    statement of the relative rounding of one evaluation at node x.  A panel
-    [a, b] is accepted when the pair agrees within the width share (b - a)/T
-    of max(tol, floor |sum|)/2, the sum taken over the accepted panels and
-    this one, or within floor = max(_PANEL_REL, eval_rel(b)) of the panel's
-    own value: the share follows the size of the integral once that passes
-    tol, and no panel is asked for digits its rounding does not hold.  The
-    estimate adds the sum's rounding: eval_rel(b), the largest of the panel's
-    nodes, times each accepted panel's modulus, and (35 + nodes_used // 48) U
-    times their sum, |value| if one-signed: 32 weights and a half width per
-    panel, one addition each, two roundings for a prefactor.
-    tol is absolute; complex-valued integrands are supported transparently.
-    Raises ValueError unless decay_rate and tol are positive and finite and
-    poly_degree is a nonnegative integer, ConvergenceError when node_cap
-    would be exceeded or no certifiable truncation point exists,
-    OverflowError when the sum is not a finite float.
-    """
-    if not (math.isfinite(decay_rate) and decay_rate > 0.0):
-        raise ValueError(f"decay_rate must be positive and finite, got {decay_rate}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if not (isinstance(poly_degree, int) and poly_degree >= 0):
-        raise ValueError(f"poly_degree must be a nonnegative integer, got {poly_degree}")
-    d = float(decay_rate)
-    s = poly_degree
-    nodes_used = 0
-
-    def log_envelope_constant(T: float) -> float:
-        nonlocal nodes_used
-        ln_c = -math.inf
-        for i in range(8):
-            x = T * (0.55 + 0.45 * i / 7.0)
-            v = abs(integrand(x))
-            nodes_used += 1
-            if v == 0.0:
-                continue
-            ln_c = max(ln_c, math.log(v) + d * x - s * math.log(x))
-        return ln_c
-
-    # The tail bound C * weight is formed in logs: either factor alone can
-    # leave the float range while their product is tiny.
-    log_half_tol = math.log(0.5 * tol)
-    T = max(2.0 * (s + 1) / d, 8.0 / d, 1.0)
-    for _ in range(400):
-        if nodes_used + 8 > node_cap:
-            raise ConvergenceError(f"node cap {node_cap} exceeded while truncating")
-        log_tail = log_envelope_constant(T) + _log_tail_weight(T, s, d)
-        if log_tail <= log_half_tol:
-            tail_bound = math.exp(log_tail)
-            break
-        T *= 1.25
-    else:
-        raise ConvergenceError(
-            f"no truncation point certified the tail below {0.5 * tol:g}; "
-            "check decay_rate/poly_degree"
-        )
-
-    # Geometric initial panels, finer toward 0 where the integrand varies fastest.
-    smallest = min(1.0, 1.0 / d, T / 8.0)
-    edges = [T]
-    width = T
-    while width > smallest:
-        width /= 2.0
-        edges.append(width)
-    edges.append(0.0)
-    edges.reverse()
-
-    stack = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-    stack.reverse()
-    value: float | complex = 0.0
-    moduli = booked = panel_error = 0.0
-    while stack:
-        a, b = stack.pop()
-        if nodes_used + 48 > node_cap:
-            raise ConvergenceError(f"node cap {node_cap} exceeded at [{a:g}, {b:g}]")
-        coarse = _panel(integrand, a, b, _GL16)
-        fine = _panel(integrand, a, b, _GL32)
-        nodes_used += 48
-        diff = abs(fine - coarse)
-        rel = eval_rel(b)
-        floor = max(_PANEL_REL, rel)
-        if (
-            diff <= 0.5 * max(tol, floor * abs(value + fine)) * (b - a) / T
-            or diff <= floor * abs(fine)
-        ):
-            value = value + fine
-            moduli += abs(fine)
-            booked += rel * abs(fine)
-            # |truth - fine| can match |fine - coarse| when a panel is
-            # accepted at the rounding floor, so the heuristic gets a
-            # safety factor before it is reported as a bound.
-            panel_error += 2.0 * diff
-        else:
-            mid = 0.5 * (a + b)
-            stack.append((mid, b))
-            stack.append((a, mid))
-
-    if not cmath.isfinite(value):
-        raise OverflowError(f"the integral's sum is not finite: {value}")
-    rounding = booked + (35 + nodes_used // 48) * U * moduli
-    return QuadratureResult(value, panel_error + tail_bound + rounding, nodes_used, T)
-
-
-def _trapezoid(integrand: Callable, cost: int, floor: float, used: int, node_cap: int) -> tuple:
-    """(value, error estimate, evaluations so far) of integral_0^inf F(u) du by one trapezoid rule.
+    """integral_0^inf F(u) du by one trapezoid rule in an exponential variable.
 
     integrand(u) gives F(u), a modulus M(u) >= |F(u)| and its stated relative
-    rounding at cost evaluations, which node_cap bounds with the used before.
-    The rule runs in s after u = u0 e^v, v = 2s + s^3/8, exact at its nested
-    steps 1/2, 1/4, ..., 2^-13 and, as exp-sinh (Tanaka, Sugihara, Murota and
-    Mori, Numer. Math. 111, 2009), spanning far ends in few nodes.  A walk over
-    u = 4^j/256 finds u0, where g = u M(u) peaks, the ends, where g falls below
-    _FLOOR g(u0) (like u below the walk), and each turn: a share r = g/g(u0) > U
-    whose log bends by T > 1/8 needs a step in v of at most min(2 pi^2,
-    pi sigma sqrt(2 L)) / L, sigma = log 4 / sqrt(T), L = log(r/U).  It stops at
-    the first such step where d min(1, d/d') of its last two changes is within
-    the booked rounding plus floor.  A node books its stated rounding plus 3 U:
-    e^v (u0 is a power of two), moving the weight u with the argument, and the
-    weight's two products; the estimate adds _FLOOR (sum + g(u0)) and U |value|.
+    rounding, in at most node_cap evaluations.  The rule runs in s after
+    u = u0 e^v, v = 2s + s^3/8, exact at its nested steps 1/2, 1/4, ..., 2^-13
+    and, as exp-sinh (Tanaka, Sugihara, Murota and Mori, Numer. Math. 111,
+    2009), spanning far ends in few nodes; it converges exponentially in the
+    number of nodes (Trefethen and Weideman, SIAM Review 56, 2014).  A walk
+    over u = 4^j/256 finds u0, where g = u M(u) peaks, the ends, where g falls
+    below _FLOOR g(u0) (like u below the walk), and each turn: a share
+    r = g/g(u0) > U whose log bends by T > 1/8 needs a step in v of at most
+    min(2 pi^2, pi sigma sqrt(2 L)) / L, sigma = log 4 / sqrt(T), L = log(r/U).
+    It stops at the first such step where d min(1, d/d') of its last two
+    changes is within the booked rounding plus tol, an absolute floor.  A node
+    books its stated rounding plus 3 U: e^v (u0 is a power of two), moving the
+    weight u with the argument, and the weight's two products; the estimate
+    adds _FLOOR (sum + g(u0)) and U |value|.  ValueError unless tol is finite
+    and nonnegative, ConvergenceError past node_cap or if no step agrees,
+    OverflowError where g or the sum is not a finite float.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    used = 0
 
     def s_at(v: float) -> float:  # the s with 2s + s^3/8 = v, by Cardano's formula
         r = math.sqrt(16.0 * v * v + (16.0 / 3.0) ** 3)
@@ -448,19 +271,21 @@ def _trapezoid(integrand: Callable, cost: int, floor: float, used: int, node_cap
 
     def spend(count: int, where: str) -> None:
         nonlocal used
-        if used + count * cost > node_cap:
+        if used + count > node_cap:
             raise ConvergenceError(f"node cap {node_cap} exceeded {where}")
-        used += count * cost
+        used += count
 
     walk = [0.0]  # walk[j] is g at u = 4^j / 256
     for j in range(1, 454):
         spend(1, "while truncating")
         walk.append(4.0**j / 256.0 * integrand(4.0**j / 256.0)[1])
+        if not math.isfinite(walk[j]):
+            raise OverflowError(f"u |F(u)| is not finite at u = {4.0**j / 256.0:g}")
         if walk[j] <= _FLOOR * max(walk) and walk[j] < walk[j - 1]:
             break
     top, h = max(walk), 0.5
     if top == 0.0:
-        return 0.0, 0.0, used
+        return QuadratureResult(0.0, 0.0, used, 4.0 ** (len(walk) - 1) / 256.0)
     peak, logs, finest = walk.index(top), [math.log(g) if g else -math.inf for g in walk], h
     for j in range(2, len(walk) - 1):
         share, turn = logs[j] - logs[peak] - math.log(U), abs(logs[j - 1] + logs[j + 1] - 2.0 * logs[j])
@@ -472,31 +297,44 @@ def _trapezoid(integrand: Callable, cost: int, floor: float, used: int, node_cap
     first = math.floor(s_at(math.log(low)) / h)
     last = math.ceil(s_at(math.log(4.0) * (len(walk) - 1 - peak)) / h)
     where = f"at [0, {4.0 ** (len(walk) - 1) / 256.0:g}] at step"
+    u0 = 4.0**peak / 256.0
+    # each node's weighted real part, imaginary part, modulus and booked rounding
+    reals, imags, moduli, booked = [], [], [], []
+    kinds = set()
 
-    def node(s: float) -> tuple:
-        x = 4.0**peak / 256.0 * math.exp(2.0 * s + s * s * s / 8.0)
-        value, modulus, rel = integrand(x)
-        weight = (2.0 + 0.375 * s * s) * x
-        return weight * value, weight * modulus, weight * modulus * (rel + 3.0 * U)
+    def add(steps: range) -> float:  # the nodes at s = k h, k in steps; returns the last one's u
+        spend(len(steps), f"{where} {h:g}")
+        for k in steps:
+            s = k * h
+            x = u0 * math.exp(2.0 * s + s * s * s / 8.0)
+            value, modulus, rel = integrand(x)
+            weight = (2.0 + 0.375 * s * s) * x
+            kinds.add(value.__class__)
+            reals.append(weight * value.real)
+            imags.append(weight * value.imag)
+            moduli.append(weight * modulus)
+            booked.append(moduli[-1] * (rel + 3.0 * U))
+        return x
 
-    def total(i: int) -> float | complex:  # h times the nodes' i-th entries, summed exactly
-        parts = [node[i] for node in nodes]
-        real = h * math.fsum(p.real for p in parts)
-        return complex(real, h * math.fsum(p.imag for p in parts)) if complex in map(type, parts) else real
+    def total() -> float | complex:  # h times the nodes' values, summed exactly
+        real = h * math.fsum(reals)
+        value = complex(real, h * math.fsum(imags)) if complex in kinds else real
+        if not cmath.isfinite(value):
+            raise OverflowError(f"the integral's sum is not finite: {value}")
+        return value
 
-    spend(last - first + 1, f"{where} {h:g}")
-    nodes = [node(k * h) for k in range(first, last + 1)]
-    value, change = total(0), 0.0
+    far = add(range(first, last + 1))
+    value, change = total(), 0.0
     while h > 2.0**-13:
         h *= 0.5
-        spend(last - first, f"{where} {h:g}")
-        nodes += [node((2 * k + 1) * h) for k in range(first, last)]
         first, last = 2 * first, 2 * last
-        previous, value, booked = value, total(0), total(2)
+        add(range(first + 1, last, 2))
+        previous, value, rounding = value, total(), h * math.fsum(booked)
         d = abs(value - previous)
         estimate, change = d * min(1.0, d / change) if change else d, d
-        if estimate <= booked + floor and h <= finest:
-            return value, estimate + booked + _FLOOR * (total(1) + top) + U * abs(value), used
+        if estimate <= rounding + tol and h <= finest:
+            estimate = estimate + rounding + _FLOOR * (h * math.fsum(moduli) + top) + U * abs(value)
+            return QuadratureResult(value, estimate, used, far)
     raise ConvergenceError(f"no agreement {where} {h:g}")
 
 
@@ -511,7 +349,7 @@ def abel_plana_tail(
         integral_c^inf f(x) dx - i integral_0^inf (f(c+iy) - f(c-iy)) / (e^(2 pi y) + 1) dy,
 
     for f analytic on Re z >= c and small enough at infinity there, both by
-    _trapezoid, the second to U times the first, in at most node_cap
+    integrate_decaying, the second to U times the first, in at most node_cap
     evaluations (ConvergenceError past it or if the bound is not finite).
     eval_rel(r) states the relative rounding of one evaluation at modulus r,
     its argument c + u's (u rounds once) included; the second integrand's adds
@@ -530,9 +368,16 @@ def abel_plana_tail(
         lower = term(complex(c, -y)) if complex_term else upper.conjugate()
         return -1j * weight * (upper - lower), weight * (abs(upper) + abs(lower)), rel
 
-    integral, bound, used = _trapezoid(along, 1, 0.0, 0, node_cap)
-    complex_term = isinstance(integral, complex)
-    correction, error, used = _trapezoid(across, 1 + complex_term, U * abs(integral), used, node_cap)
-    if not math.isfinite(bound + error):
-        raise ConvergenceError(f"the error bound is {bound + error}")
-    return [integral, correction if complex_term else correction.real], bound + error, used
+    integral = integrate_decaying(along, tol=0.0, node_cap=node_cap)
+    complex_term = isinstance(integral.value, complex)
+    cost = 1 + complex_term  # term evaluations per node of the second integral
+    rest = (node_cap - integral.nodes_used) // cost
+    try:
+        correction = integrate_decaying(across, tol=U * abs(integral.value), node_cap=rest)
+    except ConvergenceError as err:  # the cap is the caller's, of which rest was left
+        raise ConvergenceError(str(err).replace(f"node cap {rest} ", f"node cap {node_cap} ")) from None
+    bound = integral.error_estimate + correction.error_estimate
+    if not math.isfinite(bound):
+        raise ConvergenceError(f"the error bound is {bound}")
+    parts = [integral.value, correction.value if complex_term else correction.value.real]
+    return parts, bound, integral.nodes_used + cost * correction.nodes_used

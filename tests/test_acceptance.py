@@ -195,21 +195,20 @@ def test_criterion_8_property_suites():
                 assert sum(split_terms(n, p, q)) == dim_hpq(n, p, q)
 
     # quadrature self-consistency under tolerance halving
-    # each probe states its rounding: the node's, moved through every
-    # exponential, and a few ulps for the operations
+    # each probe states its value, its modulus and its rounding: the node's,
+    # moved through every exponential, and a few ulps for the operations
     probes = [
-        (lambda x: math.exp(-x), 1.0, 0, lambda x: (x + 1) * U),
-        (lambda x: x * math.exp(-2 * x), 2.0, 1, lambda x: (2 * x + 3) * U),
-        (
-            lambda x: 4.0 * math.exp(-2 * x) / (-math.expm1(-2 * x)) ** 2 * x**2,
-            2.0,
-            2,
-            lambda x: (4 * x + 10) * U,
+        lambda x: (math.exp(-x), math.exp(-x), (x + 1) * U),
+        lambda x: (x * math.exp(-2 * x), x * math.exp(-2 * x), (2 * x + 3) * U),
+        lambda x: (
+            (bose := 4.0 * math.exp(-2 * x) / (-math.expm1(-2 * x)) ** 2 * x**2),
+            bose,
+            (4 * x + 10) * U,
         ),
     ]
-    for f, decay, degree, eval_rel in probes:
-        loose = integrate_decaying(f, decay, tol=1e-8, poly_degree=degree, eval_rel=eval_rel)
-        tight = integrate_decaying(f, decay, tol=5e-9, poly_degree=degree, eval_rel=eval_rel)
+    for f in probes:
+        loose = integrate_decaying(f, tol=1e-8)
+        tight = integrate_decaying(f, tol=5e-9)
         assert abs(loose.value - tight.value) <= (
             loose.error_estimate + tight.error_estimate
         )

@@ -8,11 +8,8 @@ import pytest
 from kohnspec import coefficients, continuation
 from kohnspec.errors import ConvergenceError
 from kohnspec.special_functions import (
-    _GL16,
-    _GL32,
     PiMultiple,
     QuadratureResult,
-    _log_tail_weight,
     U,
     abel_plana_tail,
     bernoulli,
@@ -90,25 +87,22 @@ def test_pi_multiple_value():
     )
 
 
-def _exp_rel(rate: float, ops: int):
-    """The stated rounding of c x^k e^(-rate x): rate x U from the rounded node, ops U for the rest."""
-    return lambda x: (rate * x + ops) * U
+def _stated(f, rate: float, ops: int):
+    """c x^k e^(-rate x) as integrate_decaying takes it: its value, |value| and the stated
+    rounding, rate x U from the rounded node and ops U for the rest."""
+    return lambda x: ((value := f(x)), abs(value), (rate * x + ops) * U)
 
 
 def test_integrate_decaying_known_integrals():
-    r = integrate_decaying(lambda x: math.exp(-x), 1.0, tol=1e-10, poly_degree=0, eval_rel=_exp_rel(1, 1))
+    r = integrate_decaying(_stated(lambda x: math.exp(-x), 1, 1), tol=1e-10)
     assert r.value == pytest.approx(1.0, abs=1e-9)
     assert abs(r.value - 1.0) <= r.error_estimate
 
-    r = integrate_decaying(
-        lambda x: x * math.exp(-2 * x), 2.0, tol=1e-10, poly_degree=1, eval_rel=_exp_rel(2, 3)
-    )
+    r = integrate_decaying(_stated(lambda x: x * math.exp(-2 * x), 2, 3), tol=1e-10)
     assert r.value == pytest.approx(0.25, abs=1e-10)
     assert abs(r.value - 0.25) <= r.error_estimate
 
-    r = integrate_decaying(
-        lambda x: x**5 * math.exp(-x), 1.0, tol=1e-10, poly_degree=5, eval_rel=_exp_rel(1, 8)
-    )
+    r = integrate_decaying(_stated(lambda x: x**5 * math.exp(-x), 1, 8), tol=1e-10)
     assert r.value == pytest.approx(120.0, abs=1e-7)
     assert abs(r.value - 120.0) <= r.error_estimate
 
@@ -119,16 +113,14 @@ def test_integrate_decaying_bose_kernel():
         return 4.0 * math.exp(-2 * x) / (-math.expm1(-2 * x)) ** 2 * x**2
 
     # e^(-2x) and its expm1 denominator move by 2x U each with the node
-    r = integrate_decaying(f, 2.0, tol=1e-10, poly_degree=2, eval_rel=_exp_rel(4, 10))
+    r = integrate_decaying(_stated(f, 4, 10), tol=1e-10)
     exact = math.pi**2 / 6
     assert abs(r.value - exact) <= r.error_estimate
     assert r.value == pytest.approx(exact, abs=1e-9)
 
 
 def test_integrate_decaying_complex_integrand():
-    r = integrate_decaying(
-        lambda x: cmath.exp(-2 * x * (1 + 0.5j)), 2.0, tol=1e-10, poly_degree=0, eval_rel=_exp_rel(3, 4)
-    )
+    r = integrate_decaying(_stated(lambda x: cmath.exp(-2 * x * (1 + 0.5j)), 3, 4), tol=1e-10)
     exact = 0.4 - 0.2j
     assert isinstance(r, QuadratureResult)
     assert abs(r.value - exact) <= r.error_estimate
@@ -136,44 +128,37 @@ def test_integrate_decaying_complex_integrand():
 
 
 def test_integrate_decaying_reports_work_and_truncation():
-    r = integrate_decaying(lambda x: math.exp(-x), 1.0, tol=1e-10, poly_degree=0, eval_rel=_exp_rel(1, 1))
+    r = integrate_decaying(_stated(lambda x: math.exp(-x), 1, 1), tol=1e-10)
     assert r.nodes_used > 0
     assert r.truncation_point > 1.0
 
 
 def test_integrate_decaying_tolerance_halving_consistent():
-    f = lambda x: x * math.exp(-2 * x)  # noqa: E731
-    loose = integrate_decaying(f, 2.0, poly_degree=1, tol=1e-8, eval_rel=_exp_rel(2, 3))
-    tight = integrate_decaying(f, 2.0, poly_degree=1, tol=5e-9, eval_rel=_exp_rel(2, 3))
+    f = _stated(lambda x: x * math.exp(-2 * x), 2, 3)
+    loose = integrate_decaying(f, tol=1e-8)
+    tight = integrate_decaying(f, tol=5e-9)
     assert abs(loose.value - tight.value) <= loose.error_estimate + tight.error_estimate
 
 
-def test_integrate_decaying_width_share_follows_the_integral():
-    # far above tol the panels are held to 1e-14 of the integral, not to tol;
-    # the estimate books each panel's rounding at the panel's own right end,
-    # so it follows the mass near 0: at the truncation point (T = 867) the
-    # stated rounding (x + 2) U is 9.6e-14, and the estimate 6.3e-15
-    r = integrate_decaying(
-        lambda x: 1e300 * math.exp(-x), 1.0, tol=1e-10, poly_degree=0, eval_rel=_exp_rel(1, 2)
-    )
+def test_integrate_decaying_estimate_follows_the_integral():
+    # far above tol the rule is held to the stated rounding of the integral,
+    # not to tol; the nodes book their own stated rounding, so the estimate
+    # follows the mass near the peak, not the rounding at the far end
+    r = integrate_decaying(_stated(lambda x: 1e300 * math.exp(-x), 1, 2), tol=1e-10)
     assert abs(r.value - 1e300) <= r.error_estimate <= 1e-14 * 1e300
     assert r.error_estimate <= 0.1 * (r.truncation_point + 2) * U * r.value
     assert r.nodes_used <= 1_000
 
 
 def test_integrate_decaying_names_a_sum_past_the_float_range():
-    # every node and panel is finite, the integral (1e309) is not
+    # every node is finite, the integral (1e309) is not
     with pytest.raises(OverflowError, match="not finite"):
-        integrate_decaying(
-            lambda x: 1e307 * math.exp(-0.01 * x), 0.01, tol=1e-10, poly_degree=0, eval_rel=_exp_rel(0.01, 2)
-        )
+        integrate_decaying(_stated(lambda x: 1e307 * math.exp(-0.01 * x), 0.01, 2), tol=1e-10)
 
 
 def test_integrate_decaying_node_cap():
     with pytest.raises(ConvergenceError):
-        integrate_decaying(
-            lambda x: math.exp(-x), 1.0, tol=1e-10, poly_degree=0, eval_rel=_exp_rel(1, 1), node_cap=20
-        )
+        integrate_decaying(_stated(lambda x: math.exp(-x), 1, 1), tol=1e-10, node_cap=20)
 
 
 def _noisy(x: float) -> float:
@@ -181,47 +166,30 @@ def _noisy(x: float) -> float:
     return math.exp(-x) * (1.0 + 1e-12 * math.sin(1e7 * x))
 
 
-def test_integrate_decaying_accepts_panels_at_the_stated_rounding():
-    # the noise is stated: panel pairs that differ by it alone are accepted,
-    # and the estimate carries it
-    r = integrate_decaying(_noisy, 1.0, tol=1e-14, poly_degree=0, eval_rel=lambda x: 2e-12)
+def test_integrate_decaying_stops_at_the_stated_rounding():
+    # the noise is stated: steps that differ by it alone are accepted, and
+    # the estimate carries it
+    r = integrate_decaying(lambda x: (_noisy(x), _noisy(x), 2e-12), tol=1e-14)
     assert r.nodes_used <= 1_000
     assert abs(r.value - 1.0) <= r.error_estimate <= 5e-12
-    # stated as a few ulps, the same noise is bisected on to the node cap
-    with pytest.raises(ConvergenceError, match="node cap 20000 exceeded"):
-        integrate_decaying(
-            _noisy, 1.0, tol=1e-14, poly_degree=0, eval_rel=_exp_rel(1, 2), node_cap=20_000
-        )
 
 
-def test_integrate_decaying_validates_arguments():
-    for rate in (0.0, -1.0, math.nan, math.inf):
-        # nan used to probe 400 truncation points, inf to raise a bare math domain error
-        with pytest.raises(ValueError, match="decay_rate must be positive and finite"):
-            integrate_decaying(lambda x: 0.0, rate, tol=1e-10, poly_degree=0, eval_rel=lambda x: 0.0)
-    with pytest.raises(ValueError):
-        integrate_decaying(lambda x: 0.0, 1.0, tol=0.0, poly_degree=0, eval_rel=lambda x: 0.0)
-    for degree in (-1, 0.5, 2.0):
-        # 0.5 used to be truncated to 0, certifying a tail for slower growth than stated
-        with pytest.raises(ValueError, match="poly_degree must be a nonnegative integer"):
-            integrate_decaying(lambda x: 0.0, 1.0, tol=1e-10, poly_degree=degree, eval_rel=lambda x: 0.0)
-    # every caller states its integrand's rounding: there is no default
-    with pytest.raises(TypeError, match="eval_rel"):
-        integrate_decaying(lambda x: 0.0, 1.0, tol=1e-10, poly_degree=0)
-
-
-# Value, bound (float.hex) and node count of the engine's callers outside
-# heat, pinned as regressions.  Three bounds moved by 1-2 ulp when the
-# rounding came to be booked panel by panel: eval_rel is constant here, so
-# eval_rel times each panel's modulus, summed, rounds differently from
-# eval_rel times their sum.
+# Value, bound (float.hex) and node count of integrate_decaying's callers
+# outside heat, pinned as regressions.  Three bounds moved by 1-2 ulp when
+# the rounding came to be booked panel by panel: eval_rel is constant here,
+# so eval_rel times each panel's modulus, summed, rounds differently from
+# eval_rel times their sum.  All were re-pinned when the routes moved from
+# the adaptive GL16/GL32 panels to the trapezoid rule: values by -3 to +7
+# ulp, bounds by 0.54-0.83 times (now 8.9e-15, 2.6e-14 and 5.1e-14 of the
+# value at n = 20, 70 and 145), nodes from 416, 544 and 680 to 120, 169
+# and 137.
 _PINNED_CALLERS = [
-    ("integral_coefficient", 20, "0x1.2020530cacd54p-77", "0x1.2f10d3e91bf9ap-123", 416),
-    ("integral_intermediate", 20, "0x1.2020530cacd4bp-77", "0x1.3c9fff294e7f2p-123", 416),
-    ("integral_coefficient", 70, "0x1.932c907058e14p-397", "0x1.51a3b822a54e5p-441", 544),
-    ("integral_intermediate", 70, "0x1.932c907058e14p-397", "0x1.36fb1a34f4432p-441", 544),
-    ("integral_coefficient", 145, "0x1.47f499c8783c1p-975", "0x1.5e34b421b9030p-1019", 680),
-    ("integral_intermediate", 145, "0x1.47f499c8783c2p-975", "0x1.5dad2ad996234p-1019", 680),
+    ("integral_coefficient", 20, "0x1.2020530cacd53p-77", "0x1.68334f882fb73p-124", 120),
+    ("integral_intermediate", 20, "0x1.2020530cacd52p-77", "0x1.683299041274dp-124", 120),
+    ("integral_coefficient", 70, "0x1.932c907058e19p-397", "0x1.6a3d301e3f29ep-442", 169),
+    ("integral_intermediate", 70, "0x1.932c907058e1ap-397", "0x1.6a3d301e4b765p-442", 169),
+    ("integral_coefficient", 145, "0x1.47f499c8783bfp-975", "0x1.2374fdb2360dbp-1019", 137),
+    ("integral_intermediate", 145, "0x1.47f499c8783bfp-975", "0x1.23753c42e1e58p-1019", 137),
 ]
 
 
@@ -248,16 +216,24 @@ def test_integral_routes_are_pinned(route, n, value, bound, nodes):
 # eval_rel(b) rather than at eval_rel(T): the phase's share grows with x.
 # The values were re-pinned when e^(pi |im q|) and the binomial's divisions
 # came to meet in the extended-range kernel: 1-4 ulp in either part; the
-# estimates and node counts did not move.
+# estimates and node counts did not move.  All were re-pinned when the
+# integrals moved from the adaptive GL16/GL32 panels to the trapezoid rule
+# and the stated rounding gained the exponent's rate tau U, stated against
+# the parts' modulus: the values moved by 1.6e-15 and 4.6e-16 at n = 10 and
+# by 3.7e-5 and 1.6e-9 at n = 40 (relative; against 50 digits f's error
+# went from 1.8e-5 to 2.1e-5 and g's from 8.2e-10 to 8.3e-10 there), the
+# estimates by 1.28 and 0.88 times at n = 10 and 14 and 11 times at n = 40
+# (1.8e-3 and 7.6e-8 of the integrals, whose parts cancel), the nodes from
+# 384, 384, 1 824 and 1 144 to 248, 247, 328 and 392.
 _PINNED_CONTINUATION = [
     ("stanton_coefficient", 10, 1.3 + 0.7j,
-     "-0x1.2f29993125314p-34", "0x1.f788ae7678366p-35", "0x1.1eae9f0e31cb4p-33", 384),
+     "-0x1.2f2999312530bp-34", "0x1.f788ae7678372p-35", "0x1.6d9d45b2f85abp-33", 248),
     ("continued_coefficient", 10, 1.3 + 0.7j,
-     "-0x1.384037ffebfcep-40", "-0x1.f798cf0adcfa2p-38", "0x1.54252849b7572p-39", 384),
+     "-0x1.384037ffebfcap-40", "-0x1.f798cf0adcfa6p-38", "0x1.2aaca937db55bp-39", 247),
     ("stanton_coefficient", 40, 2 + 3j,
-     "0x1.95a49695686e6p-262", "-0x1.961bb0e245c73p-264", "0x1.d99761b1c72abp+65", 1824),
+     "0x1.95a1f0fef1f63p-262", "-0x1.96279dc0d25bbp-264", "0x1.a209e0ab99e6bp+69", 328),
     ("continued_coefficient", 40, 2 + 3j,
-     "0x1.b5b1e8bc7619dp-268", "0x1.7e436c866f763p-266", "0x1.88588e2c213bep+46", 1144),
+     "0x1.b5b1e8d9d26c3p-268", "0x1.7e436c7ea5157p-266", "0x1.1471bdde30f7bp+50", 392),
 ]
 
 
@@ -282,27 +258,10 @@ def test_continuation_is_pinned(monkeypatch, route, n, q, re, im, bound, nodes):
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
-def test_integrate_decaying_rejects_a_tol_that_is_not_positive_and_finite(tol):
-    # NaN compares false with everything, so `tol <= 0` alone let it through
-    with pytest.raises(ValueError, match=f"tol must be positive and finite, got {tol}"):
-        integrate_decaying(lambda x: math.exp(-x), 1.0, tol=tol, poly_degree=0, eval_rel=_exp_rel(1, 1))
-
-
-@pytest.mark.parametrize(
-    "T, s, d",
-    [
-        (1e8, 43, 2e-6),  # T**s = 1e344 alone overflows; the weight is ~8.8e262
-        (4.9e7, 48, 2e-6),  # the weight itself (~e^762) overflows; its log does not
-        (7.5, 12, 3.0),
-        (2.0, 5, 20.0),
-    ],
-)
-def test_log_tail_weight_against_mpmath(T, s, d):
-    # int_T^inf x^s e^(-d x) dx = Gamma(s + 1, d T) / d^(s + 1)
-    with mp.workdps(30):
-        ref = mp.log(mp.gammainc(s + 1, mp.mpf(d) * T) / mp.mpf(d) ** (s + 1))
-        got = _log_tail_weight(T, s, d)
-        assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
+def test_integrate_decaying_rejects_a_tol_that_is_not_finite_and_nonnegative(tol):
+    # NaN compares false with everything, so `tol < 0` alone let it through
+    with pytest.raises(ValueError, match=f"tol must be finite and nonnegative, got {tol}"):
+        integrate_decaying(_stated(lambda x: math.exp(-x), 1, 1), tol=tol)
 
 
 @pytest.mark.parametrize("x", [1e-300, 1e-9, 0.01, 0.3, 0.3499, 0.35, 0.3501, 0.5, 3.0, 20.0, 300.0])
@@ -356,36 +315,6 @@ def test_folded_kernels_against_mpmath():
     assert checked > 20000
 
 
-def _gauss_legendre_positive_half(order: int) -> list[tuple[mp.mpf, mp.mpf]]:
-    """The positive nodes of P_order and their weights 2/((1-x^2) P'(x)^2), ascending, by Newton in mpmath."""
-
-    def d_legendre(x):
-        return order * (x * mp.legendre(order, x) - mp.legendre(order - 1, x)) / (x * x - 1)
-
-    half = []
-    for i in range(1, order // 2 + 1):
-        guess = mp.cos(mp.pi * (i - 0.25) / (order + 0.5))
-        x = mp.findroot(lambda x: mp.legendre(order, x), guess, solver="newton", df=d_legendre)
-        half.append((x, 2 / ((1 - x * x) * d_legendre(x) ** 2)))
-    return sorted(half)
-
-
-@pytest.mark.parametrize("rule", [_GL16, _GL32], ids=["GL16", "GL32"])
-def test_gauss_legendre_table_against_mpmath(rule):
-    # Measured worst case of the table against the 50-digit roots: nodes 0.3 / 1.2 ulp,
-    # weights 63 / 472 ulp (7e-15 / 6e-14 relative) for GL16 / GL32.
-    order = len(rule)
-    assert [x for x, _ in rule] == sorted(x for x, _ in rule)
-    for (x, w), (y, v) in zip(rule, reversed(rule)):
-        assert x == -y and w == v
-    with mp.workdps(50):
-        reference = _gauss_legendre_positive_half(order)
-        assert len({x for x, _ in reference}) == order // 2
-        for (x, w), (x_ref, w_ref) in zip(rule[order // 2 :], reference):
-            assert abs(x - x_ref) <= 2 * math.ulp(x)
-            assert abs(w - w_ref) <= 1e-13 * w_ref
-
-
 def _tail_of_inverse_square(a, rel=4 * U):
     """abel_plana_tail of 1/z^2 from a, each evaluation stated to round by rel."""
     return abel_plana_tail(lambda z: 1.0 / (z * z), a, eval_rel=lambda r: rel)
@@ -427,6 +356,18 @@ def test_abel_plana_tail_of_complex_terms_is_the_hurwitz_zeta(a, n, z):
         want = mp.zeta(n, a + mp.mpc(z))
         got = mp.fsum(map(mp.mpc, parts))
         assert abs(got - want) <= bound <= 2e-13 * abs(want)
+
+
+def test_abel_plana_tail_cap_counts_both_integrals_of_a_complex_term():
+    # a complex term's second integral takes f(c + iy) and f(c - iy), two
+    # evaluations per node, all under the caller's cap, which a failure there names
+    def term(w):
+        return (w + 0.5 + 0.5j) ** -10
+
+    _, _, used = abel_plana_tail(term, 1, eval_rel=lambda r: 40 * U)
+    assert abel_plana_tail(term, 1, eval_rel=lambda r: 40 * U, node_cap=used)[2] == used
+    with pytest.raises(ConvergenceError, match=rf"^node cap {used - 1} exceeded at \[0, 16\]"):
+        abel_plana_tail(term, 1, eval_rel=lambda r: 40 * U, node_cap=used - 1)
 
 
 @pytest.mark.parametrize("a, largest_bound", [(3, 1e-3), (8, 1e-8), (1001, 1e-18)])
