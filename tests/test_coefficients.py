@@ -249,8 +249,7 @@ def test_integral_routes_name_themselves_at_the_node_cap(method):
 def test_integral_routes_against_the_oracle(method):
     # the bound covers the rounding of the integrand, the rule's sums and the
     # prefactor product; the rule stops at the integrand's stated rounding, so
-    # the bound is sharp at every n, and the node count stays small (it was
-    # 384-680 by adaptive GL16/GL32 panels)
+    # the bound is sharp at every n, and the node count stays small
     for n in range(2, MAX_N[method][0] + 1):
         ref = _weyl_reference(n)
         est = estimate(method, n)
