@@ -161,6 +161,21 @@ def test_integrate_decaying_node_cap():
         integrate_decaying(_stated(lambda x: math.exp(-x), 1, 1), tol=1e-10, node_cap=20)
 
 
+def test_integrate_decaying_of_a_zero_integrand_is_exactly_zero():
+    r = integrate_decaying(lambda x: (0.0, 0.0, 0.0), tol=0.0)
+    assert (r.value, r.error_estimate) == (0.0, 0.0)
+
+
+def test_integrate_decaying_names_a_node_past_the_float_range():
+    # u M(u) passes the float range at u = 4 on the walk, before any sum is formed
+    def f(x):
+        value = 1e308 * math.exp(-x / 100)
+        return value, value, 2 * U
+
+    with pytest.raises(OverflowError, match=r"u \|F\(u\)\| is not finite at u = 4$"):
+        integrate_decaying(f, tol=1e-10)
+
+
 def _noisy(x: float) -> float:
     """e^(-x) (1 + 1e-12 sin(1e7 x)): relative noise of 1e-12, deterministic, about 1e-19 net."""
     return math.exp(-x) * (1.0 + 1e-12 * math.sin(1e7 * x))
