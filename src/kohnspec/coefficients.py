@@ -204,9 +204,9 @@ def _integral_route(
 ) -> CoefficientEstimate:
     """prefactor times the integral over [0, inf) of a positive integrand, by integrate_decaying.
 
-    The rule stops at the rounding the integrand states, _integrand_rel(n),
-    with no absolute floor, so the estimate follows the value at every n.
-    A ConvergenceError names the route and n.
+    The rule stops at the rounding _integrand_rel(n) states, with no absolute
+    floor: its estimate follows the value at every n and holds as far as that
+    statement does.  A ConvergenceError names the route and n.
     """
     rel = _integrand_rel(n)
 

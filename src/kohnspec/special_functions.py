@@ -354,7 +354,7 @@ def abel_plana_tail(
     eval_rel(r) states the relative rounding of one evaluation at modulus r,
     its argument c + u's (u rounds once) included; the second integrand's adds
     4 pi y + 4 for its weight.  A complex value at a real node marks a complex
-    term, which takes f(c - iy) too.
+    term, which takes f(c - iy) too; node_cap counts both evaluations.
     """
     c = a - 0.5
 
@@ -363,6 +363,10 @@ def abel_plana_tail(
         return value, abs(value), eval_rel(c + u)
 
     def across(y: float) -> tuple:
+        nonlocal used
+        used += cost
+        if used > node_cap:
+            raise ConvergenceError(f"node cap {node_cap} exceeded at y = {y:g}")
         weight = math.exp(-math.tau * y) / (1.0 + math.exp(-math.tau * y))
         upper, rel = term(complex(c, y)), eval_rel(math.hypot(c, y)) + (2.0 * math.tau * y + 4.0) * U
         lower = term(complex(c, -y)) if complex_term else upper.conjugate()
@@ -371,13 +375,10 @@ def abel_plana_tail(
     integral = integrate_decaying(along, tol=0.0, node_cap=node_cap)
     complex_term = isinstance(integral.value, complex)
     cost = 1 + complex_term  # term evaluations per node of the second integral
-    rest = (node_cap - integral.nodes_used) // cost
-    try:
-        correction = integrate_decaying(across, tol=U * abs(integral.value), node_cap=rest)
-    except ConvergenceError as err:  # the cap is the caller's, of which rest was left
-        raise ConvergenceError(str(err).replace(f"node cap {rest} ", f"node cap {node_cap} ")) from None
+    used = integral.nodes_used  # term evaluations so far, which across counts on
+    correction = integrate_decaying(across, tol=U * abs(integral.value), node_cap=node_cap)
     bound = integral.error_estimate + correction.error_estimate
     if not math.isfinite(bound):
         raise ConvergenceError(f"the error bound is {bound}")
     parts = [integral.value, correction.value if complex_term else correction.value.real]
-    return parts, bound, integral.nodes_used + cost * correction.nodes_used
+    return parts, bound, used

@@ -189,6 +189,22 @@ def test_integrate_decaying_stops_at_the_stated_rounding():
     assert abs(r.value - 1.0) <= r.error_estimate <= 5e-12
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 14: the estimate trusts the stated rounding; the noise stated as a few ulps "
+    "is accepted at step 1/16 with an estimate of 7.8e-16 while the value is off by 5.8e-15",
+)
+def test_integrate_decaying_does_not_accept_noise_stated_as_a_few_ulps():
+    # the same noise stated as (x + 2) U is either refined on to the node cap
+    # or carried by the estimate
+    try:
+        r = integrate_decaying(_stated(_noisy, 1, 2), tol=1e-14, node_cap=20_000)
+    except ConvergenceError as err:
+        assert "node cap 20000 exceeded" in str(err) or "no agreement" in str(err)
+        return
+    assert abs(r.value - 1.0) <= r.error_estimate
+
+
 # Value, bound (float.hex) and node count of integrate_decaying's callers
 # outside heat, pinned as regressions.  Three bounds moved by 1-2 ulp when
 # the rounding came to be booked panel by panel: eval_rel is constant here,
@@ -375,13 +391,18 @@ def test_abel_plana_tail_of_complex_terms_is_the_hurwitz_zeta(a, n, z):
 
 def test_abel_plana_tail_cap_counts_both_integrals_of_a_complex_term():
     # a complex term's second integral takes f(c + iy) and f(c - iy), two
-    # evaluations per node, all under the caller's cap, which a failure there names
+    # evaluations per node, all under the caller's cap, which a failure there
+    # names with the node it stopped at
+    calls = []
+
     def term(w):
+        calls.append(w)
         return (w + 0.5 + 0.5j) ** -10
 
     _, _, used = abel_plana_tail(term, 1, eval_rel=lambda r: 40 * U)
+    assert used == len(calls)
     assert abel_plana_tail(term, 1, eval_rel=lambda r: 40 * U, node_cap=used)[2] == used
-    with pytest.raises(ConvergenceError, match=rf"^node cap {used - 1} exceeded at \[0, 16\]"):
+    with pytest.raises(ConvergenceError, match=rf"^node cap {used - 1} exceeded at y = 33.28"):
         abel_plana_tail(term, 1, eval_rel=lambda r: 40 * U, node_cap=used - 1)
 
 
